@@ -169,9 +169,9 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
             return leaf_cache[idx]
         if idx:
             lp_calls[0] += 1
-            c, loss = fit_l1(Phi[list(idx)], data.y[list(idx)], w, cfg.lambda_m,
-                             (cfg.c_lb, cfg.c_ub), y_bounds=yb,
-                             Phi_bound=Phi[list(idx)])
+            rows = list(idx)
+            c, loss = fit_l1(Phi[rows], data.y[rows], w, cfg.lambda_m,
+                             (cfg.c_lb, cfg.c_ub), y_bounds=yb)
         else:
             c, loss = zero, 0.0
         leaf_cache[idx] = (c, loss)

@@ -1,9 +1,9 @@
-"""Small dense linear programming engine.
+"""Small dense linear programs and exact L1 leaf fitting.
 
-Bounded-variable primal simplex, two phases with artificial variables.
-Dantzig pricing with a Bland's-rule fallback as cycling protection. Sized for
-the tiny instances produced by leaf fitting and the learning enumeration
-(a few hundred variables at most).
+Every LP goes through scipy's bundled HiGHS solver (Huangfu & Hall, "Parallelizing
+the dual revised simplex method", Math. Prog. Comp. 2018). `solve_lp` takes a
+row-list problem; `fit_l1` poses the leaf fit as one LP with split residual and
+coefficient variables.
 """
 
 from __future__ import annotations
@@ -11,19 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import DimensionError, NumericalError
-
-FEAS_TOL = 1e-8
-OPT_TOL = 1e-7
-_PIV_TOL = 1e-9
-_COST_TOL = 1e-9
 
 LE, EQ, GE = "<=", "=", ">="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}  # scipy linprog status codes
 
 
 @dataclass
@@ -54,218 +52,63 @@ class LpSolution:
     objective: float = None
 
 
-class _Simplex:
-    def __init__(self, p: LpProblem):
-        n = len(p.objective)
-        m = len(p.rows)
-        self.n, self.m = n, m
-        A = np.zeros((m, n + 2 * m))
-        b = np.zeros(m)
-        lo = np.full(n + 2 * m, -np.inf)
-        hi = np.full(n + 2 * m, np.inf)
-        for j, (l, h) in enumerate(p.bounds):
-            lo[j], hi[j] = l, h
-        for i, (coeffs, rel, rhs) in enumerate(p.rows):
-            A[i, :n] = coeffs
-            A[i, n + i] = 1.0  # slack
-            b[i] = rhs
-            if rel == LE:
-                lo[n + i], hi[n + i] = 0.0, np.inf
-            elif rel == GE:
-                lo[n + i], hi[n + i] = -np.inf, 0.0
-            else:
-                lo[n + i], hi[n + i] = 0.0, 0.0
-        # Nonbasic start: nearest finite bound, else 0.
-        x = np.zeros(n + 2 * m)
-        for j in range(n + m):
-            if np.isfinite(lo[j]):
-                x[j] = lo[j]
-            elif np.isfinite(hi[j]):
-                x[j] = hi[j]
-        r = b - A[:, : n + m] @ x[: n + m]
-        for i in range(m):
-            A[i, n + m + i] = 1.0 if r[i] >= 0 else -1.0
-            lo[n + m + i] = 0.0
-            x[n + m + i] = abs(r[i])
-        self.A, self.b = A, b
-        self.lo, self.hi = lo, hi
-        self.x = x
-        self.basic = list(range(n + m, n + 2 * m))
-        self.is_basic = np.zeros(n + 2 * m, dtype=bool)
-        self.is_basic[self.basic] = True
-        # Initial tableau: B = diag(sigma) so B^-1 A flips negative-residual rows.
-        self.T = A.copy()
-        for i in range(m):
-            if A[i, n + m + i] < 0:
-                self.T[i] *= -1.0
-        self.iters = 0
-        self.bland_after = 1000 + 10 * (m + n)
-        self.max_iters = 20000 + 100 * (m + n)
-
-    def _run_phase(self, cost: np.ndarray) -> str:
-        m = self.m
-        while True:
-            self.iters += 1
-            if self.iters > self.max_iters:
-                raise NumericalError("simplex iteration cap exhausted (cycling protection)")
-            bland = self.iters > self.bland_after
-            d = cost.copy()
-            if m:
-                d -= cost[self.basic] @ self.T
-            enter, direction = self._pick_entering(d, bland)
-            if enter is None:
-                return OPTIMAL
-            col = self.T[:, enter]
-            y = direction * col
-            t_own = self.hi[enter] - self.lo[enter]
-            t_best, leave_row = t_own, None
-            for i in range(m):
-                bi = self.basic[i]
-                if y[i] > _PIV_TOL:
-                    ti = (self.x[bi] - self.lo[bi]) / y[i]
-                elif y[i] < -_PIV_TOL:
-                    ti = (self.hi[bi] - self.x[bi]) / (-y[i])
-                else:
-                    continue
-                if ti < t_best - 1e-12:
-                    t_best, leave_row = ti, i
-                elif leave_row is not None and ti < t_best + 1e-12:
-                    if bland:
-                        if bi < self.basic[leave_row]:
-                            leave_row = i
-                    elif abs(col[i]) > abs(col[leave_row]):
-                        leave_row = i
-            if not np.isfinite(t_best):
-                return UNBOUNDED
-            t_best = max(t_best, 0.0)
-            if leave_row is None:
-                # Bound-to-bound flip of the entering variable.
-                self.x[enter] = self.hi[enter] if direction > 0 else self.lo[enter]
-                if m:
-                    self.x[self.basic] -= y * t_own
-                continue
-            leaving = self.basic[leave_row]
-            self.x[self.basic] -= y * t_best
-            self.x[enter] += direction * t_best
-            self.x[leaving] = self.lo[leaving] if y[leave_row] > 0 else self.hi[leaving]
-            piv = self.T[leave_row, enter]
-            self.T[leave_row] /= piv
-            colv = self.T[:, enter].copy()
-            colv[leave_row] = 0.0
-            self.T -= np.outer(colv, self.T[leave_row])
-            self.basic[leave_row] = enter
-            self.is_basic[leaving] = False
-            self.is_basic[enter] = True
-
-    def _pick_entering(self, d, bland):
-        best, best_score, best_dir = None, _COST_TOL, 0
-        for j in range(len(d)):
-            if self.is_basic[j] or self.hi[j] - self.lo[j] < 1e-15:
-                continue
-            at_lo = self.x[j] == self.lo[j]
-            at_hi = self.x[j] == self.hi[j]
-            if not (at_lo or at_hi):  # free variable parked off-bound
-                score, direction = abs(d[j]), (1 if d[j] < 0 else -1)
-            elif at_lo and d[j] < 0:
-                score, direction = -d[j], 1
-            elif at_hi and d[j] > 0:
-                score, direction = d[j], -1
-            else:
-                continue
-            if score > best_score:
-                best, best_score, best_dir = j, score, direction
-                if bland:
-                    break
-        return best, best_dir
-
-    def solve(self, objective: np.ndarray) -> LpSolution:
-        n, m = self.n, self.m
-        cost1 = np.zeros(n + 2 * m)
-        cost1[n + m :] = 1.0
-        self._run_phase(cost1)
-        if cost1 @ self.x > 1e-7:
-            return LpSolution(status=INFEASIBLE)
-        self.hi[n + m :] = 0.0  # lock artificials out
-        cost2 = np.zeros(n + 2 * m)
-        cost2[:n] = objective
-        status = self._run_phase(cost2)
-        if status == UNBOUNDED:
-            return LpSolution(status=UNBOUNDED)
-        xs = self.x[:n].copy()
-        return LpSolution(status=OPTIMAL, x=xs, objective=float(objective @ xs))
+def _highs(cost, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
+    """min cost @ x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, bounds, by HiGHS."""
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    status = _STATUS.get(res.status)
+    if status is None:
+        raise NumericalError(f"HiGHS stopped with status {res.status}: {res.message}")
+    if status != OPTIMAL:
+        return LpSolution(status=status)
+    return LpSolution(status=OPTIMAL, x=res.x, objective=float(res.fun))
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
     """Solve a small dense LP; statuses: optimal, infeasible, unbounded."""
     p.check()
     c = np.asarray(p.objective, dtype=float)
-    n = len(c)
-    if not p.rows:
-        x = np.zeros(n)
-        for j, (l, h) in enumerate(p.bounds):
-            if c[j] > 0:
-                if not np.isfinite(l):
-                    return LpSolution(status=UNBOUNDED)
-                x[j] = l
-            elif c[j] < 0:
-                if not np.isfinite(h):
-                    return LpSolution(status=UNBOUNDED)
-                x[j] = h
-            elif np.isfinite(l):
-                x[j] = l
-            elif np.isfinite(h):
-                x[j] = h
-        return LpSolution(status=OPTIMAL, x=x, objective=float(c @ x))
-    return _Simplex(p).solve(c)
+    sign = np.array([-1.0 if rel == GE else 1.0 for _, rel, _ in p.rows])
+    eq = np.array([rel == EQ for _, rel, _ in p.rows], dtype=bool)
+    A = np.array([coeffs for coeffs, _, _ in p.rows], dtype=float).reshape(len(p.rows), len(c))
+    A *= sign[:, None]
+    b = np.array([rhs for _, _, rhs in p.rows], dtype=float) * sign
+    return _highs(c, A[~eq], b[~eq], A[eq], b[eq], p.bounds)
 
 
-def fit_l1(Phi, y, w: float, lambda_m: float, c_bounds,
-           y_bounds=None, Phi_bound=None):
+def fit_l1(Phi, y, w: float, lambda_m: float, c_bounds, y_bounds=None):
     """L1 fit of coefficients c minimizing  w*sum|y - Phi c| + lambda_m*sum|c|.
 
     Posed as an LP with split residual and coefficient variables. Optional
-    y_bounds adds rows keeping Phi_bound @ c inside [y_lb, y_ub] (Phi_bound
-    defaults to Phi). Empty data returns zero coefficients and zero loss.
+    y_bounds adds rows keeping Phi @ c inside [y_lb, y_ub]. Empty data returns
+    zero coefficients and zero loss.
     """
-    Phi = np.asarray(Phi, dtype=float).reshape(len(y), -1) if len(y) else np.zeros((0, 0))
+    Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
+    if Phi.ndim != 2 or Phi.shape[0] != len(y):
+        raise DimensionError(f"basis matrix of shape {Phi.shape} for {len(y)} labels")
     if w <= 0:
         raise DimensionError("weight w must be positive")
     if lambda_m < 0:
         raise DimensionError("lambda_m must be nonnegative")
     N, K = Phi.shape
     if N == 0:
-        k = K if K else (0 if Phi_bound is None else np.asarray(Phi_bound).shape[1])
-        return np.zeros(k), 0.0
-    c_lb, c_ub = c_bounds
+        return np.zeros(K), 0.0
     # Layout: c (K), eps+ (N), eps- (N), c+ (K), c- (K).
-    nv = 3 * K + 2 * N
-    obj = np.zeros(nv)
-    obj[K : K + 2 * N] = w
-    obj[K + 2 * N :] = lambda_m
-    bounds = [(c_lb, c_ub)] * K + [(0.0, np.inf)] * (2 * N + 2 * K)
-    rows = []
-    for i in range(N):
-        coeffs = np.zeros(nv)
-        coeffs[:K] = Phi[i]
-        coeffs[K + i] = 1.0
-        coeffs[K + N + i] = -1.0
-        rows.append((coeffs, EQ, float(y[i])))
-    for k in range(K):
-        coeffs = np.zeros(nv)
-        coeffs[k] = 1.0
-        coeffs[K + 2 * N + k] = -1.0
-        coeffs[K + 2 * N + K + k] = 1.0
-        rows.append((coeffs, EQ, 0.0))
+    I_N, I_K = np.eye(N), np.eye(K)
+    Z_NK, Z_KN = np.zeros((N, K)), np.zeros((K, N))
+    A_eq = np.block([[Phi, I_N, -I_N, Z_NK, Z_NK],
+                     [I_K, Z_KN, Z_KN, -I_K, I_K]])
+    b_eq = np.concatenate([y, np.zeros(K)])
+    cost = np.concatenate([np.zeros(K), np.full(2 * N, w), np.full(2 * K, lambda_m)])
+    bounds = [tuple(c_bounds)] * K + [(0.0, np.inf)] * (2 * N + 2 * K)
+    A_ub = b_ub = None
     if y_bounds is not None:
         y_lb, y_ub = y_bounds
-        Pb = Phi if Phi_bound is None else np.asarray(Phi_bound, dtype=float)
-        for prow in Pb:
-            coeffs = np.zeros(nv)
-            coeffs[:K] = prow
-            rows.append((coeffs.copy(), LE, float(y_ub)))
-            rows.append((coeffs, GE, float(y_lb)))
-    sol = solve_lp(LpProblem(objective=obj, rows=rows, bounds=bounds))
+        Z = np.zeros((N, 2 * N + 2 * K))
+        A_ub = np.block([[Phi, Z], [-Phi, Z]])
+        b_ub = np.concatenate([np.full(N, float(y_ub)), np.full(N, -float(y_lb))])
+    sol = _highs(cost, A_ub, b_ub, A_eq, b_eq, bounds)
     if sol.status != OPTIMAL:
         raise NumericalError(f"L1 fitting LP terminated with status {sol.status}")
     return sol.x[:K].copy(), sol.objective

@@ -487,7 +487,7 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
             idx = [i - 1 for i in range(1, data.n_points + 1) if assigned[i] == n]
             coeffs, _ = fit_l1(Phi[idx], data.y[idx], 1.0 / data.n_points,
                                cfg.lambda_m, (cfg.c_lb, cfg.c_ub),
-                               y_bounds=art.y_bounds, Phi_bound=Phi[idx])
+                               y_bounds=art.y_bounds)
         leaves[n] = LeafExpression(coefficients=tuple(float(v) for v in coeffs))
 
     model = TreeModel(

@@ -265,7 +265,7 @@ def test_criterion_8_property_suites(capsys):
                  and all(predict(again, x) == predict(model, x)
                          for x in np.linspace(0.1, 0.9, 33)))
 
-    # simplex vs vertex-enumeration oracle
+    # HiGHS-backed solve_lp vs the solver-free vertex-enumeration oracle
     rng = np.random.default_rng(109)
     lp_ok, checked = True, 0
     for _ in range(30):

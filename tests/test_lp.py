@@ -10,7 +10,8 @@ from symtree.lp import EQ, GE, LE, LpProblem, fit_l1, solve_lp
 # Vertex-enumeration oracle: for a bounded small LP, every basic feasible
 # point lies at the intersection of n active hyperplanes drawn from the rows
 # (treated as equalities) and the variable bounds. The optimum is the best
-# feasible intersection point. Independent of the simplex implementation.
+# feasible intersection point. Uses no LP solver, so it checks the HiGHS
+# backend independently (tests/oracles.py itself solves with HiGHS).
 # ---------------------------------------------------------------------------
 
 
@@ -100,6 +101,19 @@ def test_equality_system_solved_exactly():
     assert np.allclose(sol.x, [2.0, 1.0], atol=1e-9)
 
 
+def test_rows_free_lp_sits_on_the_cost_favoured_bounds():
+    p = LpProblem(objective=[1.0, -1.0], bounds=[(0.0, 2.0), (-1.0, 3.0)])
+    sol = solve_lp(p)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, [0.0, 3.0], atol=1e-12)
+    assert sol.objective == pytest.approx(-3.0, abs=1e-12)
+
+
+def test_rows_free_lp_unbounded():
+    p = LpProblem(objective=[1.0], bounds=[(-np.inf, np.inf)])
+    assert solve_lp(p).status == "unbounded"
+
+
 def test_dimension_mismatch_rejected():
     p = LpProblem(objective=[1.0, 2.0], rows=[([1.0], LE, 1.0)],
                   bounds=[(0, 1), (0, 1)])
@@ -160,7 +174,7 @@ def test_fit_l1_matches_arrangement_oracle():
         Phi = rng.uniform(-2, 2, (N, K))
         y = rng.uniform(-2, 2, N)
         w = 1.0 / N
-        lam = float(rng.choice([0.0, 1e-2, 0.3]))
+        lam = float(rng.choice([0.0, 1e-4, 1e-2, 0.3]))
         c, loss = fit_l1(Phi, y, w, lam, (-5.0, 5.0))
         ref = oracle_l1(Phi, y, w, lam, (-5.0, 5.0))
         assert loss == pytest.approx(ref, abs=1e-7)
@@ -215,7 +229,13 @@ def test_fit_l1_lambda_monotonicity():
 
 def test_fit_l1_empty_data():
     c, loss = fit_l1(np.zeros((0, 3)), np.zeros(0), 1.0, 1e-2, (-1.0, 1.0))
+    assert c.shape == (3,)
     assert np.allclose(c, 0.0) and loss == 0.0
+
+
+def test_fit_l1_shape_mismatch_rejected():
+    with pytest.raises(DimensionError):
+        fit_l1(np.ones((3, 2)), np.zeros(2), 0.5, 0.0, (-1.0, 1.0))
 
 
 def test_fit_l1_coefficient_bounds_respected():
