@@ -104,7 +104,7 @@ def cmd_train(args) -> int:
     }
     _write_json(_sibling(args.out, ".report.json"), doc)
     print(f"objective {rep.objective:.6g} with {doc['n_branch']} branch nodes"
-          f" ({rep.subproblems_solved} leaf subproblems, {rep.wall_time:.1f} s)")
+          f" ({rep.subproblems_solved} leaf LPs solved, {rep.wall_time:.1f} s)")
     return 0
 
 

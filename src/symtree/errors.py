@@ -22,7 +22,8 @@ class DimensionError(SymtreeError):
 
 
 class NumericalError(SymtreeError):
-    """The LP engine exhausted its cycling protection; indicates a solver bug."""
+    """The LP solver stopped without an optimal, infeasible or unbounded verdict,
+    or a leaf LP that must have an optimum had none."""
 
 
 class ConfigError(SymtreeError):

@@ -1,10 +1,18 @@
 """Globally optimal symbolic-tree learning over discretized thresholds.
 
-The search enumerates every admissible topology (root always branches, any
-internal node may be pruned to a leaf) and every data-midpoint threshold,
-solving an L1 leaf-fitting LP per candidate leaf. Midpoint thresholds realize
-every data partition reachable by a continuous threshold, so the discretized
-optimum equals the continuous one for the same topology set.
+The search covers every admissible topology (root always branches, any
+internal node may be pruned to a leaf) and every data-midpoint threshold, and
+fits each leaf by an L1 LP. Midpoint thresholds realize every data partition
+reachable by a continuous threshold, so the discretized optimum equals the
+continuous one for the same topology set.
+
+The search is branch-and-bound, in the spirit of MurTree (Demirović et al.,
+JMLR 2022): adding points to a leaf never lowers its optimal loss, so the
+largest loss solved so far over any subset of a point set bounds that set's
+loss from below. A threshold is skipped, with its LPs, when the branch cost
+plus the two children's bounds already exceeds the best subtree found, so the
+search solves far fewer LPs and returns the same optimum, with the same
+tie-breaking, as full enumeration.
 """
 
 from __future__ import annotations
@@ -122,16 +130,33 @@ class FitReport:
     model: TreeModel
     objective: float
     breakdown: tuple          # (L_acc, L_c, L_m)
-    subproblems_solved: int
+    subproblems_solved: int   # leaf LPs actually solved
     wall_time: float
+
+
+def _midpoints(values) -> np.ndarray:
+    vals = np.unique(values)
+    return (vals[:-1] + vals[1:]) / 2.0
 
 
 def candidate_thresholds(data: Dataset, feature: int) -> np.ndarray:
     """Midpoints between consecutive distinct sorted values of one feature."""
     if not 0 <= feature < data.n_features:
         raise IndexError(f"feature {feature} out of range for {data.n_features} features")
-    vals = np.unique(data.X[:, feature])
-    return (vals[:-1] + vals[1:]) / 2.0
+    return _midpoints(data.X[:, feature])
+
+
+def _split_order(values) -> np.ndarray:
+    """Midpoints plus the two empty-side splits, middle-out.
+
+    A threshold outside the data range routes everything one way, which can
+    be optimal (one leaf pays the coefficient penalty instead of two). Balanced
+    splits come first because they tend to be cheap, and a cheap incumbent
+    early lets the bounds skip more of the rest.
+    """
+    thrs = np.concatenate([[values.min() - 1.0], _midpoints(values), [values.max() + 1.0]])
+    offset = np.abs(np.arange(len(thrs)) - (len(thrs) - 1) / 2.0)
+    return thrs[np.argsort(offset, kind="stable")]
 
 
 @dataclass
@@ -144,13 +169,49 @@ class _Candidate:
     kinds: dict
 
 
+_TIE = 1e-12  # costs closer than this tie; fewer branches, then split order, decide
+
+
 def _better(a: _Candidate, b: _Candidate) -> bool:
     """True if a beats b under cost, then fewer branches, then lex split order."""
-    if a.cost < b.cost - 1e-12:
+    if a.cost < b.cost - _TIE:
         return True
-    if a.cost > b.cost + 1e-12:
+    if a.cost > b.cost + _TIE:
         return False
     return (a.n_branch, a.seq) < (b.n_branch, b.seq)
+
+
+class _SolvedSets:
+    """Point sets whose leaf LP has been solved (boolean rows) and their losses."""
+
+    def __init__(self, n_points: int):
+        self.masks = np.zeros((64, n_points), dtype=bool)
+        self.losses = np.zeros(64)
+        self.n = 0
+        self._bounds = {}     # mask bytes -> (rows scanned, bound over them)
+
+    def add(self, mask: np.ndarray, loss: float):
+        if self.n == len(self.losses):
+            self.masks = np.vstack([self.masks, np.zeros_like(self.masks)])
+            self.losses = np.concatenate([self.losses, np.zeros_like(self.losses)])
+        self.masks[self.n] = mask
+        self.losses[self.n] = loss
+        self.n += 1
+
+    def lower_bound(self, mask: np.ndarray) -> float:
+        """Largest solved loss over subsets of mask: a lower bound on its loss.
+
+        The search asks about the same sets many times, so each set keeps its
+        bound and scans only the rows added since it was last asked.
+        """
+        key = mask.tobytes()
+        scanned, lb = self._bounds.get(key, (0, 0.0))
+        if scanned < self.n:
+            new = slice(scanned, self.n)
+            inside = ~(self.masks[new] & ~mask).any(axis=1)
+            lb = max(lb, float(self.losses[new].max(where=inside, initial=0.0)))
+            self._bounds[key] = (self.n, lb)
+        return lb
 
 
 def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
@@ -161,62 +222,68 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
     yb = cfg.resolved_y_bounds(data.y)
     w = 1.0 / data.n_points
     zero = np.zeros(basis.size)
-    lp_calls = [0]
+    solved = _SolvedSets(data.n_points)
     leaf_cache: dict = {}
 
-    def leaf_fit(idx: tuple):
-        if idx in leaf_cache:
-            return leaf_cache[idx]
-        if idx:
-            lp_calls[0] += 1
-            rows = list(idx)
-            c, loss = fit_l1(Phi[rows], data.y[rows], w, cfg.lambda_m,
-                             (cfg.c_lb, cfg.c_ub), y_bounds=yb)
-        else:
-            c, loss = zero, 0.0
-        leaf_cache[idx] = (c, loss)
-        return c, loss
+    def leaf_fit(mask):
+        key = mask.tobytes()
+        if key not in leaf_cache:
+            if mask.any():
+                c, loss = fit_l1(Phi[mask], data.y[mask], w, cfg.lambda_m,
+                                 (cfg.c_lb, cfg.c_ub), y_bounds=yb)
+                solved.add(mask, loss)
+            else:
+                c, loss = zero, 0.0
+            leaf_cache[key] = (c, loss)
+        return leaf_cache[key]
 
-    def search(node: int, idx: tuple, must_branch: bool) -> _Candidate:
+    def bound(node, mask):
+        """Lower bound on the cost of any subtree at node over mask: a
+        subtree that may still branch costs at least lambda_c if it does."""
+        lb = solved.lower_bound(mask)
+        return min(lb, cfg.lambda_c) if node_depth(node) < cfg.depth else lb
+
+    def search(node, mask, must_branch, budget):
+        """Best subtree at node over the points in mask, or None when even
+        the best costs more than budget (+_TIE)."""
         best = None
-        if not must_branch:
-            c, loss = leaf_fit(idx)
+        if not must_branch and solved.lower_bound(mask) <= budget + _TIE:
+            c, loss = leaf_fit(mask)
             best = _Candidate(cost=loss, n_branch=0, seq=(),
                               rules={}, leaves={node: c}, kinds={node: LEAF})
-        if node_depth(node) < cfg.depth:
-            sub = Dataset(X=data.X[list(idx)], y=data.y[list(idx)]) if idx else None
+        limit = budget if best is None else min(budget, best.cost)
+        if node_depth(node) < cfg.depth and mask.any():
             for f in range(data.n_features):
-                if sub is not None:
-                    vals = sub.X[:, f]
-                    # Midpoints plus the two empty-side splits; a threshold
-                    # outside the data range routes everything one way, which
-                    # can be optimal (one leaf pays the coefficient penalty
-                    # instead of two).
-                    thrs = list(candidate_thresholds(sub, f))
-                    thrs += [float(vals.min()) - 1.0, float(vals.max()) + 1.0]
-                elif must_branch:
-                    thrs = [0.0]
-                else:
-                    thrs = []
-                for thr in thrs:
-                    go_left = [i for i in idx if data.X[i, f] < thr]
-                    go_right = [i for i in idx if data.X[i, f] >= thr]
-                    left = search(2 * node, tuple(go_left), False)
-                    right = search(2 * node + 1, tuple(go_right), False)
+                col = data.X[:, f]
+                for thr in _split_order(col[mask]):
+                    go_left = col < thr
+                    left, right = mask & go_left, mask & ~go_left
+                    right_lb = bound(2 * node + 1, right)
+                    if cfg.lambda_c + bound(2 * node, left) + right_lb > limit + _TIE:
+                        continue
+                    lt = search(2 * node, left, False, limit - cfg.lambda_c - right_lb)
+                    if lt is None:
+                        continue
+                    rt = search(2 * node + 1, right, False, limit - cfg.lambda_c - lt.cost)
+                    if rt is None:
+                        continue
                     cand = _Candidate(
-                        cost=cfg.lambda_c + left.cost + right.cost,
-                        n_branch=1 + left.n_branch + right.n_branch,
-                        seq=((f, float(thr)),) + left.seq + right.seq,
+                        cost=cfg.lambda_c + lt.cost + rt.cost,
+                        n_branch=1 + lt.n_branch + rt.n_branch,
+                        seq=((f, float(thr)),) + lt.seq + rt.seq,
                         rules={node: BranchRule(feature=f, threshold=float(thr)),
-                               **left.rules, **right.rules},
-                        leaves={**left.leaves, **right.leaves},
-                        kinds={node: BRANCH, **left.kinds, **right.kinds},
+                               **lt.rules, **rt.rules},
+                        leaves={**lt.leaves, **rt.leaves},
+                        kinds={node: BRANCH, **lt.kinds, **rt.kinds},
                     )
                     if best is None or _better(cand, best):
                         best = cand
+                        limit = min(budget, best.cost)
+        if best is None or best.cost > budget + _TIE:
+            return None
         return best
 
-    winner = search(1, tuple(range(data.n_points)), True)
+    winner = search(1, np.ones(data.n_points, dtype=bool), True, np.inf)
     kinds = {n: INACTIVE for n in range(1, 2 ** (cfg.depth + 1))}
     kinds.update(winner.kinds)
     model = TreeModel(
@@ -228,7 +295,7 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
     )
     objective, breakdown = objective_of(model, data, cfg)
     return FitReport(model=model, objective=objective, breakdown=breakdown,
-                     subproblems_solved=lp_calls[0],
+                     subproblems_solved=solved.n,
                      wall_time=time.perf_counter() - t0)
 
 

@@ -1,9 +1,12 @@
 """Small dense linear programs and exact L1 leaf fitting.
 
 Every LP goes through scipy's bundled HiGHS solver (Huangfu & Hall, "Parallelizing
-the dual revised simplex method", Math. Prog. Comp. 2018). `solve_lp` takes a
-row-list problem; `fit_l1` poses the leaf fit as one LP with split residual and
-coefficient variables.
+the dual revised simplex method", Math. Prog. Comp. 2018), called through
+`scipy.optimize.milp` with no integer variables: the same solve as `linprog`
+behind a thinner wrapper, which matters because a leaf LP is small enough for
+the per-call overhead to dominate. `solve_lp` takes a row-list problem;
+`fit_l1` poses the leaf fit as one LP with split residual and coefficient
+variables.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import DimensionError, NumericalError
 
@@ -21,7 +24,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}  # scipy linprog status codes
+_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}  # scipy milp status codes
 
 
 @dataclass
@@ -52,10 +55,10 @@ class LpSolution:
     objective: float = None
 
 
-def _highs(cost, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
-    """min cost @ x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, bounds, by HiGHS."""
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+def _highs(cost, A, row_lo, row_hi, lo, hi) -> LpSolution:
+    """min cost @ x  s.t.  row_lo <= A x <= row_hi, lo <= x <= hi, by HiGHS."""
+    rows = LinearConstraint(A, row_lo, row_hi) if len(A) else None
+    res = milp(cost, constraints=rows, bounds=Bounds(lo, hi))
     status = _STATUS.get(res.status)
     if status is None:
         raise NumericalError(f"HiGHS stopped with status {res.status}: {res.message}")
@@ -68,20 +71,24 @@ def solve_lp(p: LpProblem) -> LpSolution:
     """Solve a small dense LP; statuses: optimal, infeasible, unbounded."""
     p.check()
     c = np.asarray(p.objective, dtype=float)
-    sign = np.array([-1.0 if rel == GE else 1.0 for _, rel, _ in p.rows])
-    eq = np.array([rel == EQ for _, rel, _ in p.rows], dtype=bool)
     A = np.array([coeffs for coeffs, _, _ in p.rows], dtype=float).reshape(len(p.rows), len(c))
-    A *= sign[:, None]
-    b = np.array([rhs for _, _, rhs in p.rows], dtype=float) * sign
-    return _highs(c, A[~eq], b[~eq], A[eq], b[eq], p.bounds)
+    rhs = np.array([rhs for _, _, rhs in p.rows], dtype=float)
+    rel = np.array([rel for _, rel, _ in p.rows], dtype=object)
+    row_lo = np.where(rel == LE, -np.inf, rhs)
+    row_hi = np.where(rel == GE, np.inf, rhs)
+    lo, hi = np.array(p.bounds, dtype=float).reshape(len(c), 2).T
+    return _highs(c, A, row_lo, row_hi, lo, hi)
 
 
 def fit_l1(Phi, y, w: float, lambda_m: float, c_bounds, y_bounds=None):
     """L1 fit of coefficients c minimizing  w*sum|y - Phi c| + lambda_m*sum|c|.
 
-    Posed as an LP with split residual and coefficient variables. Optional
-    y_bounds adds rows keeping Phi @ c inside [y_lb, y_ub]. Empty data returns
-    zero coefficients and zero loss.
+    Posed as one LP over split coefficients c = c+ - c- and split residuals
+    y - Phi c = e+ - e-, with one equality row per data point. The coefficient
+    bounds become bounds on c+ and c-; the optional y_bounds, which keep
+    Phi @ c inside [y_lb, y_ub], become bounds on e+ and e- (the residual must
+    lie in [y - y_ub, y - y_lb]). Empty data returns zero coefficients and zero
+    loss.
     """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -91,24 +98,24 @@ def fit_l1(Phi, y, w: float, lambda_m: float, c_bounds, y_bounds=None):
         raise DimensionError("weight w must be positive")
     if lambda_m < 0:
         raise DimensionError("lambda_m must be nonnegative")
+    c_lo, c_hi = (float(v) for v in c_bounds)
+    y_lb, y_ub = (-np.inf, np.inf) if y_bounds is None else (float(v) for v in y_bounds)
+    if c_lo > c_hi or y_lb > y_ub:
+        # HiGHS would call these infeasible, as if the data were at fault.
+        raise DimensionError(f"crossed bounds: c in [{c_lo}, {c_hi}], y in [{y_lb}, {y_ub}]")
     N, K = Phi.shape
     if N == 0:
         return np.zeros(K), 0.0
-    # Layout: c (K), eps+ (N), eps- (N), c+ (K), c- (K).
-    I_N, I_K = np.eye(N), np.eye(K)
-    Z_NK, Z_KN = np.zeros((N, K)), np.zeros((K, N))
-    A_eq = np.block([[Phi, I_N, -I_N, Z_NK, Z_NK],
-                     [I_K, Z_KN, Z_KN, -I_K, I_K]])
-    b_eq = np.concatenate([y, np.zeros(K)])
-    cost = np.concatenate([np.zeros(K), np.full(2 * N, w), np.full(2 * K, lambda_m)])
-    bounds = [tuple(c_bounds)] * K + [(0.0, np.inf)] * (2 * N + 2 * K)
-    A_ub = b_ub = None
-    if y_bounds is not None:
-        y_lb, y_ub = y_bounds
-        Z = np.zeros((N, 2 * N + 2 * K))
-        A_ub = np.block([[Phi, Z], [-Phi, Z]])
-        b_ub = np.concatenate([np.full(N, float(y_ub)), np.full(N, -float(y_lb))])
-    sol = _highs(cost, A_ub, b_ub, A_eq, b_eq, bounds)
+    # Layout: c+ (K), c- (K), e+ (N), e- (N).
+    I_N = np.eye(N)
+    A = np.hstack([Phi, -Phi, I_N, -I_N])
+    cost = np.concatenate([np.full(2 * K, lambda_m), np.full(2 * N, w)])
+    r_lo, r_hi = y - y_ub, y - y_lb
+    lo = np.concatenate([np.full(K, max(c_lo, 0.0)), np.full(K, max(-c_hi, 0.0)),
+                         np.maximum(r_lo, 0.0), np.maximum(-r_hi, 0.0)])
+    hi = np.concatenate([np.full(K, max(c_hi, 0.0)), np.full(K, max(-c_lo, 0.0)),
+                         np.maximum(r_hi, 0.0), np.maximum(-r_lo, 0.0)])
+    sol = _highs(cost, A, y, y, lo, hi)
     if sol.status != OPTIMAL:
         raise NumericalError(f"L1 fitting LP terminated with status {sol.status}")
-    return sol.x[:K].copy(), sol.objective
+    return sol.x[:K] - sol.x[K:2 * K], sol.objective

@@ -1,8 +1,8 @@
 """Independent verification routes shared by the test suite.
 
-Everything here deliberately avoids the package's own simplex and tree
-search: leaf fits go through scipy's HiGHS solver and optima are found by
-exhaustive enumeration.
+Everything here deliberately avoids the package's own LP formulation and
+tree search: leaf fits go through scipy's linprog on a different LP layout,
+and optima are found by exhaustive enumeration.
 """
 
 import itertools
@@ -12,9 +12,10 @@ from scipy.optimize import linprog
 
 from symtree import milp
 from symtree.basis import evaluate_basis_matrix
+from symtree.learner import Dataset, candidate_thresholds
 from symtree.lp import EQ, LE
 from symtree.milp import CONTINUOUS
-from symtree.tree import BRANCH, route
+from symtree.tree import BRANCH, LEAF, node_depth, route
 
 
 def scipy_leaf_fit(Phi, y, w, lam, c_bounds, y_bounds):
@@ -61,6 +62,54 @@ def brute_force_depth1(data, basis, cfg):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def exhaustive_fit_tree(data, basis, cfg):
+    """Best tree by full enumeration, with no pruning: every topology, every
+    midpoint threshold plus the two empty-side splits at every node, a
+    scipy_leaf_fit per distinct leaf set. Ties are broken as in fit_tree
+    (cost within 1e-12, then fewer branches, then lexicographic split order).
+    Returns (cost, n_branch, rules {node: (feature, threshold)}, kinds {node:
+    kind} for active nodes)."""
+    Phi = evaluate_basis_matrix(basis, data.X)
+    yb = cfg.resolved_y_bounds(data.y)
+    w = 1.0 / data.n_points
+    losses = {}
+
+    def leaf_loss(idx):
+        if idx not in losses:
+            rows = list(idx)
+            losses[idx] = scipy_leaf_fit(Phi[rows], data.y[rows], w, cfg.lambda_m,
+                                         (cfg.c_lb, cfg.c_ub), yb)
+        return losses[idx]
+
+    def better(a, b):
+        if abs(a[0] - b[0]) > 1e-12:
+            return a[0] < b[0]
+        return (a[1], a[2]) < (b[1], b[2])
+
+    def search(node, idx, must_branch):
+        # (cost, n_branch, seq, rules, kinds)
+        best = None if must_branch else (leaf_loss(idx), 0, (), {}, {node: LEAF})
+        if node_depth(node) < cfg.depth and idx:
+            sub = Dataset(X=data.X[list(idx)], y=data.y[list(idx)])
+            for f in range(data.n_features):
+                vals = sub.X[:, f]
+                thrs = list(candidate_thresholds(sub, f))
+                thrs += [float(vals.min()) - 1.0, float(vals.max()) + 1.0]
+                for thr in thrs:
+                    left = search(2 * node, tuple(i for i in idx if data.X[i, f] < thr), False)
+                    right = search(2 * node + 1, tuple(i for i in idx if data.X[i, f] >= thr), False)
+                    cand = (cfg.lambda_c + left[0] + right[0], 1 + left[1] + right[1],
+                            ((f, float(thr)),) + left[2] + right[2],
+                            {node: (f, float(thr)), **left[3], **right[3]},
+                            {node: BRANCH, **left[4], **right[4]})
+                    if best is None or better(cand, best):
+                        best = cand
+        return best
+
+    cost, n_branch, _, rules, kinds = search(1, tuple(range(data.n_points)), True)
+    return cost, n_branch, rules, kinds
 
 
 def lp_with_fixed_binaries(art, fixed):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_depth1
+from oracles import brute_force_depth1, exhaustive_fit_tree
 from symtree.basis import basis_from_forms
 from symtree.errors import ConfigError
 from symtree.learner import (Dataset, LearnConfig, candidate_thresholds,
@@ -9,6 +9,7 @@ from symtree.learner import (Dataset, LearnConfig, candidate_thresholds,
 from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
                           LeafExpression, TreeModel, TreeTopology, predict,
                           validate)
+
 
 def random_instance(rng):
     n = int(rng.integers(3, 9))
@@ -29,6 +30,57 @@ def test_fit_tree_matches_brute_force():
         rep = fit_tree(data, basis, cfg)
         ref = brute_force_depth1(data, basis, cfg)
         assert rep.objective == pytest.approx(ref, abs=1e-8), f"trial {trial}"
+
+
+def _oracle_case(name):
+    rng = np.random.default_rng(59)
+    if name == "1d-duplicates":
+        x = np.round(rng.uniform(0.2, 1.0, 9), 2)
+        x[3] = x[1]                 # duplicate
+        x[5] = x[2] + 1e-12         # near-duplicate
+        return (Dataset(X=x.reshape(-1, 1), y=rng.uniform(-1, 1, 9)),
+                basis_from_forms(["1", "x"]), LearnConfig(lambda_c=1e-2, lambda_m=1e-2))
+    if name == "2-features":
+        X = np.round(rng.uniform(0.2, 1.0, (7, 2)), 2)
+        y = np.where(X[:, 0] > 0.6, 1.0, -1.0) + X[:, 1] + rng.normal(0, 0.1, 7)
+        return (Dataset(X=X, y=y), basis_from_forms(["1", "x@1"]),
+                LearnConfig(lambda_c=1e-2, lambda_m=1e-2))
+    if name == "lambda_c-0":
+        x = rng.uniform(0.2, 1.0, 8)
+        return (Dataset(X=x.reshape(-1, 1), y=np.sin(8 * x)),
+                basis_from_forms(["1"]), LearnConfig(lambda_c=0.0, lambda_m=1e-2))
+    # A nearly constant label: one leaf pays the large coefficient penalty
+    # once, so the root's best split sends every point one way, and the large
+    # branch cost keeps the children leaves.
+    x = rng.uniform(0.2, 1.0, 8)
+    return (Dataset(X=x.reshape(-1, 1), y=1.0 + rng.normal(0, 0.01, 8)),
+            basis_from_forms(["1"]), LearnConfig(lambda_c=1.0, lambda_m=0.5))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("name", ["1d-duplicates", "2-features", "lambda_c-0", "empty-side"])
+def test_fit_tree_matches_exhaustive_oracle(name, depth):
+    data, basis, cfg = _oracle_case(name)
+    cfg.depth = depth
+    rep = fit_tree(data, basis, cfg)
+    cost, n_branch, rules, kinds = exhaustive_fit_tree(data, basis, cfg)
+    model = rep.model
+    assert {n: (r.feature, r.threshold) for n, r in model.rules.items()} == rules
+    assert {n: k for n, k in model.topology.kinds.items() if k != INACTIVE} == kinds
+    assert len(model.topology.branch_nodes()) == n_branch
+    assert rep.objective == pytest.approx(cost, abs=1e-9)
+    if name == "empty-side":
+        assert not data.X[:, 0].min() < rules[1][1] <= data.X[:, 0].max()
+
+
+def test_pruned_search_solves_fewer_lps():
+    # The count is deterministic, so losing the bounds fails here (full
+    # enumeration solves one LP per interval: N(N+1)/2 = 325) rather than
+    # only showing as a slower benchmark.
+    x = np.linspace(0.1, 0.9, 25)
+    data = Dataset(X=x.reshape(-1, 1), y=60 + 15 * np.sin(6 * x))
+    rep = fit_tree(data, basis_from_forms(["1", "x"]), LearnConfig(depth=2, lambda_m=1e-4))
+    assert rep.subproblems_solved < 25 * 26 // 2 // 2
 
 
 def test_step_function_recovered_exactly():

@@ -197,6 +197,45 @@ def test_fit_l1_with_prediction_bounds():
         assert loss == pytest.approx(ref, abs=1e-7)
 
 
+@pytest.mark.parametrize("y_bounds", [None, (-1.0, 1.0)])
+@pytest.mark.parametrize("lam", [0.0, 1e-2])
+@pytest.mark.parametrize("c_bounds", [(1.0, 5.0), (-5.0, -1.0), (-5.0, 5.0)])
+def test_fit_l1_bound_edge_cases(c_bounds, lam, y_bounds):
+    # Coefficient boxes that exclude 0 pin one side of each split coefficient;
+    # labels drawn from [-3, 3] often lie outside y_bounds, whose residual
+    # bounds then exclude 0. Infeasible draws must raise.
+    rng = np.random.default_rng(19)
+    feasible = 0
+    for trial in range(12):
+        N = int(rng.integers(2, 5))
+        K = int(rng.integers(1, 3))
+        Phi = rng.uniform(0.2, 1.0, (N, K))
+        y = rng.uniform(-3, 3, N)
+        w = 1.0 / N
+        ref = oracle_l1(Phi, y, w, lam, c_bounds, y_bounds)
+        if ref is None:
+            with pytest.raises(NumericalError):
+                fit_l1(Phi, y, w, lam, c_bounds, y_bounds=y_bounds)
+            continue
+        c, loss = fit_l1(Phi, y, w, lam, c_bounds, y_bounds=y_bounds)
+        assert loss == pytest.approx(ref, abs=1e-7)
+        assert loss == pytest.approx(l1_objective(c, Phi, y, w, lam), abs=1e-8)
+        assert np.all(c >= c_bounds[0] - 1e-9) and np.all(c <= c_bounds[1] + 1e-9)
+        if y_bounds is not None:
+            pred = Phi @ c
+            assert np.all(pred >= y_bounds[0] - 1e-8) and np.all(pred <= y_bounds[1] + 1e-8)
+        feasible += 1
+    assert feasible >= 4
+
+
+def test_fit_l1_crossed_bounds_rejected():
+    Phi, y = np.ones((2, 1)), np.zeros(2)
+    with pytest.raises(DimensionError):
+        fit_l1(Phi, y, 0.5, 0.0, (-1.0, 1.0), y_bounds=(1.0, -1.0))
+    with pytest.raises(DimensionError):
+        fit_l1(Phi, y, 0.5, 0.0, (1.0, -1.0))
+
+
 def test_fit_l1_median_property():
     # constant basis, lambda 0: the optimal constant is any median of y
     Phi = np.ones((5, 1))
