@@ -2,12 +2,13 @@
 
 Solves the finite-horizon tracking problem (single shooting, explicit Euler
 inside the horizon) with an augmented-Lagrangian outer loop for rate and
-state constraints and a projected-gradient inner loop for the flow box
-bounds. Also generates MPC-labeled datasets.
+state constraints and an L-BFGS-B inner loop that keeps the flow box bounds.
+Also generates MPC-labeled datasets.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,104 +82,98 @@ def rollout(spec: MpcSpec, x0: float, u_seq):
     so it is exact for the Euler system (not an ODE approximation).
     """
     u = np.asarray(u_seq, dtype=float)
-    T = spec.T
-    if u.shape != (T - 1,):
-        raise ConfigError(f"expected {T - 1} controls, got {u.shape}")
+    if u.shape != (spec.T - 1,):
+        raise ConfigError(f"expected {spec.T - 1} controls, got {u.shape}")
+    x, objective, grad, _ = _sweep(spec, x0, u)
+    return np.array(x), objective, grad
+
+
+def _sweep(spec: MpcSpec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
+    """One forward Euler pass and one adjoint pass, on Python floats.
+
+    Returns the states (list), the value, its gradient w.r.t. u (array) and
+    the constraint values g (list, or None without ``mu``). Without ``mu``
+    the value is the tracking objective. With multipliers ``mu`` and penalty
+    ``rho`` it is the augmented Lagrangian of the rate and state constraints
+    g <= 0 (box bounds excluded), laid out as the rate pairs
+    u_{t+1} - u_t - lim, then u_t - u_{t+1} - lim, then the state bound pairs
+    x - x_hi, then x_lo - x for x_2..x_T (x_1 is pinned to x0).
+    """
     plant = spec.plant
-    x = np.empty(T)
-    x[0] = x0
-    for t in range(T - 1):
-        x[t + 1] = x[t] + spec.h * plant_rhs(plant, x[t], u[t])
-    dev = x - spec.x_sp
-    objective = float(dev @ dev + spec.P * dev[-1] ** 2)
-    # Adjoint pass.
-    lam = np.zeros(T)
-    lam[-1] = 2.0 * dev[-1] * (1.0 + spec.P)
-    grad = np.zeros(T - 1)
-    for t in range(T - 2, -1, -1):
-        dfdx = -u[t] / plant.V - 3.0 * plant.k_rate * x[t] ** 2
-        dfdu = (plant.x_f - x[t]) / plant.V
-        grad[t] = lam[t + 1] * spec.h * dfdu
-        lam[t] = 2.0 * dev[t] + lam[t + 1] * (1.0 + spec.h * dfdx)
-    return x, objective, grad
-
-
-def _constraints(spec: MpcSpec, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """All g <= 0 constraint values: rate pairs, then state bound pairs."""
-    parts = []
-    du = np.diff(u)
-    lim = spec.h * spec.u_rate_max
-    parts.append(du - lim)
-    parts.append(-du - lim)
-    xs = x[1:]  # x_1 is pinned to x0
-    parts.append(xs - spec.x_bounds[1])
-    parts.append(spec.x_bounds[0] - xs)
-    return np.concatenate(parts)
-
-
-def _al_value_grad(spec: MpcSpec, x0: float, u: np.ndarray, mu: np.ndarray, rho: float):
-    """Augmented Lagrangian value and gradient (box bounds excluded)."""
-    plant = spec.plant
-    T = spec.T
-    x = np.empty(T)
-    x[0] = x0
-    for t in range(T - 1):
-        x[t + 1] = x[t] + spec.h * plant_rhs(plant, x[t], u[t])
-    g = _constraints(spec, x, u)
-    s = np.maximum(0.0, g + mu / rho)
-    dev = x - spec.x_sp
-    val = float(dev @ dev + spec.P * dev[-1] ** 2 + 0.5 * rho * s @ s)
-    coef = rho * s  # d(penalty)/dg for active terms
-    n_rate = T - 2
-    c_rp = coef[:n_rate]
-    c_rm = coef[n_rate : 2 * n_rate]
-    c_xu = coef[2 * n_rate : 2 * n_rate + T - 1]
-    c_xl = coef[2 * n_rate + T - 1 :]
-    # State-cost terms per stage (state-bound penalties act on x_2..x_T).
-    dldx = 2.0 * dev.copy()
+    h, V, x_f, k = spec.h, plant.V, plant.x_f, plant.k_rate
+    us = u.tolist()
+    x = float(x0)
+    xs = [x]
+    for ut in us:
+        x = x + h * plant_rhs(plant, x, ut)
+        xs.append(x)
+    dev = [xt - spec.x_sp for xt in xs]
+    value = sum([d * d for d in dev]) + spec.P * dev[-1] ** 2
+    dldx = [2.0 * d for d in dev]
     dldx[-1] += 2.0 * spec.P * dev[-1]
-    dldx[1:] += c_xu - c_xl
-    grad = np.zeros(T - 1)
+    g = coef = None
+    n_rate = len(us) - 1
+    if mu is not None:
+        lim = h * spec.u_rate_max
+        x_lo, x_hi = spec.x_bounds
+        du = [b - a for a, b in zip(us, us[1:])]
+        g = ([d - lim for d in du] + [-d - lim for d in du]
+             + [xt - x_hi for xt in xs[1:]] + [x_lo - xt for xt in xs[1:]])
+        # d(penalty)/dg, zero for inactive terms.
+        coef = []
+        for gi, mi in zip(g, mu.tolist()):
+            s = gi + mi / rho
+            if s > 0.0:
+                value += 0.5 * rho * s * s
+                coef.append(rho * s)
+            else:
+                coef.append(0.0)
+        c_hi = coef[2 * n_rate : 2 * n_rate + len(us)]
+        c_lo = coef[2 * n_rate + len(us) :]
+        for t, (ch, cl) in enumerate(zip(c_hi, c_lo), start=1):
+            dldx[t] += ch - cl
+    grad = [0.0] * len(us)
     lam = dldx[-1]
-    for t in range(T - 2, -1, -1):
-        dfdx = -u[t] / plant.V - 3.0 * plant.k_rate * x[t] ** 2
-        dfdu = (plant.x_f - x[t]) / plant.V
-        grad[t] = lam * spec.h * dfdu
-        lam = dldx[t] + lam * (1.0 + spec.h * dfdx)
-    # Rate-constraint terms act directly on u.
-    for t in range(n_rate):
-        grad[t + 1] += c_rp[t] - c_rm[t]
-        grad[t] += -c_rp[t] + c_rm[t]
-    return val, grad, g
+    for t in range(len(us) - 1, -1, -1):
+        xt = xs[t]
+        grad[t] = lam * h * ((x_f - xt) / V)
+        lam = dldx[t] + lam * (1.0 + h * (-us[t] / V - 3.0 * k * xt**2))
+    if coef is not None:
+        # Rate-constraint terms act directly on u.
+        for t in range(n_rate):
+            c = coef[t] - coef[n_rate + t]
+            grad[t + 1] += c
+            grad[t] -= c
+    return xs, value, np.array(grad), g
 
 
 def _project(spec: MpcSpec, u: np.ndarray) -> np.ndarray:
     return np.clip(u, spec.u_bounds[0], spec.u_bounds[1])
 
 
-def _inner_minimize(spec: MpcSpec, x0: float, u: np.ndarray, mu: np.ndarray, rho: float):
+def _inner_minimize(spec: MpcSpec, x0: float, u: np.ndarray, mu: np.ndarray,
+                    rho: float, bounds):
     """Box-bounded minimization of the augmented Lagrangian subproblem.
 
     L-BFGS-B keeps the flow bounds exact by projection; the gradient is the
-    exact adjoint from _al_value_grad.
+    exact adjoint from _sweep.
     """
     res = minimize(
-        lambda uu: _al_value_grad(spec, x0, uu, mu, rho)[:2],
-        u, jac=True, method="L-BFGS-B",
-        bounds=[spec.u_bounds] * (spec.T - 1),
+        lambda uu: _sweep(spec, x0, uu, mu, rho)[1:3],
+        u, jac=True, method="L-BFGS-B", bounds=bounds,
         options=dict(maxiter=_MAX_INNER, ftol=1e-16, gtol=0.01 * KKT_TOL),
     )
-    val, grad, g = _al_value_grad(spec, x0, res.x, mu, rho)
-    return res.x, val, grad, g
+    _, _, grad, g = _sweep(spec, x0, res.x, mu, rho)
+    return res.x, grad, np.array(g)
 
 
-def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray):
+def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray, bounds):
     u = _project(spec, u0.astype(float))
     mu = np.zeros(2 * (spec.T - 2) + 2 * (spec.T - 1))
     rho = 10.0
     prev_viol = np.inf
     for _ in range(_MAX_OUTER):
-        u, val, grad, g = _inner_minimize(spec, x0, u, mu, rho)
+        u, grad, g = _inner_minimize(spec, x0, u, mu, rho, bounds)
         viol = float(np.max(np.maximum(g, 0.0), initial=0.0))
         pg = np.linalg.norm(u - _project(spec, u - grad))
         if viol <= CON_TOL and pg <= KKT_TOL:
@@ -193,17 +188,25 @@ def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray):
 
 
 def solve_mpc(spec: MpcSpec, x0: float) -> MpcSolution:
-    """Best solution over three starts: low flow, high flow, steady-state flow."""
+    """Best solution over three starts: low flow, high flow, steady-state flow.
+
+    A start equal to an earlier one is not solved again.
+    """
     if not spec.x_bounds[0] <= x0 <= spec.x_bounds[1]:
         raise ConfigError(f"initial state {x0} outside bounds {spec.x_bounds}")
     n = spec.T - 1
     u_lo, u_hi = spec.u_bounds
-    starts = [np.full(n, u_lo), np.full(n, u_hi)]
+    flows = [u_lo, u_hi]
     if x0 < spec.plant.x_f:
-        starts.append(np.full(n, np.clip(steady_state_flow(spec.plant, x0), u_lo, u_hi)))
+        flows.append(np.clip(steady_state_flow(spec.plant, x0), u_lo, u_hi))
+    bounds = [spec.u_bounds] * n
     best = None
-    for u0 in starts:
-        sol = _solve_from(spec, x0, u0)
+    for i, flow in enumerate(flows):
+        # The steady-state flow clips to u_hi for high x0; a repeated start
+        # would return the same solution, which cannot replace the first.
+        if flow in flows[:i]:
+            continue
+        sol = _solve_from(spec, x0, np.full(n, flow), bounds)
         if sol is not None and (best is None or sol.objective < best.objective):
             best = sol
     if best is None:
@@ -214,6 +217,8 @@ def solve_mpc(spec: MpcSpec, x0: float) -> MpcSolution:
 def generate_dataset(spec: MpcSpec, n: int, lo: float, hi: float,
                      mode: str = "uniform-grid", seed: int = 0) -> Dataset:
     """n initial states on [lo, hi] labeled with the first optimal control."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ConfigError(f"number of states must be a positive integer, got {n!r}")
     if not (spec.x_bounds[0] <= lo <= hi <= spec.x_bounds[1]):
         raise ConfigError(f"sampling range [{lo}, {hi}] invalid within {spec.x_bounds}")
     if mode == "uniform-grid":

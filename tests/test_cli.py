@@ -193,6 +193,11 @@ def test_runtime_error_exit_code(tmp_path, capsys):
                 "--out", str(tmp_path / "m.json")]) == 2
     assert run(["simulate", "--controller", "warp-drive",
                 "--out", str(tmp_path / "t.csv")]) == 2
+    for n_train in (-1, 2.5):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"n_train": n_train}}))
+        assert run(["gen-data", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "data")]) == 2
     capsys.readouterr()
 
 

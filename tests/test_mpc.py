@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symtree import mpc
 from symtree.errors import ConfigError
 from symtree.mpc import (MpcSpec, PlantSpec, generate_dataset, plant_rhs,
                          rollout, solve_mpc, steady_state_flow)
@@ -38,6 +39,39 @@ def test_rollout_gradient_matches_finite_differences():
     assert worst <= 1e-5
 
 
+def test_augmented_lagrangian_gradient_matches_finite_differences():
+    # Tight state bounds and large flow jumps make rate and state-bound
+    # penalty terms active next to the tracking objective.
+    spec = MpcSpec(x_bounds=(0.45, 0.7))
+    rng = np.random.default_rng(5)
+    n_con = 2 * (spec.T - 2) + 2 * (spec.T - 1)
+    n_rate = 2 * (spec.T - 2)
+    active_rate = active_state = 0
+    worst = 0.0
+    for rho in (1.0, 10.0, 1e3, 1e5):
+        for _ in range(25):
+            x0 = float(rng.uniform(0.45, 0.7))
+            u = rng.uniform(0.0, 75.0, spec.T - 1)
+            mu = rng.uniform(0.0, 5.0, n_con)
+            _, _, grad, g = mpc._sweep(spec, x0, u, mu, rho)
+            active = np.asarray(g) + mu / rho > 0.0
+            active_rate += int(active[:n_rate].sum())
+            active_state += int(active[n_rate:].sum())
+            # Penalty values reach 1e8 at rho = 1e5, so the differencing error
+            # is judged against the gradient's largest entry.
+            scale = max(1.0, float(np.max(np.abs(grad))))
+            h = 1e-6
+            for t in range(spec.T - 1):
+                up, um = u.copy(), u.copy()
+                up[t] += h
+                um[t] -= h
+                fd = (mpc._sweep(spec, x0, up, mu, rho)[1]
+                      - mpc._sweep(spec, x0, um, mu, rho)[1]) / (2 * h)
+                worst = max(worst, abs(grad[t] - fd) / scale)
+    assert active_rate > 0 and active_state > 0
+    assert worst <= 1e-5
+
+
 def test_first_action_at_setpoint():
     sol = solve_mpc(canonical_spec(), 0.6)
     assert sol.first_action == pytest.approx(54.0, abs=2.0)
@@ -60,6 +94,40 @@ def test_solutions_satisfy_constraints():
 def test_saturated_region_uses_max_flow():
     sol = solve_mpc(canonical_spec(), 0.75)
     assert sol.first_action == pytest.approx(75.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("x0, skips", [(0.75, True), (0.88, True), (0.5, False)])
+def test_repeated_start_is_solved_once(monkeypatch, x0, skips):
+    # Above x0 ~ 0.64 the steady-state flow clips to u_hi, the second start.
+    spec = canonical_spec()
+    n = spec.T - 1
+    u_lo, u_hi = spec.u_bounds
+    calls = []
+    real_minimize = mpc.minimize
+
+    def counting_minimize(*args, **kwargs):
+        calls.append(1)
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "minimize", counting_minimize)
+    flows = [u_lo, u_hi, np.clip(steady_state_flow(spec.plant, x0), u_lo, u_hi)]
+    assert (flows[2] == u_hi) == skips
+    best = None
+    for flow in flows:
+        sol = mpc._solve_from(spec, x0, np.full(n, flow), [spec.u_bounds] * n)
+        if sol is not None and (best is None or sol.objective < best.objective):
+            best = sol
+    calls_all_starts = len(calls)
+    calls.clear()
+    sol = solve_mpc(spec, x0)
+    assert np.array_equal(sol.controls, best.controls)
+    assert np.array_equal(sol.states, best.states)
+    assert sol.objective == best.objective
+    assert sol.kkt_residual == best.kkt_residual
+    if skips:
+        assert len(calls) < calls_all_starts
+    else:
+        assert len(calls) == calls_all_starts
 
 
 def test_x0_outside_bounds_rejected():
@@ -89,6 +157,12 @@ def test_generate_dataset_single_point():
 def test_generate_dataset_bad_mode():
     with pytest.raises(ConfigError):
         generate_dataset(canonical_spec(), 3, 0.2, 0.4, mode="bogus")
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2.5, True, "3"])
+def test_generate_dataset_bad_count(n):
+    with pytest.raises(ConfigError):
+        generate_dataset(canonical_spec(), n, 0.2, 0.4)
 
 
 def test_spec_validation():
