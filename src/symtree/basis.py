@@ -37,10 +37,6 @@ class BasisFunction:
             raise ValueError(f"unknown exponential argument {self.exp_arg!r}")
 
     @property
-    def needs_guard(self) -> bool:
-        return self.exp_arg in ("1/x", "-1/x")
-
-    @property
     def form(self) -> str:
         """Textual form, e.g. '1', 'x^2*exp(x)', 'exp(-1/x)'."""
         if self.power == 0:
@@ -59,22 +55,7 @@ class BasisFunction:
         return text
 
     def __call__(self, x) -> float:
-        v = float(np.asarray(x).reshape(-1)[self.coordinate])
-        if self.needs_guard and abs(v) < X_GUARD:
-            raise DomainError(
-                f"basis form {self.form!r} undefined for |x| < {X_GUARD:g} (got {v!r})"
-            )
-        if self.exp_arg == "":
-            e = 1.0
-        elif self.exp_arg == "x":
-            e = math.exp(v)
-        elif self.exp_arg == "-x":
-            e = math.exp(-v)
-        elif self.exp_arg == "1/x":
-            e = math.exp(1.0 / v)
-        else:
-            e = math.exp(-1.0 / v)
-        return v**self.power * e
+        return _Program((self,))(_floats(x))[0]
 
 
 _FORM_RE = re.compile(
@@ -101,16 +82,97 @@ def parse_form(text: str) -> BasisFunction:
     return BasisFunction(id=0, power=power, exp_arg=arg, coordinate=coord)
 
 
+class _Program:
+    """Basis functions compiled for evaluation on Python floats.
+
+    Each distinct exponential (coordinate, argument) is computed once per
+    point; each function then reads its coordinate, its power and the slot
+    of its exponential (slot -1 holds the constant 1.0 of exp-free forms).
+    """
+
+    def __init__(self, functions):
+        self.functions = functions
+        slots = {}
+        self.exps = []   # (coordinate, exp_arg, first function using it)
+        self.terms = []  # (coordinate, power, exponential slot) per function
+        for f in functions:
+            slot = -1
+            if f.exp_arg:
+                key = (f.coordinate, f.exp_arg)
+                if key not in slots:
+                    slots[key] = len(self.exps)
+                    self.exps.append((f.coordinate, f.exp_arg, f))
+                slot = slots[key]
+            self.terms.append((f.coordinate, f.power, slot))
+
+    def __call__(self, v: list) -> list:
+        """Values of every function at the coordinates v; raises DomainError
+        inside the 1/x guard and on overflow, naming the form."""
+        es = []
+        for c, arg, f in self.exps:
+            x = v[c]
+            if arg == "x":
+                a = x
+            elif arg == "-x":
+                a = -x
+            elif abs(x) < X_GUARD:
+                raise DomainError(
+                    f"basis form {f.form!r} undefined for |x| < {X_GUARD:g} (got {x!r})"
+                )
+            elif arg == "1/x":
+                a = 1.0 / x
+            else:
+                a = -1.0 / x
+            try:
+                es.append(math.exp(a))
+            except OverflowError:
+                raise _overflow(f, x) from None
+        es.append(1.0)
+        try:
+            out = [v[c] ** p * es[s] for c, p, s in self.terms]
+        except OverflowError:
+            f = next(f for f in self.functions if _power_overflows(v[f.coordinate], f.power))
+            raise _overflow(f, v[f.coordinate]) from None
+        # A sum of finite values is finite unless it overflows itself, so
+        # the per-value scan only runs when something may be wrong.
+        if not math.isfinite(sum(out)):
+            for f, value in zip(self.functions, out):
+                if not math.isfinite(value):
+                    raise _overflow(f, v[f.coordinate])
+        return out
+
+
+def _power_overflows(x: float, p: int) -> bool:
+    try:
+        x**p
+    except OverflowError:
+        return True
+    return False
+
+
+def _overflow(f: BasisFunction, x: float) -> DomainError:
+    return DomainError(f"basis form {f.form!r} overflowed at x={x!r}")
+
+
+def _floats(x) -> list:
+    """The coordinates of one point as Python floats."""
+    if isinstance(x, float):  # numpy float64 too
+        return [float(x)]
+    return np.asarray(x, dtype=float).reshape(-1).tolist()
+
+
 @dataclass(frozen=True)
 class BasisSet:
     """Ordered collection of basis functions with ids 1..N_K."""
 
     functions: tuple = field(default_factory=tuple)
+    _program: _Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [f.id for f in self.functions]
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError("basis function ids must be 1..N_K with no gaps")
+        object.__setattr__(self, "_program", _Program(self.functions))
 
     @property
     def size(self) -> int:
@@ -156,14 +218,10 @@ def canonical_basis() -> BasisSet:
 
 def evaluate_basis(bs: BasisSet, x) -> np.ndarray:
     """Evaluate every basis function at input x; returns a length-N_K vector."""
-    out = np.array([f(x) for f in bs.functions], dtype=float)
-    if not np.all(np.isfinite(out)):
-        bad = bs.functions[int(np.argmax(~np.isfinite(out)))]
-        raise DomainError(f"basis form {bad.form!r} overflowed at x={x!r}")
-    return out
+    return np.array(bs._program(_floats(x)), dtype=float)
 
 
 def evaluate_basis_matrix(bs: BasisSet, X) -> np.ndarray:
     """Evaluate the basis on each row of X; returns an N_pts x N_K matrix."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.array([evaluate_basis(bs, row) for row in X])
+    return np.array([bs._program(row) for row in X.tolist()], dtype=float)

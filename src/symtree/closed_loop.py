@@ -33,7 +33,7 @@ class Controller:
 
     def __call__(self, x: float) -> float:
         u = float(self.fn(float(x)))
-        return float(np.clip(u, self.u_bounds[0], self.u_bounds[1]))
+        return float(min(max(u, self.u_bounds[0]), self.u_bounds[1]))
 
 
 def mpc_controller(spec: MpcSpec) -> Controller:

@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the package's own LP formulation and
 tree search: leaf fits go through scipy's linprog on a different LP layout,
-and optima are found by exhaustive enumeration.
+and optima are found by exhaustive enumeration. Basis values come from each
+function's closed form on its own, with no sharing between functions.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -16,6 +18,25 @@ from symtree.learner import Dataset, candidate_thresholds
 from symtree.lp import EQ, LE
 from symtree.milp import CONTINUOUS
 from symtree.tree import BRANCH, LEAF, node_depth, route
+
+_EXP_ARGUMENT = {
+    "x": lambda v: v,
+    "-x": lambda v: -v,
+    "1/x": lambda v: 1.0 / v,
+    "-1/x": lambda v: -1.0 / v,
+}
+
+
+def reference_basis_row(functions, x):
+    """Every basis function x^p * exp(arg) evaluated on its own at point x,
+    reading only each function's power, exponential argument and coordinate."""
+    xs = [float(v) for v in np.asarray(x, dtype=float).reshape(-1)]
+    row = []
+    for f in functions:
+        v = xs[f.coordinate]
+        e = math.exp(_EXP_ARGUMENT[f.exp_arg](v)) if f.exp_arg else 1.0
+        row.append(v ** f.power * e)
+    return np.array(row)
 
 
 def scipy_leaf_fit(Phi, y, w, lam, c_bounds, y_bounds):

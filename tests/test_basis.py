@@ -8,6 +8,8 @@ from symtree.basis import (BasisFunction, BasisSet, basis_from_forms,
                            evaluate_basis_matrix, parse_form)
 from symtree.errors import DomainError, ParseError
 
+from oracles import reference_basis_row
+
 CANONICAL_FORMS = [
     "1", "x", "x^2", "x^3", "x^4", "x^5",
     "exp(x)", "x*exp(x)", "x^2*exp(x)", "x^3*exp(x)",
@@ -95,3 +97,55 @@ def test_function_values_match_closed_forms():
             math.exp(-1 / x), x * math.exp(-1 / x),
         ]
         assert np.allclose(vals, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.001, -0.001, 800.0])
+def test_overflow_raises_domain_error(x):
+    bs = canonical_basis()
+    with pytest.raises(DomainError, match="overflowed"):
+        evaluate_basis(bs, x)
+    with pytest.raises(DomainError, match="overflowed"):
+        evaluate_basis_matrix(bs, [[0.5], [x]])
+    with pytest.raises(DomainError, match="overflowed"):
+        for f in bs.functions:
+            f(x)
+
+
+def test_overflow_names_the_form():
+    with pytest.raises(DomainError, match=r"'exp\(-1/x\)'"):
+        evaluate_basis(canonical_basis(), -0.001)
+    with pytest.raises(DomainError, match=r"'x\^5@1'"):
+        evaluate_basis(basis_from_forms(["x", "x^5@1"]), [1.0, 1e100])
+    # each factor finite, the product not
+    with pytest.raises(DomainError, match=r"'x\^5\*exp\(x\)'"):
+        evaluate_basis(basis_from_forms(["exp(x)", "x^5*exp(x)"]), 700.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_raises(x):
+    with pytest.raises(DomainError):
+        evaluate_basis(canonical_basis(), x)
+
+
+def test_evaluation_matches_oracle_bitwise():
+    bs = canonical_basis()
+    xs = np.random.default_rng(5).uniform(0.1, 0.9, 500)
+    rows = np.array([reference_basis_row(bs.functions, x) for x in xs])
+    assert all(np.array_equal(evaluate_basis(bs, x), row) for x, row in zip(xs, rows))
+    assert np.array_equal(evaluate_basis_matrix(bs, xs.reshape(-1, 1)), rows)
+    assert all(np.array_equal([f(x) for f in bs.functions], row)
+               for x, row in zip(xs[:20], rows))
+
+
+def test_two_feature_evaluation_matches_oracle_bitwise():
+    # each exponential argument appears on both coordinates
+    bs = basis_from_forms([
+        "1", "x", "x@1", "exp(x)", "x*exp(x)@1", "x^2*exp(x)", "exp(x)@1",
+        "exp(-x)@1", "x^3*exp(-x)", "x*exp(1/x)@1", "x^2*exp(1/x)",
+        "exp(-1/x)", "x*exp(-1/x)@1", "x^4@1",
+    ])
+    X = np.random.default_rng(6).uniform(0.1, 0.9, (200, 2))
+    X[:, 1] *= -1.0
+    rows = np.array([reference_basis_row(bs.functions, x) for x in X])
+    assert all(np.array_equal(evaluate_basis(bs, x), row) for x, row in zip(X, rows))
+    assert np.array_equal(evaluate_basis_matrix(bs, X), rows)

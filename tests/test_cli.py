@@ -201,5 +201,13 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_predict_outside_basis_domain_exit_code(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(serialize(reference_model()))
+    for x in ("0.001", "-0.001", "800", "0"):
+        assert run(["predict", "--model", str(mpath), "--x", x]) == 2
+    assert "overflowed" in capsys.readouterr().err
+
+
 def test_defaults_document_shape():
     assert set(DEFAULTS) == {"plant", "mpc", "learn", "data", "sim"}

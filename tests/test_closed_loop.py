@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,19 @@ def test_controller_output_clipped():
     assert ctrl(0.5) == 75.0
     ctrl = constant_controller(-3.0, (0.0, 75.0))
     assert ctrl(0.5) == 0.0
+
+
+def test_controller_nan_passes_through_clip():
+    ctrl = constant_controller(float("nan"), (0.0, 75.0))
+    assert math.isnan(ctrl(0.5))
+    assert type(constant_controller(10.0, (0, 75))(0.5)) is float
+
+
+@pytest.mark.parametrize("x0", [0.001, -0.001, 800.0])
+def test_model_controller_overflow_wrapped(x0):
+    ctrl = model_controller(reference_model(), (0.0, 75.0))
+    with pytest.raises(ControllerError, match="overflowed"):
+        simulate(PlantSpec(), ctrl, x0, 1.0, 0.1)
 
 
 def test_controller_failure_is_wrapped_with_context():

@@ -11,6 +11,8 @@ from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
                           deserialize, node_depth, predict, route, serialize,
                           single_leaf_model, validate)
 
+from oracles import reference_basis_row
+
 
 def depth1_model(thr=1.5, left=0.0, right=5.0):
     basis = basis_from_forms(["1"])
@@ -53,6 +55,17 @@ def test_predict_is_plain_inner_product():
                    basis=m.basis, bounds=m.bounds)
     phi = evaluate_basis(m2.basis, 2.0)
     assert predict(m2, 2.0) == pytest.approx(float(phi[0] * -50.0), abs=0)
+
+
+def test_predict_matches_oracle_bitwise():
+    m = reference_model()
+    xs = np.concatenate([np.random.default_rng(7).uniform(0.1, 0.9, 300),
+                         [0.56, 0.64, 0.69]])
+    for x in xs:
+        row = reference_basis_row(m.basis.functions, x)
+        assert predict(m, x) == m.leaves[route(m, x)].as_array() @ row
+    # ties at a threshold go right
+    assert [route(m, x) for x in (0.56, 0.64, 0.69)] == [5, 6, 7]
 
 
 def test_piecewise_constancy_of_leaf_choice():
