@@ -199,11 +199,13 @@ def cmd_simulate(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(trace.to_csv())
     lat_mean, lat_max = latency_stats(trace)
+    lat_p50, lat_p99 = np.percentile(trace.latencies, [50, 99])
     doc = {
         "provenance": _provenance(cfg),
         "controller": args.controller,
         "iae": iae(trace, spec.x_sp),
         "latency_mean_s": lat_mean, "latency_max_s": lat_max,
+        "latency_p50_s": float(lat_p50), "latency_p99_s": float(lat_p99),
         "trace_file": os.path.basename(args.out),
     }
     _write_json(_sibling(args.out, ".metrics.json"), doc)

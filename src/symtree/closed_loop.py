@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ControllerError, DomainError, SymtreeError
-from .learner import Dataset
 from .mpc import MpcSpec, PlantSpec, plant_rhs, solve_mpc
 from .tree import TreeModel, predict
 
@@ -37,8 +36,18 @@ class Controller:
 
 
 def mpc_controller(spec: MpcSpec) -> Controller:
-    return Controller(kind="mpc", u_bounds=spec.u_bounds,
-                      fn=lambda x: solve_mpc(spec, x).first_action)
+    """Receding-horizon controller that warm-starts each solve from the last
+    one's optimal controls, unshifted (the sampling interval is a fraction of
+    the MPC step). It keeps that state, so use one controller per run."""
+    last = None
+
+    def fn(x):
+        nonlocal last
+        sol = solve_mpc(spec, x, warm=last)
+        last = sol.controls
+        return sol.first_action
+
+    return Controller(kind="mpc", u_bounds=spec.u_bounds, fn=fn)
 
 
 def model_controller(model: TreeModel, u_bounds) -> Controller:
@@ -122,12 +131,6 @@ def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
 def iae(trace: SimTrace, x_sp: float) -> float:
     """Sum of |x_t - x_sp| over the sample instants (discrete sum, not integral)."""
     return float(np.sum(np.abs(trace.states - x_sp)))
-
-
-def mae(ctrl: Controller, data: Dataset) -> float:
-    """Mean absolute prediction error of a controller over a labeled dataset."""
-    errs = [abs(data.y[i] - ctrl(float(data.X[i, 0]))) for i in range(data.n_points)]
-    return float(np.mean(errs))
 
 
 def latency_stats(trace: SimTrace):

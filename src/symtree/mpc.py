@@ -3,7 +3,10 @@
 Solves the finite-horizon tracking problem (single shooting, explicit Euler
 inside the horizon) with an augmented-Lagrangian outer loop for rate and
 state constraints and an L-BFGS-B inner loop that keeps the flow box bounds.
-Also generates MPC-labeled datasets.
+A solve starts cold from three constant flows, or from a warm start (the
+previous solution's controls) and falls back to the cold starts only when
+that one solve does not converge. Also generates MPC-labeled datasets, with
+each sorted state warm-started from the previous state's solution.
 """
 
 from __future__ import annotations
@@ -187,19 +190,29 @@ def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray, bounds):
     return None
 
 
-def solve_mpc(spec: MpcSpec, x0: float) -> MpcSolution:
+def solve_mpc(spec: MpcSpec, x0: float, warm=None) -> MpcSolution:
     """Best solution over three starts: low flow, high flow, steady-state flow.
 
-    A start equal to an earlier one is not solved again.
+    A start equal to an earlier one is not solved again. With ``warm`` (T-1
+    controls, e.g. a nearby state's optimum) one solve starts from it instead,
+    and its solution is returned when it converges; otherwise the three
+    starts run as without ``warm``.
     """
     if not spec.x_bounds[0] <= x0 <= spec.x_bounds[1]:
         raise ConfigError(f"initial state {x0} outside bounds {spec.x_bounds}")
     n = spec.T - 1
+    bounds = [spec.u_bounds] * n
+    if warm is not None:
+        warm = np.asarray(warm, dtype=float)
+        if warm.shape != (n,):
+            raise ConfigError(f"expected {n} warm-start controls, got {warm.shape}")
+        sol = _solve_from(spec, x0, warm, bounds)
+        if sol is not None:
+            return sol
     u_lo, u_hi = spec.u_bounds
     flows = [u_lo, u_hi]
     if x0 < spec.plant.x_f:
         flows.append(np.clip(steady_state_flow(spec.plant, x0), u_lo, u_hi))
-    bounds = [spec.u_bounds] * n
     best = None
     for i, flow in enumerate(flows):
         # The steady-state flow clips to u_hi for high x0; a repeated start
@@ -216,7 +229,11 @@ def solve_mpc(spec: MpcSpec, x0: float) -> MpcSolution:
 
 def generate_dataset(spec: MpcSpec, n: int, lo: float, hi: float,
                      mode: str = "uniform-grid", seed: int = 0) -> Dataset:
-    """n initial states on [lo, hi] labeled with the first optimal control."""
+    """n initial states on [lo, hi] labeled with the first optimal control.
+
+    The states are sorted, and each solve is warm-started from the previous
+    state's optimal controls (continuation); the first one starts cold.
+    """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ConfigError(f"number of states must be a positive integer, got {n!r}")
     if not (spec.x_bounds[0] <= lo <= hi <= spec.x_bounds[1]):
@@ -229,9 +246,12 @@ def generate_dataset(spec: MpcSpec, n: int, lo: float, hi: float,
     else:
         raise ConfigError(f"unknown sampling mode {mode!r}")
     labels = np.empty(n)
+    warm = None
     for i, x0 in enumerate(xs):
         try:
-            labels[i] = solve_mpc(spec, float(x0)).first_action
+            sol = solve_mpc(spec, float(x0), warm=warm)
         except ConvergenceError as exc:
             raise ConvergenceError(f"x0={x0}: {exc}") from exc
+        labels[i] = sol.first_action
+        warm = sol.controls
     return Dataset(X=xs.reshape(-1, 1), y=labels)

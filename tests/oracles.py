@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own LP formulation and
 tree search: leaf fits go through scipy's linprog on a different LP layout,
 and optima are found by exhaustive enumeration. Basis values come from each
-function's closed form on its own, with no sharing between functions.
+function's closed form on its own, with no sharing between functions. A
+warm-started MPC solve is held to the three-start cold solve at its state.
 """
 
 import itertools
@@ -12,11 +13,12 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from symtree import milp
+from symtree import milp, mpc
 from symtree.basis import evaluate_basis_matrix
 from symtree.learner import Dataset, candidate_thresholds
 from symtree.lp import EQ, LE
 from symtree.milp import CONTINUOUS
+from symtree.mpc import KKT_TOL, solve_mpc
 from symtree.tree import BRANCH, LEAF, node_depth, route
 
 _EXP_ARGUMENT = {
@@ -227,3 +229,45 @@ def embed_model(art, model):
         assign[f"epos[{i}]"] = max(r, 0.0)
         assign[f"eneg[{i}]"] = max(-r, 0.0)
     return assign
+
+
+def record_mpc_solves(monkeypatch, module):
+    """Record every call of ``module.solve_mpc`` as (x0, warm, solution,
+    starts), where starts counts the ``_solve_from`` runs inside the call."""
+    solves, starts = [], []
+    real_solve, real_solve_from = module.solve_mpc, mpc._solve_from
+
+    def recording_solve(spec, x0, warm=None):
+        starts.clear()
+        sol = real_solve(spec, x0, warm=warm)
+        solves.append((x0, warm, sol, len(starts)))
+        return sol
+
+    def counting_solve_from(*args):
+        starts.append(1)
+        return real_solve_from(*args)
+
+    monkeypatch.setattr(module, "solve_mpc", recording_solve)
+    monkeypatch.setattr(mpc, "_solve_from", counting_solve_from)
+    return solves
+
+
+def assert_warm_chain_matches_cold(spec, solves):
+    """Every solve after the first starts from the previous one's controls,
+    converges from that one start, and is held to the three-start cold
+    solution at its state.
+
+    The objective may not exceed the cold one by more than 1e-8 relative; the
+    1e-10 absolute floor covers set-point objectives of about 1e-12. The first
+    action is held to 1e-3: the three cold starts themselves disagree on it by
+    up to 3.2e-4 on the canonical grid, because the objective is flat in u_0
+    and KKT_TOL on the projected gradient pins it no tighter than that.
+    """
+    assert solves[0][1] is None
+    for (_, _, prev, _), (x0, warm, sol, n_starts) in zip(solves, solves[1:]):
+        assert warm is prev.controls
+        assert n_starts == 1
+        cold = solve_mpc(spec, x0)
+        assert sol.kkt_residual <= KKT_TOL
+        assert sol.objective <= cold.objective + 1e-8 * abs(cold.objective) + 1e-10
+        assert abs(sol.first_action - cold.first_action) <= 1e-3

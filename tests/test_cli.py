@@ -167,6 +167,11 @@ def test_simulate_constant_controller(workspace):
                 "--out", str(out)]) == 0
     metrics = json.loads((ws / "trace.metrics.json").read_text())
     assert metrics["iae"] >= 0.0
+    assert set(metrics) == {"provenance", "controller", "iae", "latency_mean_s",
+                            "latency_max_s", "latency_p50_s", "latency_p99_s",
+                            "trace_file"}
+    assert 0.0 <= metrics["latency_p50_s"] <= metrics["latency_p99_s"] \
+        <= metrics["latency_max_s"]
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x,u,latency_s"
     assert len(lines) == 12  # 10 steps + terminal row + header

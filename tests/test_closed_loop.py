@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from oracles import assert_warm_chain_matches_cold, record_mpc_solves
 
+from symtree import closed_loop
 from symtree.closed_loop import (Controller, constant_controller, iae,
                                  integrate_hold, latency_stats,
-                                 model_controller, rk4_step, simulate)
+                                 model_controller, mpc_controller, rk4_step,
+                                 simulate)
 from symtree.errors import ControllerError
 from symtree.learner import Dataset
-from symtree.mpc import PlantSpec, steady_state_flow
+from symtree.mpc import MpcSpec, PlantSpec, steady_state_flow
 from symtree.reference import reference_model
 
 
@@ -53,6 +56,27 @@ def test_simulation_deterministic_except_latency():
     model = reference_model()
     t1 = simulate(plant, model_controller(model, (0.0, 75.0)), 0.75, 2.0, 0.1)
     t2 = simulate(plant, model_controller(model, (0.0, 75.0)), 0.75, 2.0, 0.1)
+    assert np.array_equal(t1.states, t2.states)
+    assert np.array_equal(t1.controls, t2.controls)
+
+
+@pytest.mark.parametrize("x0", [0.12, 0.45, 0.88])
+def test_mpc_controller_warm_starts_match_cold_solves(monkeypatch, x0):
+    # Each step after the first starts from the previous step's controls,
+    # unshifted.
+    spec = MpcSpec()
+    solves = record_mpc_solves(monkeypatch, closed_loop)
+    trace = simulate(spec.plant, mpc_controller(spec), x0, 2.0, 0.1)
+    monkeypatch.undo()
+    assert len(solves) == len(trace.controls) == 20
+    assert [x for x, *_ in solves] == trace.states[:-1].tolist()
+    assert_warm_chain_matches_cold(spec, solves)
+
+
+def test_mpc_controller_loops_deterministic():
+    spec = MpcSpec()
+    t1 = simulate(spec.plant, mpc_controller(spec), 0.45, 2.0, 0.1)
+    t2 = simulate(spec.plant, mpc_controller(spec), 0.45, 2.0, 0.1)
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.controls, t2.controls)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import assert_warm_chain_matches_cold, record_mpc_solves
 
 from symtree import mpc
 from symtree.errors import ConfigError
@@ -128,6 +129,46 @@ def test_repeated_start_is_solved_once(monkeypatch, x0, skips):
         assert len(calls) < calls_all_starts
     else:
         assert len(calls) == calls_all_starts
+
+
+@pytest.mark.parametrize("n, mode, seed", [(50, "uniform-grid", 0),
+                                           (50, "seeded-random", 1)])
+def test_continuation_matches_cold_solves(monkeypatch, n, mode, seed):
+    # The canonical train grid and test set.
+    spec = canonical_spec()
+    solves = record_mpc_solves(monkeypatch, mpc)
+    data = generate_dataset(spec, n, 0.1, 0.9, mode=mode, seed=seed)
+    monkeypatch.undo()
+    assert [x0 for x0, *_ in solves] == data.X[:, 0].tolist()
+    assert np.array_equal(data.y, [sol.first_action for _, _, sol, _ in solves])
+    assert_warm_chain_matches_cold(spec, solves)
+
+
+@pytest.mark.parametrize("x0", [0.12, 0.45, 0.88])
+def test_failed_warm_start_falls_back_to_cold_starts(monkeypatch, x0):
+    spec = canonical_spec()
+    cold = solve_mpc(spec, x0)
+    warm = np.full(spec.T - 1, 30.0)
+    real_solve_from = mpc._solve_from
+    calls = []
+
+    def warm_fails(spec_, x0_, u0, bounds):
+        calls.append(u0)
+        return None if len(calls) == 1 else real_solve_from(spec_, x0_, u0, bounds)
+
+    monkeypatch.setattr(mpc, "_solve_from", warm_fails)
+    sol = solve_mpc(spec, x0, warm=warm)
+    assert np.array_equal(calls[0], warm) and len(calls) > 1
+    assert np.array_equal(sol.controls, cold.controls)
+    assert np.array_equal(sol.states, cold.states)
+    assert sol.objective == cold.objective
+    assert sol.kkt_residual == cold.kkt_residual
+    assert sol.first_action == cold.first_action
+
+
+def test_warm_start_shape_rejected():
+    with pytest.raises(ConfigError):
+        solve_mpc(canonical_spec(), 0.5, warm=np.zeros(3))
 
 
 def test_x0_outside_bounds_rejected():
