@@ -22,7 +22,7 @@ from .closed_loop import (constant_controller, iae, latency_stats,
                           model_controller, mpc_controller, simulate)
 from .config import load_config
 from .errors import ConfigError, SymtreeError
-from .learner import Dataset, fit_tree, objective_of
+from .learner import Dataset, fit_tree, mean_abs_error, objective_of
 from .milp import build_milp, parse_solution_text, read_solution, write_mps
 from .mpc import generate_dataset
 from .tree import deserialize, predict, serialize
@@ -224,11 +224,9 @@ def cmd_report(args) -> int:
         mpath = os.path.join(os.path.dirname(rpath) or ".", rep["model_file"])
         with open(mpath) as fh:
             model = deserialize(fh.read())
-        errs = [abs(test.y[i] - predict(model, test.X[i]))
-                for i in range(test.n_points)]
         entries.append({"kind": rep["kind"], "model_file": rep["model_file"],
                         "train_mae": rep.get("train_mae"),
-                        "test_mae": float(np.mean(errs))})
+                        "test_mae": mean_abs_error(model, test)})
     if len(train_hashes) != 1:
         raise ConfigError(
             f"refusing to compare models trained on different datasets: "

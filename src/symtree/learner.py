@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet, evaluate_basis_matrix
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .lp import fit_l1
 from . import tree as treemod
 from .tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule, LeafExpression,
@@ -73,11 +73,15 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
-        rows = list(csv.reader(io.StringIO(text)))
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
         if not rows or rows[0][-1] != "y":
             raise ConfigError("dataset CSV must have a header ending in 'y'")
-        data = [[float(v) for v in row] for row in rows[1:] if row]
-        arr = np.asarray(data, dtype=float)
+        if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows):
+            raise ParseError("dataset CSV needs data rows, each as wide as its header")
+        try:
+            arr = np.array([[float(v) for v in row] for row in rows[1:]])
+        except ValueError as exc:
+            raise ParseError(f"dataset CSV: {exc}") from exc
         return cls(X=arr[:, :-1], y=arr[:, -1])
 
     def sha256(self) -> str:
@@ -301,9 +305,13 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
 
 def objective_of(model: TreeModel, data: Dataset, cfg: LearnConfig):
     """Re-score a model: (objective, (L_acc, L_c, L_m))."""
-    residuals = [abs(data.y[i] - predict(model, data.X[i])) for i in range(data.n_points)]
-    l_acc = float(np.mean(residuals))
+    l_acc = mean_abs_error(model, data)
     l_c = float(len(model.topology.branch_nodes()))
     l_m = float(sum(np.sum(np.abs(leaf.as_array())) for leaf in model.leaves.values()))
     objective = l_acc + cfg.lambda_c * l_c + cfg.lambda_m * l_m
     return objective, (l_acc, l_c, l_m)
+
+
+def mean_abs_error(model: TreeModel, data: Dataset) -> float:
+    """Mean |y - prediction| of a model over a dataset."""
+    return float(np.mean([abs(y - predict(model, x)) for x, y in zip(data.X, data.y)]))

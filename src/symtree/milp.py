@@ -2,10 +2,11 @@
 
 Builds every variable and constraint family of the learning formulation
 (tree structure, assignment, one-hot feature choice, big-M routing, leaf
-expressions, bilinear linearization, absolute-value splits), exports it as a
-fixed-format MPS file with a sidecar name map, and decodes externally solved
-assignments back into tree models. Claimed objectives are never trusted: a
-decoded model is always re-scored internally.
+expressions, bilinear linearization, absolute-value splits) as the arrays
+``scipy.optimize.milp`` takes, exports them as a fixed-format MPS file with a
+sidecar name map, and decodes externally solved assignments back into tree
+models. Claimed objectives are never trusted: a decoded model is always
+re-scored internally.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .basis import BasisSet, evaluate_basis_matrix
 from .errors import ConfigError, IntegralityError, ParseError, StructureError
@@ -22,34 +24,28 @@ from .lp import EQ, GE, LE, fit_l1
 from .tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule, LeafExpression,
                    TreeModel, TreeTopology, ancestors, node_depth)
 
-BINARY = "binary"
-CONTINUOUS = "continuous"
+# Integrality codes as scipy.optimize.milp reads them.
+BINARY = 1
+CONTINUOUS = 0
 INT_TOL = 1e-5
 
 
 @dataclass
-class MilpVar:
-    name: str      # structured, e.g. "z[17,5]"
-    mps: str       # fixed-format machine name, <= 8 chars
-    kind: str      # BINARY | CONTINUOUS
-    lo: float
-    hi: float
-
-
-@dataclass
-class MilpRow:
-    name: str
-    mps: str
-    sense: str     # one of lp.LE / lp.EQ / lp.GE
-    rhs: float
-    terms: list    # (var_index, coefficient)
-
-
-@dataclass
 class MilpArtifact:
-    variables: list
-    rows: list
-    objective: list            # (var_index, coefficient)
+    """min cost @ x  s.t.  row_lo <= A @ x <= row_hi,  lo <= x <= hi, with
+    x[i] integral where integrality[i] is set. An LE row has row_lo = -inf, a
+    GE row row_hi = +inf and an EQ row equal bounds."""
+
+    cost: np.ndarray
+    A: sparse.csc_array          # rows x variables
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    integrality: np.ndarray
+    var_names: list              # structured, e.g. "z[17,5]"
+    var_mps: list                # fixed-format machine names, <= 8 chars
+    row_names: list
     data: Dataset
     basis: BasisSet
     cfg: LearnConfig
@@ -58,42 +54,40 @@ class MilpArtifact:
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.var_names)
 
     @property
     def n_binary(self) -> int:
-        return sum(1 for v in self.variables if v.kind == BINARY)
+        return int(np.count_nonzero(self.integrality))
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
+
+    @property
+    def row_mps(self) -> list:
+        return [f"R{j:07d}" for j in range(1, self.n_rows + 1)]
 
     def var_value(self, assign: dict, i: int, default=0.0):
-        v = self.variables[i]
-        if v.name in assign:
-            return assign[v.name]
-        if v.mps in assign:
-            return assign[v.mps]
+        if self.var_names[i] in assign:
+            return assign[self.var_names[i]]
+        if self.var_mps[i] in assign:
+            return assign[self.var_mps[i]]
         return default
 
+    def vector(self, assign: dict) -> np.ndarray:
+        """The assignment as a point x, with 0 for every variable it omits."""
+        return np.array([float(self.var_value(assign, i)) for i in range(self.n_vars)])
+
     def objective_value(self, assign: dict) -> float:
-        return sum(coef * self.var_value(assign, i) for i, coef in self.objective)
+        return float(self.cost @ self.vector(assign))
 
     def max_violation(self, assign: dict) -> float:
         """Largest constraint violation of a full assignment (bounds included)."""
-        worst = 0.0
-        for row in self.rows:
-            act = sum(coef * self.var_value(assign, i) for i, coef in row.terms)
-            if row.sense == LE:
-                worst = max(worst, act - row.rhs)
-            elif row.sense == GE:
-                worst = max(worst, row.rhs - act)
-            else:
-                worst = max(worst, abs(act - row.rhs))
-        for i, v in enumerate(self.variables):
-            val = self.var_value(assign, i)
-            worst = max(worst, v.lo - val, val - v.hi)
-        return worst
+        x = self.vector(assign)
+        act = self.A @ x
+        return float(max(0.0, np.max(act - self.row_hi), np.max(self.row_lo - act),
+                         np.max(self.lo - x), np.max(x - self.hi)))
 
 
 def node_sets(depth: int):
@@ -160,7 +154,7 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
     N_d, N_f, N_K = data.n_points, data.n_features, basis.size
     M, eps = cfg.big_M, cfg.eps_routing
 
-    variables, index = [], {}
+    variables, index = [], {}   # (name, mps, integrality, lo, hi) per variable
 
     def add_var(name, mps, kind, lo, hi):
         if len(mps) > 8:
@@ -168,7 +162,7 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
         if mps in index or name in index:
             raise ConfigError(f"duplicate variable name {mps!r}")
         index[name] = index[mps] = len(variables)
-        variables.append(MilpVar(name=name, mps=mps, kind=kind, lo=lo, hi=hi))
+        variables.append((name, mps, kind, lo, hi))
         return len(variables) - 1
 
     d = {n: add_var(f"d[{n}]", f"D{n}", BINARY, 0.0, 1.0) for n in nn}
@@ -195,11 +189,17 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
     ypred = {i: add_var(f"ypred[{i}]", f"YP{i}", CONTINUOUS, y_lb, y_ub)
              for i in range(1, N_d + 1)}
 
-    rows = []
+    row_names, row_lo, row_hi = [], [], []
+    rows, cols, vals = [], [], []   # coordinates and values of A's entries
 
     def add_row(name, sense, rhs, terms):
-        rows.append(MilpRow(name=name, mps=f"R{len(rows) + 1:07d}",
-                            sense=sense, rhs=float(rhs), terms=terms))
+        for i, coef in terms:
+            rows.append(len(row_names))
+            cols.append(i)
+            vals.append(coef)
+        row_names.append(name)
+        row_lo.append(-np.inf if sense == LE else float(rhs))
+        row_hi.append(np.inf if sense == GE else float(rhs))
 
     # Tree structure: children branch only under a branching parent; the root
     # branches; maximal-depth nodes never branch.
@@ -277,20 +277,18 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
             add_row(f"coef_split[{k},{n}]", EQ, 0.0,
                     [(cpos[k, n], 1.0), (cneg[k, n], -1.0), (c[k, n], -1.0)])
 
-    objective = []
-    w = 1.0 / N_d
-    for i in range(1, N_d + 1):
-        objective += [(epos[i], w), (eneg[i], w)]
-    if cfg.lambda_c:
-        objective += [(d[n], cfg.lambda_c) for n in nn]
-    if cfg.lambda_m:
-        for k in range(1, N_K + 1):
-            for n in nn:
-                objective += [(cpos[k, n], cfg.lambda_m), (cneg[k, n], cfg.lambda_m)]
+    cost = np.zeros(len(variables))
+    cost[list(epos.values()) + list(eneg.values())] = 1.0 / N_d
+    cost[list(d.values())] = cfg.lambda_c
+    cost[list(cpos.values()) + list(cneg.values())] = cfg.lambda_m
 
-    return MilpArtifact(variables=variables, rows=rows, objective=objective,
-                        data=data, basis=basis, cfg=cfg, y_bounds=(y_lb, y_ub),
-                        index=index)
+    A = sparse.csc_array((vals, (rows, cols)), shape=(len(row_names), len(variables)))
+    A.eliminate_zeros()
+    var_names, var_mps, integrality, lo, hi = map(list, zip(*variables))
+    return MilpArtifact(cost=cost, A=A, row_lo=np.array(row_lo), row_hi=np.array(row_hi),
+                        lo=np.array(lo), hi=np.array(hi), integrality=np.array(integrality),
+                        var_names=var_names, var_mps=var_mps, row_names=row_names,
+                        data=data, basis=basis, cfg=cfg, y_bounds=(y_lb, y_ub), index=index)
 
 
 def _fmt12(v: float) -> str:
@@ -301,62 +299,60 @@ def _fmt12(v: float) -> str:
     return f"{float(v):.2g}"[:12]
 
 
+def _pair_lines(label: str, entries: list) -> list:
+    """Data lines holding (row name, value) entries two to a line."""
+    lines = []
+    for j in range(0, len(entries), 2):
+        name, v = entries[j]
+        line = f"    {label:<10}{name:<10}{_fmt12(v):<12}"
+        if j + 1 < len(entries):
+            name, v = entries[j + 1]
+            line = f"{line}   {name:<10}{_fmt12(v):<12}"
+        lines.append(line.rstrip())
+    return lines
+
+
 def mps_text(art: MilpArtifact) -> str:
     """Fixed-format MPS document (NAME/ROWS/COLUMNS/RHS/BOUNDS/ENDATA)."""
-    if not art.rows:
+    if not art.n_rows:
         raise ConfigError("refusing to export an artifact with no constraint rows")
-    sense_tag = {LE: "L", EQ: "E", GE: "G"}
+    row_mps, le = art.row_mps, np.isinf(art.row_lo)
+    sense = np.where(art.row_lo == art.row_hi, "E", np.where(le, "L", "G")).tolist()
     lines = ["NAME          SYMTREE", "ROWS", " N  OBJ"]
-    for row in art.rows:
-        lines.append(f" {sense_tag[row.sense]}  {row.mps}")
-    # Column-major entries, variable order then row order.
-    col_entries = [[] for _ in art.variables]
-    for i, coef in art.objective:
-        if coef != 0.0:
-            col_entries[i].append(("OBJ", coef))
-    for row in art.rows:
-        for i, coef in row.terms:
-            if coef != 0.0:
-                col_entries[i].append((row.mps, coef))
+    lines += [f" {t}  {name}" for t, name in zip(sense, row_mps)]
+    # Column-major entries of [cost; A]: variable order, then row order.
+    cols = sparse.vstack([sparse.csc_array(art.cost[None, :]), art.A], format="csc")
+    labels = ["OBJ"] + row_mps
+    entries = [(labels[r], v) for r, v in zip(cols.indices.tolist(), cols.data.tolist())]
+    ptr = cols.indptr.tolist()
     lines.append("COLUMNS")
-    for var, entries in zip(art.variables, col_entries):
-        for j in range(0, len(entries), 2):
-            pair = entries[j : j + 2]
-            line = f"    {var.mps:<10}{pair[0][0]:<10}{_fmt12(pair[0][1]):<12}"
-            if len(pair) == 2:
-                line = f"{line}   {pair[1][0]:<10}{_fmt12(pair[1][1]):<12}"
-            lines.append(line.rstrip())
+    for j, mps in enumerate(art.var_mps):
+        lines += _pair_lines(mps, entries[ptr[j]:ptr[j + 1]])
     lines.append("RHS")
-    rhs_entries = [(row.mps, row.rhs) for row in art.rows if row.rhs != 0.0]
-    for j in range(0, len(rhs_entries), 2):
-        pair = rhs_entries[j : j + 2]
-        line = f"    {'RHS':<10}{pair[0][0]:<10}{_fmt12(pair[0][1]):<12}"
-        if len(pair) == 2:
-            line = f"{line}   {pair[1][0]:<10}{_fmt12(pair[1][1]):<12}"
-        lines.append(line.rstrip())
+    rhs = np.where(le, art.row_hi, art.row_lo).tolist()
+    lines += _pair_lines("RHS", [(name, v) for name, v in zip(row_mps, rhs) if v != 0.0])
     lines.append("BOUNDS")
-    for var in art.variables:
-        if var.kind == BINARY:
-            lines.append(f" BV {'BND':<10}{var.mps}")
-            continue
-        lo_inf, hi_inf = not np.isfinite(var.lo), not np.isfinite(var.hi)
-        if lo_inf and hi_inf:
-            lines.append(f" FR {'BND':<10}{var.mps}")
-            continue
-        if lo_inf:
-            lines.append(f" MI {'BND':<10}{var.mps}")
-        elif var.lo != 0.0:
-            lines.append(f" LO {'BND':<10}{var.mps:<10}{_fmt12(var.lo)}")
-        if not hi_inf:
-            lines.append(f" UP {'BND':<10}{var.mps:<10}{_fmt12(var.hi)}")
+    for mps, kind, v_lo, v_hi in zip(art.var_mps, art.integrality.tolist(),
+                                     art.lo.tolist(), art.hi.tolist()):
+        if kind == BINARY:
+            lines.append(f" BV {'BND':<10}{mps}")
+        elif v_lo == -np.inf and v_hi == np.inf:
+            lines.append(f" FR {'BND':<10}{mps}")
+        else:
+            if v_lo == -np.inf:
+                lines.append(f" MI {'BND':<10}{mps}")
+            elif v_lo != 0.0:
+                lines.append(f" LO {'BND':<10}{mps:<10}{_fmt12(v_lo)}")
+            if v_hi != np.inf:
+                lines.append(f" UP {'BND':<10}{mps:<10}{_fmt12(v_hi)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
 
 def name_map(art: MilpArtifact) -> dict:
     return {
-        "variables": {v.mps: v.name for v in art.variables},
-        "rows": {r.mps: r.name for r in art.rows},
+        "variables": dict(zip(art.var_mps, art.var_names)),
+        "rows": dict(zip(art.row_mps, art.row_names)),
     }
 
 
@@ -386,13 +382,15 @@ def parse_mps_counts(text: str) -> dict:
             continue
         fields = raw.split()
         if section == "ROWS":
-            if len(fields) != 2 or fields[0] not in "NLEG":
+            if len(fields) != 2 or fields[0] not in {"N", "L", "E", "G"}:
                 raise ParseError(f"line {lineno}: malformed row declaration")
             if fields[0] != "N":
                 rows.add(fields[1])
         elif section == "COLUMNS":
             cols.add(fields[0])
         elif section == "BOUNDS":
+            if len(fields) < 3:
+                raise ParseError(f"line {lineno}: bound needs a type, a set and a column")
             if fields[0] == "BV":
                 binaries.add(fields[2])
             cols.add(fields[2])
@@ -413,6 +411,8 @@ def parse_solution_text(text: str) -> dict:
             out[parts[0]] = float(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad value {parts[1]!r}") from exc
+        if not np.isfinite(out[parts[0]]):
+            raise ParseError(f"line {lineno}: non-finite value {parts[1]!r}")
     return out
 
 
@@ -424,8 +424,7 @@ class DecodedSolution:
 
 
 def _binary(art: MilpArtifact, assign: dict, name: str) -> int:
-    idx = art.index.get(name)
-    v = art.var_value(assign, idx, default=None)
+    v = art.var_value(assign, art.index[name], default=None)
     if v is None:
         raise StructureError(f"assignment missing binary {name}")
     if abs(v - round(v)) > INT_TOL:
@@ -448,10 +447,10 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
         if dval[n] != 0:
             raise StructureError(f"maximal-depth node {n} marked as branching")
     active = {1: True}
-    for n in nn:
-        if n > 1:
-            active[n] = active[n // 2] and dval[n // 2] == 1
+    for n in nn[1:]:
+        active[n] = active[n // 2] and dval[n // 2] == 1
     kinds = {n: (BRANCH if dval[n] else LEAF) if active[n] else INACTIVE for n in nn}
+    topology = TreeTopology(depth=cfg.depth, kinds=kinds)
 
     # Leaf assignment of each data point from z.
     assigned = {}
@@ -462,25 +461,20 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
         assigned[i] = hits[0]
 
     rules = {}
-    for n in nn:
-        if kinds[n] != BRANCH:
-            continue
+    for n in topology.branch_nodes():
         hot = [f for f in range(1, data.n_features + 1)
                if _binary(art, assignments, f"a[{f},{n}]") == 1]
         if len(hot) != 1:
             raise StructureError(f"branch node {n} selects {len(hot)} features")
         feature = hot[0] - 1
-        bname = f"b[{n}]"
-        thr = art.var_value(assignments, art.index[bname], default=None)
+        thr = art.var_value(assignments, art.index[f"b[{n}]"], default=None)
         if thr is None:
             thr = _reconstruct_threshold(data, assigned, n, feature, cfg.eps_routing)
         rules[n] = BranchRule(feature=feature, threshold=float(thr))
 
     Phi = evaluate_basis_matrix(art.basis, data.X)
     leaves = {}
-    for n in nn:
-        if kinds[n] != LEAF:
-            continue
+    for n in topology.leaf_nodes():
         coeffs = [art.var_value(assignments, art.index[f"c[{k},{n}]"], default=None)
                   for k in range(1, art.basis.size + 1)]
         if any(v is None for v in coeffs):
@@ -491,8 +485,7 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
         leaves[n] = LeafExpression(coefficients=tuple(float(v) for v in coeffs))
 
     model = TreeModel(
-        topology=TreeTopology(depth=cfg.depth, kinds=kinds),
-        rules=rules, leaves=leaves, basis=art.basis,
+        topology=topology, rules=rules, leaves=leaves, basis=art.basis,
         bounds=Bounds(cfg.c_lb, cfg.c_ub, art.y_bounds[0], art.y_bounds[1]),
     )
     recomputed, _ = objective_of(model, data, cfg)
@@ -504,12 +497,11 @@ def _reconstruct_threshold(data: Dataset, assigned: dict, node: int, feature: in
                            eps: float) -> float:
     lefts, rights = [], []
     for i, leaf in assigned.items():
-        cur = leaf
-        while cur > node:
-            parent = cur // 2
-            if parent == node:
-                (lefts if cur % 2 == 0 else rights).append(data.X[i - 1, feature])
-            cur = parent
+        left_of, right_of = left_right_ancestors(leaf)
+        if node in left_of:
+            lefts.append(data.X[i - 1, feature])
+        elif node in right_of:
+            rights.append(data.X[i - 1, feature])
     if lefts and rights:
         return (max(lefts) + min(rights)) / 2.0
     if rights:

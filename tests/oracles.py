@@ -5,19 +5,21 @@ tree search: leaf fits go through scipy's linprog on a different LP layout,
 and optima are found by exhaustive enumeration. Basis values come from each
 function's closed form on its own, with no sharing between functions. A
 warm-started MPC solve is held to the three-start cold solve at its state.
+The exported MPS text is read back by a fixed-format reader of its own.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import milp as scipy_milp
 
 from symtree import milp, mpc
 from symtree.basis import evaluate_basis_matrix
 from symtree.learner import Dataset, candidate_thresholds
-from symtree.lp import EQ, LE
-from symtree.milp import CONTINUOUS
+from symtree.milp import BINARY
 from symtree.mpc import KKT_TOL, solve_mpc
 from symtree.tree import BRANCH, LEAF, node_depth, route
 
@@ -136,45 +138,78 @@ def exhaustive_fit_tree(data, basis, cfg):
 
 
 def lp_with_fixed_binaries(art, fixed):
-    """scipy LP over the continuous variables, binaries pinned to `fixed`."""
-    cont = [i for i, v in enumerate(art.variables) if v.kind == CONTINUOUS]
-    pos = {i: j for j, i in enumerate(cont)}
-    cost = np.zeros(len(cont))
-    const = 0.0
-    for i, coef in art.objective:
-        if i in pos:
-            cost[pos[i]] += coef
-        else:
-            const += coef * fixed[i]
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for row in art.rows:
-        coeffs = np.zeros(len(cont))
-        rhs = row.rhs
-        for i, coef in row.terms:
-            if i in pos:
-                coeffs[pos[i]] += coef
-            else:
-                rhs -= coef * fixed[i]
-        if row.sense == EQ:
-            A_eq.append(coeffs)
-            b_eq.append(rhs)
-        elif row.sense == LE:
-            A_ub.append(coeffs)
-            b_ub.append(rhs)
-        else:
-            A_ub.append(-coeffs)
-            b_ub.append(-rhs)
-    bounds = []
-    for i in cont:
-        v = art.variables[i]
-        bounds.append((None if not np.isfinite(v.lo) else v.lo,
-                       None if not np.isfinite(v.hi) else v.hi))
-    res = linprog(cost, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(A_eq), b_eq=np.array(b_eq), bounds=bounds,
-                  method="highs")
+    """scipy LP over the continuous variables, binaries pinned to `fixed`
+    ({variable index: value}, one entry per binary)."""
+    binary = art.integrality == BINARY
+    x_bin = np.array([fixed[i] for i in np.flatnonzero(binary)], dtype=float)
+    shift = art.A[:, binary] @ x_bin
+    rows = LinearConstraint(art.A[:, ~binary], art.row_lo - shift, art.row_hi - shift)
+    res = scipy_milp(art.cost[~binary], constraints=rows,
+                     bounds=Bounds(art.lo[~binary], art.hi[~binary]))
     if res.status != 0:
         return None
-    return res.fun + const
+    return res.fun + float(art.cost[binary] @ x_bin)
+
+
+def read_mps_arrays(text):
+    """Fixed-format MPS reader that shares no code with the writer: every
+    field is read at its column position. Returns the arrays of the problem as
+    a dict keyed like the artifact's attributes (A as a CSC array, names in
+    file order); a variable or row absent from a section takes the MPS
+    default (cost 0, rhs 0, bounds [0, inf))."""
+    section, obj, senses, rows, cols = None, None, [], {}, {}
+    cost, entries, rhs, bounds = {}, [], {}, []
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            section = line.split()[0]
+            continue
+        f = [line[a:b].strip()
+             for a, b in ((1, 3), (4, 12), (14, 22), (24, 36), (39, 47), (49, 61))]
+        if section == "ROWS" and f[0] == "N":
+            obj = f[1]
+        elif section == "ROWS":
+            rows[f[1]] = len(senses)
+            senses.append(f[0])
+        elif section in ("COLUMNS", "RHS"):
+            j = cols.setdefault(f[1], len(cols)) if section == "COLUMNS" else None
+            for name, value in ((f[2], f[3]), (f[4], f[5])):
+                if not name:
+                    continue
+                if section == "RHS":
+                    rhs[rows[name]] = float(value)
+                elif name == obj:
+                    cost[j] = float(value)
+                else:
+                    entries.append((rows[name], j, float(value)))
+        elif section == "BOUNDS":
+            bounds.append((f[0], cols.setdefault(f[2], len(cols)), f[3]))
+    n, m = len(cols), len(senses)
+    out = {"var_mps": list(cols), "row_mps": list(rows), "cost": np.zeros(n),
+           "lo": np.zeros(n), "hi": np.full(n, np.inf), "integrality": np.zeros(n, int)}
+    for j, v in cost.items():
+        out["cost"][j] = v
+    r, c, v = zip(*entries)
+    out["A"] = sparse.csc_array((v, (r, c)), shape=(m, n))
+    b = np.zeros(m)
+    for i, v in rhs.items():
+        b[i] = v
+    sense = np.array(senses)
+    out["row_lo"] = np.where(sense == "L", -np.inf, b)
+    out["row_hi"] = np.where(sense == "G", np.inf, b)
+    for kind, j, value in bounds:
+        if kind == "BV":
+            out["lo"][j], out["hi"][j], out["integrality"][j] = 0.0, 1.0, 1
+        elif kind == "FR":
+            out["lo"][j], out["hi"][j] = -np.inf, np.inf
+        elif kind == "MI":
+            out["lo"][j] = -np.inf
+        elif kind == "LO":
+            out["lo"][j] = float(value)
+        elif kind == "UP":
+            out["hi"][j] = float(value)
+        else:
+            raise ValueError(f"unknown bound type {kind!r}")
+    return out
 
 
 def milp_optimum_depth1(art):

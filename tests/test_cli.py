@@ -206,6 +206,26 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["x,y\n", "x,y\n0.5,1.0\n0.6,abc\n",
+                                  "x,y\n0.5,1.0\n0.6\n", "x,y\n0.5,1.0,2.0\n"])
+def test_malformed_dataset_exit_code(tmp_path, capsys, text):
+    """Header only, a non-numeric cell, a short row and a long row."""
+    data = tmp_path / "train.csv"
+    data.write_text(text)
+    assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_import_non_finite_solution_exit_code(workspace, tmp_path, capsys):
+    ws, cfg = workspace
+    sol = tmp_path / "bad.sol"
+    for value in ("nan", "inf"):
+        sol.write_text(f"d[1] {value}\n")
+        assert run(["import-sol", "--config", str(cfg), "--data", str(ws / "train.csv"),
+                    "--sol", str(sol), "--out", str(tmp_path / "i.tree.json")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_predict_outside_basis_domain_exit_code(tmp_path, capsys):
     mpath = tmp_path / "m.json"
     mpath.write_text(serialize(reference_model()))

@@ -3,9 +3,10 @@ import pytest
 
 from oracles import brute_force_depth1, exhaustive_fit_tree
 from symtree.basis import basis_from_forms
-from symtree.errors import ConfigError
+from symtree.errors import ConfigError, ParseError
 from symtree.learner import (Dataset, LearnConfig, candidate_thresholds,
-                             default_y_bounds, fit_tree, objective_of)
+                             default_y_bounds, fit_tree, mean_abs_error, objective_of)
+from symtree.reference import reference_model
 from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
                           LeafExpression, TreeModel, TreeTopology, predict,
                           validate)
@@ -224,3 +225,20 @@ def test_dataset_rejects_bad_input():
         Dataset(X=[[1.0], [2.0]], y=[1.0])
     with pytest.raises(ConfigError):
         Dataset(X=[[np.nan]], y=[1.0])
+
+
+@pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n", "x,y\n0.5,one\n",
+                                  "x,y\n0.5,1.0\n0.7\n", "x,y\n0.5,1.0,2.0\n"])
+def test_dataset_csv_rejects_malformed_text(text):
+    with pytest.raises(ParseError):
+        Dataset.from_csv(text)
+
+
+def test_mean_abs_error_matches_point_loop_bitwise():
+    rng = np.random.default_rng(59)
+    data = Dataset(X=rng.uniform(0.1, 0.9, (40, 1)), y=rng.uniform(40, 80, 40))
+    model = reference_model()
+    loop = float(np.mean([abs(data.y[i] - predict(model, data.X[i]))
+                          for i in range(data.n_points)]))
+    assert mean_abs_error(model, data) == loop
+    assert objective_of(model, data, LearnConfig())[1][0] == loop

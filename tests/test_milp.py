@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from oracles import embed_model, milp_optimum_depth1
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as scipy_milp
+
+from oracles import embed_model, milp_optimum_depth1, read_mps_arrays
 from symtree import milp
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis_matrix
-from symtree.errors import ConfigError, IntegralityError, StructureError
+from symtree.config import load_config
+from symtree.errors import ConfigError, IntegralityError, ParseError, StructureError
 from symtree.learner import Dataset, LearnConfig, fit_tree, objective_of
 from symtree.lp import EQ, GE, LE
 from symtree.milp import (BINARY, CONTINUOUS, build_milp, expected_counts,
@@ -58,7 +62,7 @@ def test_zero_penalties_strip_objective():
     data, basis, cfg = tiny_instance()
     cfg.lambda_c = cfg.lambda_m = 0.0
     art = build_milp(data, basis, cfg)
-    names = {art.variables[i].name.split("[")[0] for i, _ in art.objective}
+    names = {art.var_names[i].split("[")[0] for i in np.flatnonzero(art.cost)}
     assert names == {"epos", "eneg"}
 
 
@@ -93,7 +97,7 @@ def test_mps_deterministic():
 def test_empty_artifact_rejected():
     data, basis, cfg = tiny_instance()
     art = build_milp(data, basis, cfg)
-    art.rows = []
+    art.row_names = []
     with pytest.raises(ConfigError):
         mps_text(art)
 
@@ -111,14 +115,14 @@ def test_columns_cover_every_variable():
         if section == "COLUMNS":
             fields = line.split()
             in_columns.add(fields[0])
-    assert in_columns == {v.mps for v in art.variables}
+    assert in_columns == set(art.var_mps)
 
 
 def test_machine_names_are_short_and_unique():
     rng = np.random.default_rng(73)
     data = Dataset(X=rng.uniform(0.2, 1.0, (9, 1)), y=rng.uniform(-1, 1, 9))
     art = build_milp(data, basis_from_forms(["1", "x"]), LearnConfig(depth=2))
-    names = [v.mps for v in art.variables]
+    names = art.var_mps
     assert len(set(names)) == len(names)
     assert all(len(n) <= 8 for n in names)
 
@@ -134,6 +138,17 @@ def test_fitted_tree_embeds_feasibly():
     assign = embed_model(art, rep.model)
     assert art.max_violation(assign) <= 1e-9
     assert art.objective_value(assign) == pytest.approx(rep.objective, abs=1e-8)
+
+
+def test_max_violation_reads_both_row_bounds():
+    data, basis, cfg = tiny_instance()
+    art = build_milp(data, basis, cfg)
+    # All zeros: struct_root (d[1] = 1) and assign_once fall short by 1.
+    assert art.max_violation({}) == 1.0
+    # d[2] = 3 overshoots coef_ub[1,2] (c + c_ub*d <= c_ub) by 2*c_ub.
+    assert art.max_violation({"d[1]": 1.0, "z[1,2]": 1.0, "d[2]": 3.0}) == 2 * cfg.c_ub
+    assert art.objective_value({"EP1": 0.5, "d[1]": 1.0}) == \
+        pytest.approx(0.5 + cfg.lambda_c, abs=1e-15)
 
 
 def test_cross_solver_consistency():
@@ -212,3 +227,70 @@ def test_solution_text_parsing():
     text = "# comment\nd[1] 1\nZ1_2 0.0  # trailing\n\nb[1] 0.55\n"
     parsed = parse_solution_text(text)
     assert parsed == {"d[1]": 1.0, "Z1_2": 0.0, "b[1]": 0.55}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_solution_text_rejects_non_finite(value):
+    with pytest.raises(ParseError):
+        parse_solution_text(f"d[1] 1\nb[1] {value}\n")
+
+
+@pytest.mark.parametrize("kind", ["LE", "EG", "NLEG", "X"])
+def test_mps_counts_reject_unknown_row_type(kind):
+    with pytest.raises(ParseError):
+        parse_mps_counts(f"NAME          T\nROWS\n N  OBJ\n {kind}  R0000001\nENDATA\n")
+
+
+@pytest.mark.parametrize("line", [" BV", " BV BND", " UP BND"])
+def test_mps_counts_reject_short_bound(line):
+    with pytest.raises(ParseError):
+        parse_mps_counts(f"NAME          T\nROWS\n N  OBJ\nBOUNDS\n{line}\nENDATA\n")
+
+
+def test_mps_values_read_back():
+    """The written numbers, not only the counts: a fixed-format reader gets
+    back every array of the artifact, each as _fmt12 rounded it."""
+    rng = np.random.default_rng(97)
+    data = Dataset(X=np.sort(rng.uniform(0.1, 0.9, 12)).reshape(-1, 1),
+                   y=rng.uniform(40, 80, 12))
+    art = build_milp(data, canonical_basis(), load_config(None).learn_config())
+    got = read_mps_arrays(mps_text(art))
+    rounded = np.vectorize(lambda v: float(milp._fmt12(v)), otypes=[float])
+    assert got["var_mps"] == art.var_mps and got["row_mps"] == art.row_mps
+    for key in ("cost", "row_lo", "row_hi", "lo", "hi"):
+        assert np.array_equal(got[key], rounded(getattr(art, key))), key
+    assert np.array_equal(got["integrality"], art.integrality)
+    A = art.A.copy()
+    A.data = rounded(A.data)
+    assert not np.array_equal(A.data, art.A.data)  # some entries do round
+    assert (got["A"] != A).nnz == 0
+
+
+def highs_instances():
+    yield (Dataset(X=[[.74], [.25], [.64], [.42], [.9], [.25], [.74], [.9]],
+                   y=[-.55, .79, .74, -.96, .41, -1, .01, -.13]),
+           LearnConfig(depth=2, lambda_m=0.0))
+    for seed in (2, 7):
+        rng = np.random.default_rng(seed)
+        yield (Dataset(X=np.round(rng.uniform(0.2, 1.0, (8, 1)), 2),
+                       y=np.round(rng.uniform(-1, 1, 8), 2)), LearnConfig(depth=2))
+
+
+def test_highs_solves_exported_arrays():
+    """The artifact's arrays go to HiGHS as they are. Its optimum may undercut
+    enumeration: a z within HiGHS's integrality tolerance (about 1e-7) times
+    big-M 1000 reaches eps_routing 1e-4, so points with equal x can fall on
+    both sides of a threshold. The decoded tree is re-scored, so it can never
+    beat enumeration."""
+    basis = basis_from_forms(["1", "x"])
+    for data, cfg in highs_instances():
+        art = build_milp(data, basis, cfg)
+        res = scipy_milp(art.cost, integrality=art.integrality,
+                         constraints=LinearConstraint(art.A, art.row_lo, art.row_hi),
+                         bounds=Bounds(art.lo, art.hi), options={"mip_rel_gap": 0})
+        assert res.status == 0, res.message
+        rep = fit_tree(data, basis, cfg)
+        assert res.fun <= rep.objective + 1e-7
+        decoded = read_solution(art, dict(zip(art.var_names, res.x)))
+        assert validate(decoded.model) == []
+        assert decoded.objective >= rep.objective - 1e-9
