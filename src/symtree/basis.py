@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DimensionError, DomainError, ParseError
 
 #: Hard guard around the 1/x singularity; inputs with |coordinate| below this
 #: are rejected rather than silently saturated.
@@ -86,14 +86,15 @@ class _Program:
     """Basis functions compiled for evaluation on Python floats.
 
     Each distinct exponential (coordinate, argument) is computed once per
-    point; each function then reads its coordinate, its power and the slot
-    of its exponential (slot -1 holds the constant 1.0 of exp-free forms).
+    point, as exp(sign * x) or, for a reciprocal argument, exp(sign / x);
+    each function then reads its coordinate, its power and the slot of its
+    exponential (slot -1 holds the constant 1.0 of exp-free forms).
     """
 
     def __init__(self, functions):
         self.functions = functions
         slots = {}
-        self.exps = []   # (coordinate, exp_arg, first function using it)
+        self.exps = []   # (coordinate, sign, reciprocal, first function using it)
         self.terms = []  # (coordinate, power, exponential slot) per function
         for f in functions:
             slot = -1
@@ -101,38 +102,40 @@ class _Program:
                 key = (f.coordinate, f.exp_arg)
                 if key not in slots:
                     slots[key] = len(self.exps)
-                    self.exps.append((f.coordinate, f.exp_arg, f))
+                    sign = -1.0 if f.exp_arg.startswith("-") else 1.0
+                    self.exps.append((f.coordinate, sign, "/" in f.exp_arg, f))
                 slot = slots[key]
             self.terms.append((f.coordinate, f.power, slot))
 
     def __call__(self, v: list) -> list:
         """Values of every function at the coordinates v; raises DomainError
-        inside the 1/x guard and on overflow, naming the form."""
-        es = []
-        for c, arg, f in self.exps:
-            x = v[c]
-            if arg == "x":
-                a = x
-            elif arg == "-x":
-                a = -x
-            elif abs(x) < X_GUARD:
-                raise DomainError(
-                    f"basis form {f.form!r} undefined for |x| < {X_GUARD:g} (got {x!r})"
-                )
-            elif arg == "1/x":
-                a = 1.0 / x
-            else:
-                a = -1.0 / x
-            try:
-                es.append(math.exp(a))
-            except OverflowError:
-                raise _overflow(f, x) from None
-        es.append(1.0)
+        inside the 1/x guard and on overflow, naming the form, and
+        DimensionError when v has fewer coordinates than a form reads."""
         try:
+            es = []
+            for c, sign, reciprocal, f in self.exps:
+                x = v[c]
+                if not reciprocal:
+                    a = sign * x
+                elif abs(x) < X_GUARD:
+                    raise DomainError(
+                        f"basis form {f.form!r} undefined for |x| < {X_GUARD:g} (got {x!r})"
+                    )
+                else:
+                    a = sign / x
+                try:
+                    es.append(math.exp(a))
+                except OverflowError:
+                    raise _overflow(f, x) from None
+            es.append(1.0)
             out = [v[c] ** p * es[s] for c, p, s in self.terms]
         except OverflowError:
             f = next(f for f in self.functions if _power_overflows(v[f.coordinate], f.power))
             raise _overflow(f, v[f.coordinate]) from None
+        except IndexError:
+            f = next(f for f in self.functions if f.coordinate >= len(v))
+            raise DimensionError(f"basis form {f.form!r} reads coordinate {f.coordinate}, "
+                                 f"but the point has {len(v)}") from None
         # A sum of finite values is finite unless it overflows itself, so
         # the per-value scan only runs when something may be wrong.
         if not math.isfinite(sum(out)):

@@ -3,7 +3,8 @@
 Subcommands cover dataset generation, training, baselines, MILP export and
 solution import, point prediction, closed-loop simulation, and report
 merging. Every written artifact records provenance (config hash, dataset
-hash, tool version) so downstream steps can refuse mismatched inputs.
+hash, tool, Python, numpy and scipy versions) so downstream steps can refuse
+mismatched inputs.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .basis import canonical_basis
@@ -32,7 +35,9 @@ RUNTIME_ERROR = 2
 
 
 def _provenance(cfg, data=None) -> dict:
-    out = {"tool_version": __version__, "config_hash": cfg.config_hash()}
+    out = {"tool_version": __version__, "python_version": platform.python_version(),
+           "numpy_version": np.__version__, "scipy_version": scipy.__version__,
+           "config_hash": cfg.config_hash()}
     if data is not None:
         out["dataset_sha256"] = data.sha256()
     return out

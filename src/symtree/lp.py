@@ -57,7 +57,7 @@ class LpSolution:
 
 def _highs(cost, A, row_lo, row_hi, lo, hi) -> LpSolution:
     """min cost @ x  s.t.  row_lo <= A x <= row_hi, lo <= x <= hi, by HiGHS."""
-    rows = LinearConstraint(A, row_lo, row_hi) if len(A) else None
+    rows = LinearConstraint(A, row_lo, row_hi) if A.shape[0] else None
     res = milp(cost, constraints=rows, bounds=Bounds(lo, hi))
     status = _STATUS.get(res.status)
     if status is None:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import BasisSet, basis_from_forms, evaluate_basis
-from .errors import ModelInvalidError, ParseError
+from .basis import BasisSet, _floats, basis_from_forms, evaluate_basis
+from .errors import DimensionError, ModelInvalidError, ParseError
 
 BRANCH = "branch"
 LEAF = "leaf"
@@ -70,9 +70,16 @@ class BranchRule:
 @dataclass(frozen=True)
 class LeafExpression:
     coefficients: tuple
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        array = np.array(self.coefficients, dtype=float)
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=float)
+        """The coefficients as a read-only float array, built once."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ class TreeModel:
 
 def route(model: TreeModel, x) -> int:
     """Walk the tree from the root; ties at a threshold go right."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
+    v = _floats(x)
     n = 1
     while True:
         kind = model.topology.kinds.get(n)
@@ -95,7 +102,11 @@ def route(model: TreeModel, x) -> int:
         if kind != BRANCH:
             raise ModelInvalidError(f"routing reached non-leaf node {n} ({kind})")
         rule = model.rules[n]
-        n = 2 * n if xv[rule.feature] < rule.threshold else 2 * n + 1
+        try:
+            n = 2 * n if v[rule.feature] < rule.threshold else 2 * n + 1
+        except IndexError:
+            raise DimensionError(f"node {n} splits on feature {rule.feature}, "
+                                 f"but the point has {len(v)}") from None
 
 
 def predict(model: TreeModel, x) -> float:

@@ -1,14 +1,18 @@
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+from symtree.basis import basis_from_forms
 from symtree.cli import run
 from symtree.config import DEFAULTS, load_config
 from symtree.errors import ConfigError
 from symtree.learner import Dataset
 from symtree.reference import reference_model
-from symtree.tree import deserialize, serialize
+from symtree.tree import (BRANCH, LEAF, Bounds, BranchRule, LeafExpression,
+                          TreeModel, TreeTopology, deserialize, serialize)
 
 
 def test_defaults_are_canonical():
@@ -61,6 +65,8 @@ def test_gen_data_outputs(workspace):
     meta = json.loads((ws / "datasets.json").read_text())
     assert meta["train_sha256"] == train.sha256()
     assert meta["provenance"]["config_hash"] == load_config(str(cfg)).config_hash()
+    assert set(meta["provenance"]) == {"tool_version", "python_version", "numpy_version",
+                                       "scipy_version", "config_hash"}
 
 
 def test_gen_data_reproducible(workspace, tmp_path):
@@ -78,7 +84,13 @@ def test_train_and_predict(workspace, capsys):
     model = deserialize(out.read_text())
     report = json.loads((ws / "model.report.json").read_text())
     assert report["kind"] == "symbolic"
-    assert report["provenance"]["dataset_sha256"]
+    prov = report["provenance"]
+    assert set(prov) == {"tool_version", "python_version", "numpy_version",
+                         "scipy_version", "config_hash", "dataset_sha256"}
+    assert (prov["python_version"], prov["numpy_version"], prov["scipy_version"]) == \
+        (platform.python_version(), np.__version__, scipy.__version__)
+    assert prov["config_hash"] == load_config(str(cfg)).config_hash()
+    assert prov["dataset_sha256"] == Dataset.from_csv((ws / "train.csv").read_text()).sha256()
     capsys.readouterr()
     assert run(["predict", "--model", str(out), "--x", "0.6"]) == 0
     printed = float(capsys.readouterr().out.strip())
@@ -232,6 +244,22 @@ def test_predict_outside_basis_domain_exit_code(tmp_path, capsys):
     for x in ("0.001", "-0.001", "800", "0"):
         assert run(["predict", "--model", str(mpath), "--x", x]) == 2
     assert "overflowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("feature", [0, 1])
+def test_predict_too_few_coordinates_exit_code(tmp_path, capsys, feature):
+    """A two-feature model read at a one-coordinate point: the branch rule
+    (feature 1) or the basis form x@1 (feature 0) finds no coordinate 1."""
+    model = TreeModel(
+        topology=TreeTopology(depth=1, kinds={1: BRANCH, 2: LEAF, 3: LEAF}),
+        rules={1: BranchRule(feature=feature, threshold=0.5)},
+        leaves={2: LeafExpression(coefficients=(1.0, 2.0)),
+                3: LeafExpression(coefficients=(-1.0, 0.5))},
+        basis=basis_from_forms(["1", "x@1"]), bounds=Bounds(-5.0, 5.0, -10.0, 10.0))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(serialize(model))
+    assert run(["predict", "--model", str(mpath), "--x", "0.3"]) == 2
+    assert "but the point has 1" in capsys.readouterr().err
 
 
 def test_defaults_document_shape():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from symtree.closed_loop import (Controller, constant_controller, iae,
                                  integrate_hold, latency_stats,
                                  model_controller, mpc_controller, rk4_step,
                                  simulate)
-from symtree.errors import ControllerError
+from symtree.errors import ControllerError, DimensionError
 from symtree.learner import Dataset
 from symtree.mpc import MpcSpec, PlantSpec, steady_state_flow
 from symtree.reference import reference_model
+from symtree.tree import BranchRule
 
 
 def test_rk4_order_ratio():
@@ -115,6 +117,16 @@ def test_model_controller_domain_error_wrapped():
     ctrl = model_controller(reference_model(), (0.0, 75.0))
     with pytest.raises(ControllerError, match="t="):
         simulate(PlantSpec(), ctrl, 0.0, 1.0, 0.1)
+
+
+def test_model_controller_dimension_error_wrapped():
+    # a rule on feature 1 finds no second coordinate in the scalar state
+    m = reference_model()
+    rules = {**m.rules, 1: BranchRule(feature=1, threshold=0.64)}
+    ctrl = model_controller(replace(m, rules=rules), (0.0, 75.0))
+    with pytest.raises(ControllerError, match="splits on feature 1") as info:
+        simulate(PlantSpec(), ctrl, 0.5, 1.0, 0.1)
+    assert isinstance(info.value.__cause__, DimensionError)
 
 
 def test_invalid_sampling_rejected():

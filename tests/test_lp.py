@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from symtree.errors import DimensionError, NumericalError
-from symtree.lp import EQ, GE, LE, LpProblem, fit_l1, solve_lp
+from scipy.sparse import csc_array
+
+from symtree.lp import EQ, GE, LE, LpProblem, _highs, fit_l1, solve_lp
 
 # ---------------------------------------------------------------------------
 # Vertex-enumeration oracle: for a bounded small LP, every basic feasible
@@ -112,6 +114,26 @@ def test_rows_free_lp_sits_on_the_cost_favoured_bounds():
 def test_rows_free_lp_unbounded():
     p = LpProblem(objective=[1.0], bounds=[(-np.inf, np.inf)])
     assert solve_lp(p).status == "unbounded"
+
+
+def test_highs_takes_a_sparse_matrix():
+    """A csc_array A, which refuses len(), gives the same LpSolution as its
+    dense form; so does one with no rows."""
+    rng = np.random.default_rng(11)
+    statuses = set()
+    for m in (0, 1, 2, 3, 4, 5) * 5:
+        A = rng.uniform(-2, 2, (m, 3))
+        A[rng.uniform(size=A.shape) < 0.3] = 0.0
+        row_lo = rng.uniform(-3, 0, m)
+        row_hi = row_lo + rng.choice([0.0, 2.0, np.inf], m)
+        cost, lo, hi = rng.uniform(-1, 1, 3), np.full(3, -4.0), np.full(3, 4.0)
+        dense = _highs(cost, A, row_lo, row_hi, lo, hi)
+        sparse = _highs(cost, csc_array(A), row_lo, row_hi, lo, hi)
+        assert sparse.status == dense.status
+        assert sparse.objective == dense.objective
+        assert (sparse.x is None and dense.x is None) or np.array_equal(sparse.x, dense.x)
+        statuses.add(dense.status)
+    assert statuses == {"optimal", "infeasible"}
 
 
 def test_dimension_mismatch_rejected():

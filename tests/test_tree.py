@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis
-from symtree.errors import ParseError
+from symtree.errors import DimensionError, ParseError
 from symtree.reference import reference_model
 from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
                           LeafExpression, TreeModel, TreeTopology, ancestors,
@@ -66,6 +66,107 @@ def test_predict_matches_oracle_bitwise():
         assert predict(m, x) == m.leaves[route(m, x)].as_array() @ row
     # ties at a threshold go right
     assert [route(m, x) for x in (0.56, 0.64, 0.69)] == [5, 6, 7]
+
+
+def oracle_leaf(model, x):
+    """Routed leaf by an independent walk: a point at or above a threshold goes right."""
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    n = 1
+    while model.topology.kinds[n] == BRANCH:
+        rule = model.rules[n]
+        n = 2 * n + int(xs[rule.feature] >= rule.threshold)
+    return n
+
+
+def oracle_prediction(model, x):
+    """Coefficients read from the tuple, not the leaf's cached array."""
+    coeffs = np.array(model.leaves[oracle_leaf(model, x)].coefficients, dtype=float)
+    return coeffs @ reference_basis_row(model.basis.functions, x)
+
+
+@pytest.mark.parametrize("kind", [float, np.float64, lambda x: [x], lambda x: np.array([x]),
+                                  lambda x: np.array([[x]])],
+                         ids=["float", "float64", "list", "array", "array_1x1"])
+def test_predict_matches_oracle_bitwise_for_each_input_kind(kind):
+    m = reference_model()
+    xs = np.concatenate([np.random.default_rng(8).uniform(0.1, 0.9, 60),
+                         [0.56, 0.64, 0.69]])
+    for x in xs:
+        assert predict(m, kind(x)) == oracle_prediction(m, x)
+        assert route(m, kind(x)) == oracle_leaf(m, x)
+
+
+def two_feature_model():
+    """Depth 2, splitting on feature 1 at the root and on feature 0 below it."""
+    basis = basis_from_forms(["1", "x", "x@1", "exp(-x)@1", "x*exp(1/x)",
+                              "x^2*exp(-1/x)@1", "x^3*exp(x)"])
+    rng = np.random.default_rng(9)
+    return TreeModel(
+        topology=TreeTopology(depth=2, kinds={1: BRANCH, 2: BRANCH, 3: LEAF, 4: LEAF,
+                                              5: LEAF, 6: INACTIVE, 7: INACTIVE}),
+        rules={1: BranchRule(feature=1, threshold=0.5),
+               2: BranchRule(feature=0, threshold=0.3)},
+        leaves={n: LeafExpression(coefficients=tuple(rng.uniform(-5, 5, basis.size)))
+                for n in (3, 4, 5)},
+        basis=basis, bounds=Bounds(-5.0, 5.0, -100.0, 100.0),
+    )
+
+
+def test_two_feature_predict_matches_oracle_bitwise():
+    m = two_feature_model()
+    assert validate(m) == []
+    X = np.random.default_rng(10).uniform(0.1, 0.9, (200, 2))
+    X = np.vstack([X, [[0.3, 0.2], [0.2, 0.5], [0.3, 0.5], [0.2, 0.4999]]])  # ties included
+    for x in X:
+        assert predict(m, x) == oracle_prediction(m, x)
+        assert predict(m, [list(x)]) == oracle_prediction(m, x)
+    assert [route(m, x) for x in X[-4:]] == [5, 3, 3, 4]
+    assert {route(m, x) for x in X} == {3, 4, 5}
+
+
+def test_leaf_array_is_built_once_and_read_only():
+    leaf = LeafExpression(coefficients=(1.0, -2.0, 0.5))
+    a = leaf.as_array()
+    assert a is leaf.as_array()
+    assert a.dtype == float and np.array_equal(a, [1.0, -2.0, 0.5])
+    with pytest.raises(ValueError):
+        a[0] = 3.0
+    twin = LeafExpression(coefficients=(1.0, -2.0, 0.5))
+    assert twin == leaf and hash(twin) == hash(leaf)
+    assert twin != LeafExpression(coefficients=(1.0, -2.0, 0.25))
+    assert repr(leaf) == "LeafExpression(coefficients=(1.0, -2.0, 0.5))"
+
+
+def test_array_coefficients_are_copied():
+    coeffs = np.array([1.0, 2.0])
+    leaf = LeafExpression(coefficients=coeffs)
+    coeffs[0] = 7.0
+    assert coeffs.flags.writeable
+    assert np.array_equal(leaf.as_array(), [1.0, 2.0])
+
+
+def narrow_point_model(feature):
+    """Valid two-feature model; predict gets a one-coordinate point."""
+    basis = basis_from_forms(["1", "x@1"])
+    return TreeModel(
+        topology=TreeTopology(depth=1, kinds={1: BRANCH, 2: LEAF, 3: LEAF}),
+        rules={1: BranchRule(feature=feature, threshold=0.5)},
+        leaves={2: LeafExpression(coefficients=(1.0, 2.0)),
+                3: LeafExpression(coefficients=(-1.0, 0.5))},
+        basis=basis, bounds=Bounds(-5.0, 5.0, -10.0, 10.0),
+    )
+
+
+def test_point_with_too_few_coordinates_raises_dimension_error():
+    by_rule, by_basis = narrow_point_model(1), narrow_point_model(0)
+    assert validate(by_rule) == validate(by_basis) == []
+    for x in (0.3, np.float64(0.3), [0.3], np.array([[0.3]])):
+        with pytest.raises(DimensionError, match="node 1 splits on feature 1"):
+            predict(by_rule, x)
+        with pytest.raises(DimensionError, match=r"'x@1' reads coordinate 1"):
+            predict(by_basis, x)
+    assert predict(by_rule, [0.3, 0.6]) == -1.0 + 0.5 * 0.6
+    assert predict(by_basis, [0.3, 0.6]) == 1.0 + 2.0 * 0.6
 
 
 def test_piecewise_constancy_of_leaf_choice():
