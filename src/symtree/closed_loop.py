@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -102,9 +103,18 @@ def integrate_hold(plant: PlantSpec, x: float, u: float, dt: float,
 
 def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
              dt_sample: float, h_int: float = H_INT_DEFAULT) -> SimTrace:
-    """Zero-order-hold closed loop; latency is measured around the controller call."""
+    """Zero-order-hold closed loop; latency is measured around the controller call.
+
+    Non-finite inputs, a non-positive step and a plant state that diverges
+    raise ControllerError.
+    """
+    if not all(math.isfinite(v) for v in (x0, t_final, dt_sample, h_int)):
+        raise ControllerError(f"non-finite simulation input (x0={x0}, "
+                              f"t_final={t_final}, dt_sample={dt_sample}, h_int={h_int})")
     if dt_sample <= 0 or t_final < dt_sample:
         raise ControllerError(f"invalid horizon/sampling ({t_final}, {dt_sample})")
+    if h_int <= 0:
+        raise ControllerError(f"internal step h_int must be positive, got {h_int}")
     n_steps = round(t_final / dt_sample)
     times = np.arange(n_steps + 1) * dt_sample
     states = np.empty(n_steps + 1)
@@ -121,8 +131,14 @@ def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
                 f"controller failed at t={times[i]:.4g}, x={x!r}: {exc}") from exc
         lats[i] = time.perf_counter() - t0
         controls[i] = u
-        x = integrate_hold(plant, x, u, dt_sample, h_int)
-        states[i + 1] = x
+        try:
+            x_next = integrate_hold(plant, x, u, dt_sample, h_int)
+        except OverflowError:
+            x_next = math.inf
+        if not math.isfinite(x_next):
+            raise ControllerError(
+                f"plant state diverged after t={times[i]:.4g}, x={x!r}, u={u!r}")
+        x = states[i + 1] = x_next
     return SimTrace(times=times, states=states, controls=controls, latencies=lats,
                     config={"x0": x0, "t_final": t_final, "dt_sample": dt_sample,
                             "h_int": h_int, "controller": ctrl.kind})

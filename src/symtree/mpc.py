@@ -3,10 +3,12 @@
 Solves the finite-horizon tracking problem (single shooting, explicit Euler
 inside the horizon) with an augmented-Lagrangian outer loop for rate and
 state constraints and an L-BFGS-B inner loop that keeps the flow box bounds.
-A solve starts cold from three constant flows, or from a warm start (the
-previous solution's controls) and falls back to the cold starts only when
-that one solve does not converge. Also generates MPC-labeled datasets, with
-each sorted state warm-started from the previous state's solution.
+A solve starts cold from up to three constant flows and stops early once a
+start reaches the objective's lower bound, its pinned first term
+(x0 - x_sp)^2; or it starts from a warm start (the previous solution's
+controls) and falls back to the cold starts only when that one solve does not
+converge. Also generates MPC-labeled datasets, with each sorted state
+warm-started from the previous state's solution.
 """
 
 from __future__ import annotations
@@ -191,12 +193,15 @@ def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray, bounds):
 
 
 def solve_mpc(spec: MpcSpec, x0: float, warm=None) -> MpcSolution:
-    """Best solution over three starts: low flow, high flow, steady-state flow.
+    """Multi-start solve from high flow, low flow, then steady-state flow.
 
-    A start equal to an earlier one is not solved again. With ``warm`` (T-1
-    controls, e.g. a nearby state's optimum) one solve starts from it instead,
-    and its solution is returned when it converges; otherwise the three
-    starts run as without ``warm``.
+    A start equal to an earlier one is not solved again. No control sequence
+    gets the objective below its pinned first term (x0 - x_sp)^2, so once a
+    converged start is within 1e-8 relative (1e-10 absolute) of that floor,
+    no other start can beat it by more, and the remaining starts are skipped.
+    With ``warm`` (T-1 controls, e.g. a nearby state's optimum) one solve
+    starts from it instead, and its solution is returned when it converges;
+    otherwise the cold starts run as without ``warm``.
     """
     if not spec.x_bounds[0] <= x0 <= spec.x_bounds[1]:
         raise ConfigError(f"initial state {x0} outside bounds {spec.x_bounds}")
@@ -210,9 +215,13 @@ def solve_mpc(spec: MpcSpec, x0: float, warm=None) -> MpcSolution:
         if sol is not None:
             return sol
     u_lo, u_hi = spec.u_bounds
-    flows = [u_lo, u_hi]
+    flows = [u_hi, u_lo]
     if x0 < spec.plant.x_f:
         flows.append(np.clip(steady_state_flow(spec.plant, x0), u_lo, u_hi))
+    # The first term of the objective, computed as _sweep computes it; the
+    # rest of its sum is nonnegative, so no start can go below it.
+    d = float(x0) - spec.x_sp
+    floor = d * d
     best = None
     for i, flow in enumerate(flows):
         # The steady-state flow clips to u_hi for high x0; a repeated start
@@ -222,6 +231,8 @@ def solve_mpc(spec: MpcSpec, x0: float, warm=None) -> MpcSolution:
         sol = _solve_from(spec, x0, np.full(n, flow), bounds)
         if sol is not None and (best is None or sol.objective < best.objective):
             best = sol
+            if best.objective <= floor + 1e-8 * floor + 1e-10:
+                break
     if best is None:
         raise ConvergenceError(f"no start converged for x0={x0}")
     return best

@@ -231,8 +231,11 @@ def deserialize(text: str) -> TreeModel:
             raise ParseError(f"node {n}: duplicate id")
         kinds[n] = kind
         if kind == BRANCH:
+            feature = _require(entry, "feature", int, f"node {n}")
+            if feature < 0:
+                raise ParseError(f"node {n}: negative feature index {feature}")
             rules[n] = BranchRule(
-                feature=_require(entry, "feature", int, f"node {n}"),
+                feature=feature,
                 threshold=_require(entry, "threshold", float, f"node {n}"),
             )
         elif kind == LEAF:

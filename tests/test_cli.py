@@ -246,6 +246,31 @@ def test_predict_outside_basis_domain_exit_code(tmp_path, capsys):
     assert "overflowed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sim", ['{"t_final": NaN}', '{"t_final": Infinity}',
+                                 '{"x0": NaN}', '{"x0": 50}'])
+def test_simulate_bad_sim_section_exit_code(tmp_path, capsys, sim):
+    # json.loads accepts NaN and Infinity, so they reach simulate.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sim": %s}' % sim)
+    assert run(["simulate", "--config", str(cfg), "--controller", "const:54",
+                "--out", str(tmp_path / "trace.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_negative_feature_model_exit_code(workspace, tmp_path, capsys):
+    ws, cfg = workspace
+    doc = json.loads(serialize(reference_model()))
+    doc["nodes"][0]["feature"] = -1
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(doc))
+    assert run(["predict", "--model", str(mpath), "--x", "0.5"]) == 2
+    assert run(["simulate", "--config", str(cfg), "--controller", f"model:{mpath}",
+                "--out", str(tmp_path / "trace.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("negative feature index") == 2
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("feature", [0, 1])
 def test_predict_too_few_coordinates_exit_code(tmp_path, capsys, feature):
     """A two-feature model read at a one-coordinate point: the branch rule

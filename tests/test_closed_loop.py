@@ -135,6 +135,23 @@ def test_invalid_sampling_rejected():
         simulate(PlantSpec(), ctrl, 0.5, 0.05, 0.1)
 
 
+@pytest.mark.parametrize("x0, t_final, dt_sample, h_int", [
+    (0.5, math.nan, 0.1, 0.01), (0.5, math.inf, 0.1, 0.01),
+    (math.nan, 1.0, 0.1, 0.01), (0.5, 1.0, math.nan, 0.01),
+    (0.5, 1.0, 0.1, math.nan), (0.5, 1.0, 0.1, 0.0), (0.5, 1.0, 0.1, -0.01)])
+def test_invalid_inputs_rejected(x0, t_final, dt_sample, h_int):
+    ctrl = constant_controller(10.0, (0.0, 75.0))
+    with pytest.raises(ControllerError):
+        simulate(PlantSpec(), ctrl, x0, t_final, dt_sample, h_int)
+
+
+def test_divergent_plant_raises_with_time_and_state():
+    # From x0 = 50 the cubic reaction term makes the RK4 steps blow up.
+    ctrl = constant_controller(10.0, (0.0, 75.0))
+    with pytest.raises(ControllerError, match=r"diverged after t=0, x=50\.0"):
+        simulate(PlantSpec(), ctrl, 50.0, 1.0, 0.1)
+
+
 def test_iae_discrete_sum():
     plant = PlantSpec()
     ctrl = constant_controller(0.0, (0.0, 75.0))

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
-from oracles import assert_warm_chain_matches_cold, record_mpc_solves
+from oracles import (all_starts_best, assert_warm_chain_matches_cold,
+                     distinct_starts, record_mpc_solves, within_objective_gate)
 
 from symtree import mpc
 from symtree.errors import ConfigError
-from symtree.mpc import (MpcSpec, PlantSpec, generate_dataset, plant_rhs,
-                         rollout, solve_mpc, steady_state_flow)
+from symtree.mpc import (KKT_TOL, MpcSpec, PlantSpec, generate_dataset,
+                         plant_rhs, rollout, solve_mpc, steady_state_flow)
 
 
 def canonical_spec():
     return MpcSpec()
+
+
+def objective_floor(spec, x0):
+    """The objective's pinned first term (x0 - x_sp)^2."""
+    d = float(x0) - spec.x_sp
+    return d * d
 
 
 def test_plant_rhs_and_steady_state():
@@ -120,7 +127,8 @@ def test_repeated_start_is_solved_once(monkeypatch, x0, skips):
             best = sol
     calls_all_starts = len(calls)
     calls.clear()
-    sol = solve_mpc(spec, x0)
+    solves = record_mpc_solves(monkeypatch, mpc)
+    sol = mpc.solve_mpc(spec, x0)
     assert np.array_equal(sol.controls, best.controls)
     assert np.array_equal(sol.states, best.states)
     assert sol.objective == best.objective
@@ -128,7 +136,55 @@ def test_repeated_start_is_solved_once(monkeypatch, x0, skips):
     if skips:
         assert len(calls) < calls_all_starts
     else:
-        assert len(calls) == calls_all_starts
+        # x0 = 0.5 is certified by the objective floor after the first start.
+        assert solves[0][3] == 1
+
+
+@pytest.mark.parametrize("xs", [np.linspace(0.1, 0.9, 50),
+                                np.random.default_rng(1).uniform(0.1, 0.9, 50),
+                                np.linspace(0.68, 0.69, 9)],
+                         ids=["train-grid", "test-set", "reach-edge"])
+def test_cold_solve_matches_all_starts(monkeypatch, xs):
+    # The states of the canonical train grid and test set, and the edge of
+    # the states that can reach the objective floor: from x0 = 0.685 the best
+    # objective is only about 4e-6 relative above it. A solve that reaches
+    # the floor stops there; one that does not runs every start.
+    spec = canonical_spec()
+    solves = record_mpc_solves(monkeypatch, mpc)
+    for x0 in xs.tolist():
+        mpc.solve_mpc(spec, x0)
+    monkeypatch.undo()
+    certified = 0
+    for x0, _, sol, n_starts in solves:
+        oracle = all_starts_best(spec, x0)
+        assert within_objective_gate(sol.objective, oracle.objective)
+        assert abs(sol.first_action - oracle.first_action) <= 1e-3
+        assert sol.kkt_residual <= KKT_TOL
+        if within_objective_gate(sol.objective, objective_floor(spec, x0)):
+            certified += 1
+            assert n_starts == 1
+        else:
+            assert n_starts == len(distinct_starts(spec, x0))
+    # Both branches are exercised: the floor is out of reach from x0 ~ 0.684 up.
+    assert 0 < certified < len(xs)
+
+
+def test_uncertified_solve_runs_every_start(monkeypatch):
+    # With the flow capped at 50 the state cannot reach the set point from
+    # x0 = 0.1 within the horizon, and all three starts are distinct.
+    spec = MpcSpec(u_bounds=(0.0, 50.0))
+    x0 = 0.1
+    assert len(distinct_starts(spec, x0)) == 3
+    best = all_starts_best(spec, x0)
+    assert not within_objective_gate(best.objective, objective_floor(spec, x0))
+    solves = record_mpc_solves(monkeypatch, mpc)
+    sol = mpc.solve_mpc(spec, x0)
+    assert solves[0][3] == 3
+    assert np.array_equal(sol.controls, best.controls)
+    assert np.array_equal(sol.states, best.states)
+    assert sol.objective == best.objective
+    assert sol.kkt_residual == best.kkt_residual
+    assert sol.first_action == best.first_action
 
 
 @pytest.mark.parametrize("n, mode, seed", [(50, "uniform-grid", 0),

@@ -236,6 +236,14 @@ def test_deserialize_reports_field_context():
         deserialize(json.dumps(doc))
 
 
+def test_deserialize_rejects_negative_feature():
+    # A negative index would make route read the point from its end.
+    doc = json.loads(serialize(reference_model()))
+    doc["nodes"][0]["feature"] = -1
+    with pytest.raises(ParseError, match="node 1: negative feature index -1"):
+        deserialize(json.dumps(doc))
+
+
 def test_deserialize_rejects_bad_json():
     with pytest.raises(ParseError):
         deserialize("{not json")
