@@ -2,7 +2,9 @@
 data generation, and closed-loop simulation.
 
 Defaults reproduce the reactor case study with zero flags; unknown sections
-or keys are rejected rather than ignored.
+or keys are rejected rather than ignored, and so is a value whose type is not
+its default's: a number (an integer where the default is one), a pair of
+numbers, or, where the default is null, null or a pair.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParseError
@@ -63,6 +66,25 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _check_type(where: str, default, value) -> None:
+    if _is_number(default) and not _is_number(value):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if isinstance(default, int) and not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if isinstance(default, list) and not _is_pair(value):
+        raise ConfigError(f"{where} must be a pair of numbers, got {value!r}")
+    if default is None and value is not None and not _is_pair(value):
+        raise ConfigError(f"{where} must be null or a pair of numbers, got {value!r}")
+
+
 def _merge(defaults: dict, given: dict) -> dict:
     out = copy.deepcopy(defaults)
     for section, content in given.items():
@@ -73,6 +95,7 @@ def _merge(defaults: dict, given: dict) -> dict:
         for key, value in content.items():
             if key not in defaults[section]:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
+            _check_type(f"{section}.{key}", defaults[section][key], value)
             out[section][key] = value
     return out
 

@@ -3,6 +3,10 @@
 Solves the finite-horizon tracking problem (single shooting, explicit Euler
 inside the horizon) with an augmented-Lagrangian outer loop for rate and
 state constraints and an L-BFGS-B inner loop that keeps the flow box bounds.
+The penalty and its multipliers read each constraint in its own unit (the rate
+limit for rate rows, the state range for state rows), so the penalty's
+curvature does not swamp the tracking objective's; a solution is accepted on
+its violation in flow and concentration.
 A solve starts cold from up to three constant flows and stops early once a
 start reaches the objective's lower bound, its pinned first term
 (x0 - x_sp)^2; or it starts from a warm start (the previous solution's
@@ -102,7 +106,9 @@ def _sweep(spec: MpcSpec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
     ``rho`` it is the augmented Lagrangian of the rate and state constraints
     g <= 0 (box bounds excluded), laid out as the rate pairs
     u_{t+1} - u_t - lim, then u_t - u_{t+1} - lim, then the state bound pairs
-    x - x_hi, then x_lo - x for x_2..x_T (x_1 is pinned to x0).
+    x - x_hi, then x_lo - x for x_2..x_T (x_1 is pinned to x0). The returned
+    g is in these native units; the penalty term and ``mu`` take each row
+    divided by its _con_scale unit.
     """
     plant = spec.plant
     h, V, x_f, k = spec.h, plant.V, plant.x_f, plant.k_rate
@@ -126,11 +132,11 @@ def _sweep(spec: MpcSpec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
              + [xt - x_hi for xt in xs[1:]] + [x_lo - xt for xt in xs[1:]])
         # d(penalty)/dg, zero for inactive terms.
         coef = []
-        for gi, mi in zip(g, mu.tolist()):
-            s = gi + mi / rho
+        for gi, mi, si in zip(g, mu.tolist(), _con_scale(spec, len(us))):
+            s = gi / si + mi / rho
             if s > 0.0:
                 value += 0.5 * rho * s * s
-                coef.append(rho * s)
+                coef.append(rho * s / si)
             else:
                 coef.append(0.0)
         c_hi = coef[2 * n_rate : 2 * n_rate + len(us)]
@@ -150,6 +156,16 @@ def _sweep(spec: MpcSpec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
             grad[t + 1] += c
             grad[t] -= c
     return xs, value, np.array(grad), g
+
+
+def _con_scale(spec: MpcSpec, n: int) -> list:
+    """Unit of each constraint row in _sweep's layout, for n controls: the
+    rate limit h * u_rate_max for the rate rows, x_hi - x_lo for the state
+    rows. A zero rate limit (constant flow) has no unit of its own, so its
+    rows stay in flow units."""
+    lim = spec.h * spec.u_rate_max
+    return ([lim if lim > 0 else 1.0] * (2 * (n - 1))
+            + [spec.x_bounds[1] - spec.x_bounds[0]] * (2 * n))
 
 
 def _project(spec: MpcSpec, u: np.ndarray) -> np.ndarray:
@@ -174,7 +190,8 @@ def _inner_minimize(spec: MpcSpec, x0: float, u: np.ndarray, mu: np.ndarray,
 
 def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray, bounds):
     u = _project(spec, u0.astype(float))
-    mu = np.zeros(2 * (spec.T - 2) + 2 * (spec.T - 1))
+    scale = np.array(_con_scale(spec, spec.T - 1))
+    mu = np.zeros(len(scale))
     rho = 10.0
     prev_viol = np.inf
     for _ in range(_MAX_OUTER):
@@ -185,7 +202,7 @@ def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray, bounds):
             x, obj, _ = rollout(spec, x0, u)
             return MpcSolution(controls=u, states=x, objective=obj,
                                kkt_residual=float(pg), first_action=float(u[0]))
-        mu = np.maximum(0.0, mu + rho * g)
+        mu = np.maximum(0.0, mu + rho * g / scale)
         if viol > 0.25 * prev_viol:
             rho = min(rho * 4.0, 1e10)
         prev_viol = viol

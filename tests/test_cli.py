@@ -257,6 +257,32 @@ def test_simulate_bad_sim_section_exit_code(tmp_path, capsys, sim):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"sim": {"t_final": "ten"}}, {"mpc": {"T": "10"}}, {"sim": {"dt_sample": True}},
+    {"mpc": {"x_bounds": [0.0, "1"]}}, {"mpc": {"u_bounds": [0.0, 75.0, 1.0]}},
+    {"mpc": {"T": 10.5}}, {"data": {"seed": 1.5}},
+    {"learn": {"y_bounds": 5.0}}, {"learn": {"y_bounds": [True, 1.0]}}])
+def test_wrongly_typed_config_exit_code(tmp_path, capsys, doc):
+    # A string or bool where a number belongs, a malformed pair, a fraction
+    # where an integer belongs, and a y_bounds that is neither null nor a pair.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["simulate", "--config", str(cfg), "--controller", "const:54",
+                "--out", str(tmp_path / "trace.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_typed_config_values_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mpc": {"T": 12, "x_bounds": [0, 1]},
+                               "learn": {"y_bounds": [-1, 80.5]}}))
+    lc = load_config(str(cfg)).learn_config()
+    assert (lc.y_lb, lc.y_ub) == (-1, 80.5)
+    cfg.write_text(json.dumps({"learn": {"y_bounds": None}}))
+    assert load_config(str(cfg)).learn_config().y_lb is None
+
+
 def test_negative_feature_model_exit_code(workspace, tmp_path, capsys):
     ws, cfg = workspace
     doc = json.loads(serialize(reference_model()))

@@ -5,7 +5,7 @@ from oracles import (all_starts_best, assert_warm_chain_matches_cold,
 
 from symtree import mpc
 from symtree.errors import ConfigError
-from symtree.mpc import (KKT_TOL, MpcSpec, PlantSpec, generate_dataset,
+from symtree.mpc import (CON_TOL, KKT_TOL, MpcSpec, PlantSpec, generate_dataset,
                          plant_rhs, rollout, solve_mpc, steady_state_flow)
 
 
@@ -54,6 +54,8 @@ def test_augmented_lagrangian_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     n_con = 2 * (spec.T - 2) + 2 * (spec.T - 1)
     n_rate = 2 * (spec.T - 2)
+    scale = np.array(mpc._con_scale(spec, spec.T - 1))
+    assert scale.shape == (n_con,)
     active_rate = active_state = 0
     worst = 0.0
     for rho in (1.0, 10.0, 1e3, 1e5):
@@ -62,7 +64,8 @@ def test_augmented_lagrangian_gradient_matches_finite_differences():
             u = rng.uniform(0.0, 75.0, spec.T - 1)
             mu = rng.uniform(0.0, 5.0, n_con)
             _, _, grad, g = mpc._sweep(spec, x0, u, mu, rho)
-            active = np.asarray(g) + mu / rho > 0.0
+            # The penalty argument is g in units of each row's scale.
+            active = np.asarray(g) / scale + mu / rho > 0.0
             active_rate += int(active[:n_rate].sum())
             active_state += int(active[n_rate:].sum())
             # Penalty values reach 1e8 at rho = 1e5, so the differencing error
@@ -78,6 +81,72 @@ def test_augmented_lagrangian_gradient_matches_finite_differences():
                 worst = max(worst, abs(grad[t] - fd) / scale)
     assert active_rate > 0 and active_state > 0
     assert worst <= 1e-5
+
+
+def native_violation(spec, sol):
+    """Largest violation in native units: |du| - lim in flow for the rate
+    constraints, the excess over x_bounds in concentration for the states."""
+    lim = spec.h * spec.u_rate_max
+    x_lo, x_hi = spec.x_bounds
+    return max(float(np.max(np.abs(np.diff(sol.controls)) - lim)),
+               float(np.max(sol.states[1:] - x_hi)),
+               float(np.max(x_lo - sol.states[1:])))
+
+
+@pytest.mark.parametrize("spec, xs, binds", [
+    (MpcSpec(), (0.725, 0.75, 0.8, 0.9), "rate"),
+    (MpcSpec(x_bounds=(0.45, 0.7)), (0.45, 0.6, 0.7), None),
+    (MpcSpec(x_bounds=(0.45, 0.7), x_sp=0.75), (0.5, 0.7), "state")],
+    ids=["rate-limited", "tight-state-bounds", "binding-state-bound"])
+def test_accepted_solutions_meet_con_tol_in_native_units(monkeypatch, spec, xs, binds):
+    # The augmented Lagrangian penalises each row in units of its scale (25
+    # for the rates, 0.25 for these state bounds); acceptance must still read
+    # the violation in flow and concentration. Reading it in scaled units
+    # accepts a rate violation of 1.1e-5 at x0 = 0.725.
+    accepted = []
+    real_solve_from = mpc._solve_from
+
+    def recording_solve_from(*args):
+        sol = real_solve_from(*args)
+        if sol is not None:
+            accepted.append(sol)
+        return sol
+
+    monkeypatch.setattr(mpc, "_solve_from", recording_solve_from)
+    for x0 in xs:
+        solve_mpc(spec, x0)
+    assert len(accepted) >= len(xs)
+    assert max(native_violation(spec, sol) for sol in accepted) <= CON_TOL
+    lim = spec.h * spec.u_rate_max
+    rate_slack = min(lim - float(np.max(np.abs(np.diff(s.controls)))) for s in accepted)
+    state_slack = min(spec.x_bounds[1] - float(np.max(s.states[1:])) for s in accepted)
+    assert (rate_slack <= 1e-4) == (binds == "rate")
+    assert (state_slack <= 1e-4) == (binds == "state")
+
+
+def test_zero_rate_limit_holds_the_flow_constant():
+    # A zero rate limit has no unit to scale the rate rows by.
+    spec = MpcSpec(u_rate_max=0.0)
+    sol = solve_mpc(spec, 0.5)
+    assert native_violation(spec, sol) <= CON_TOL
+
+
+def test_rate_limited_cold_solves_sweep_budget(monkeypatch):
+    # Deterministic cost guard: the objective floor cannot certify these
+    # states, so they run every distinct start against binding rate limits.
+    # Rate rows penalised in flow units take 3550 sweeps here, in units of
+    # the rate limit 1286.
+    calls = []
+    real_sweep = mpc._sweep
+
+    def counting_sweep(*args, **kwargs):
+        calls.append(1)
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "_sweep", counting_sweep)
+    for x0 in (0.75, 0.80, 0.85, 0.90):
+        solve_mpc(canonical_spec(), x0)
+    assert len(calls) <= 2000
 
 
 def test_first_action_at_setpoint():
