@@ -25,7 +25,7 @@ DEFAULTS = {
             "x_bounds": [0.0, 1.0], "u_bounds": [0.0, 75.0]},
     "learn": {"depth": 2, "lambda_c": 1e-2, "lambda_m": 1e-4,
               "c_bounds": [-1000.0, 1000.0], "y_bounds": None,
-              "eps": 1e-4, "big_M": 1000.0},
+              "eps": 1e-4},
     "data": {"n_train": 50, "n_test": 50, "range": [0.1, 0.9],
              "seed": 0, "mode": "uniform-grid"},
     "sim": {"x0": 0.75, "t_final": 10.0, "dt_sample": 0.1},
@@ -59,7 +59,7 @@ class RunConfig:
                            c_lb=le["c_bounds"][0], c_ub=le["c_bounds"][1],
                            y_lb=None if yb is None else yb[0],
                            y_ub=None if yb is None else yb[1],
-                           eps_routing=le["eps"], big_M=le["big_M"])
+                           eps_routing=le["eps"])
 
     def config_hash(self) -> str:
         canon = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))

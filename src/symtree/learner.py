@@ -107,7 +107,6 @@ class LearnConfig:
     y_lb: float = None      # None: derived from the data at fit time
     y_ub: float = None
     eps_routing: float = 1e-4
-    big_M: float = 1000.0   # used only when materializing the integer program
 
     def check(self):
         if self.depth < 1:
@@ -150,6 +149,9 @@ def candidate_thresholds(data: Dataset, feature: int) -> np.ndarray:
     return _midpoints(data.X[:, feature])
 
 
+EMPTY_SIDE_OFFSET = 1.0  # how far beyond the data the empty-side thresholds sit
+
+
 def _split_order(values) -> np.ndarray:
     """Midpoints plus the two empty-side splits, middle-out.
 
@@ -158,7 +160,8 @@ def _split_order(values) -> np.ndarray:
     splits come first because they tend to be cheap, and a cheap incumbent
     early lets the bounds skip more of the rest.
     """
-    thrs = np.concatenate([[values.min() - 1.0], _midpoints(values), [values.max() + 1.0]])
+    thrs = np.concatenate([[values.min() - EMPTY_SIDE_OFFSET], _midpoints(values),
+                           [values.max() + EMPTY_SIDE_OFFSET]])
     offset = np.abs(np.arange(len(thrs)) - (len(thrs) - 1) / 2.0)
     return thrs[np.argsort(offset, kind="stable")]
 

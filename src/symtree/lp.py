@@ -4,21 +4,19 @@ Every LP goes through scipy's bundled HiGHS solver (Huangfu & Hall, "Parallelizi
 the dual revised simplex method", Math. Prog. Comp. 2018), called through
 `scipy.optimize.milp` with no integer variables: the same solve as `linprog`
 behind a thinner wrapper, which matters because a leaf LP is small enough for
-the per-call overhead to dominate. `solve_lp` takes a row-list problem;
+the per-call overhead to dominate. `solve_lp` takes an LP as arrays;
 `fit_l1` poses the leaf fit as one LP with split residual and coefficient
 variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import DimensionError, NumericalError
-
-LE, EQ, GE = "<=", "=", ">="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -28,36 +26,23 @@ _STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}  # scipy milp status codes
 
 
 @dataclass
-class LpProblem:
-    """min objective @ x  s.t.  rows (coeffs, relation, rhs) and variable bounds."""
-
-    objective: np.ndarray
-    rows: list = field(default_factory=list)     # (coeffs, "<="|"="|">=", rhs)
-    bounds: list = field(default_factory=list)   # (lo, hi), +-inf allowed
-
-    def check(self):
-        n = len(self.objective)
-        if len(self.bounds) != n:
-            raise DimensionError(f"{len(self.bounds)} bounds for {n} variables")
-        for i, (coeffs, rel, rhs) in enumerate(self.rows):
-            if len(coeffs) != n:
-                raise DimensionError(f"row {i}: {len(coeffs)} coefficients for {n} variables")
-            if rel not in (LE, EQ, GE):
-                raise DimensionError(f"row {i}: unknown relation {rel!r}")
-            if not np.isfinite(rhs):
-                raise DimensionError(f"row {i}: non-finite rhs")
-
-
-@dataclass
 class LpSolution:
     status: str
     x: np.ndarray = None
     objective: float = None
 
 
-def _highs(cost, A, row_lo, row_hi, lo, hi) -> LpSolution:
-    """min cost @ x  s.t.  row_lo <= A x <= row_hi, lo <= x <= hi, by HiGHS."""
-    rows = LinearConstraint(A, row_lo, row_hi) if A.shape[0] else None
+def solve_lp(cost, A, row_lo, row_hi, lo, hi) -> LpSolution:
+    """min cost @ x  s.t.  row_lo <= A x <= row_hi, lo <= x <= hi, by HiGHS.
+
+    A is dense or sparse; an infinite row or variable bound is absent.
+    Statuses: optimal, infeasible, unbounded.
+    """
+    n, m = len(cost), A.shape[0]
+    if A.shape[1] != n or not len(lo) == len(hi) == n or not len(row_lo) == len(row_hi) == m:
+        raise DimensionError(f"A of shape {A.shape}, {len(row_lo)}/{len(row_hi)} row and "
+                             f"{len(lo)}/{len(hi)} variable bounds for {n} costs")
+    rows = LinearConstraint(A, row_lo, row_hi) if m else None
     res = milp(cost, constraints=rows, bounds=Bounds(lo, hi))
     status = _STATUS.get(res.status)
     if status is None:
@@ -65,19 +50,6 @@ def _highs(cost, A, row_lo, row_hi, lo, hi) -> LpSolution:
     if status != OPTIMAL:
         return LpSolution(status=status)
     return LpSolution(status=OPTIMAL, x=res.x, objective=float(res.fun))
-
-
-def solve_lp(p: LpProblem) -> LpSolution:
-    """Solve a small dense LP; statuses: optimal, infeasible, unbounded."""
-    p.check()
-    c = np.asarray(p.objective, dtype=float)
-    A = np.array([coeffs for coeffs, _, _ in p.rows], dtype=float).reshape(len(p.rows), len(c))
-    rhs = np.array([rhs for _, _, rhs in p.rows], dtype=float)
-    rel = np.array([rel for _, rel, _ in p.rows], dtype=object)
-    row_lo = np.where(rel == LE, -np.inf, rhs)
-    row_hi = np.where(rel == GE, np.inf, rhs)
-    lo, hi = np.array(p.bounds, dtype=float).reshape(len(c), 2).T
-    return _highs(c, A, row_lo, row_hi, lo, hi)
 
 
 def fit_l1(Phi, y, w: float, lambda_m: float, c_bounds, y_bounds=None):
@@ -115,7 +87,7 @@ def fit_l1(Phi, y, w: float, lambda_m: float, c_bounds, y_bounds=None):
                          np.maximum(r_lo, 0.0), np.maximum(-r_hi, 0.0)])
     hi = np.concatenate([np.full(K, max(c_hi, 0.0)), np.full(K, max(-c_lo, 0.0)),
                          np.maximum(r_hi, 0.0), np.maximum(-r_lo, 0.0)])
-    sol = _highs(cost, A, y, y, lo, hi)
+    sol = solve_lp(cost, A, y, y, lo, hi)
     if sol.status != OPTIMAL:
         raise NumericalError(f"L1 fitting LP terminated with status {sol.status}")
     return sol.x[:K] - sol.x[K:2 * K], sol.objective

@@ -19,8 +19,8 @@ from scipy import sparse
 
 from .basis import BasisSet, evaluate_basis_matrix
 from .errors import ConfigError, IntegralityError, ParseError, StructureError
-from .learner import Dataset, LearnConfig, objective_of
-from .lp import EQ, GE, LE, fit_l1
+from .learner import EMPTY_SIDE_OFFSET, Dataset, LearnConfig, objective_of
+from .lp import fit_l1
 from .tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule, LeafExpression,
                    TreeModel, TreeTopology, ancestors, node_depth)
 
@@ -28,6 +28,7 @@ from .tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule, LeafExpression,
 BINARY = 1
 CONTINUOUS = 0
 INT_TOL = 1e-5
+LE, EQ, GE = "<=", "=", ">="   # row senses
 
 
 @dataclass
@@ -133,26 +134,39 @@ def expected_counts(n_data: int, n_features: int, depth: int, n_basis: int):
 
 
 def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact:
-    """Emit the full variable/constraint representation of the learning problem."""
+    """Emit the full variable/constraint representation of the learning problem.
+
+    Its constants come from the data (as in Bertsimas & Dunn, "Optimal
+    classification trees", Mach. Learn. 2017) and hold for every feasible
+    tree. The routing sum sum_f a[f,m] x[i,f] is one coordinate of x_i, or 0
+    where m does not branch, so it lies in [s_lo, s_hi] = [min(0, min X),
+    max(0, max X)]. With o = EMPTY_SIDE_OFFSET:
+
+    - b lies in [s_lo - o, s_hi + o]. That holds every threshold ``fit_tree``
+      emits (midpoints, and empty-side splits o beyond one feature's values)
+      and the 0 of an unused b; a threshold beyond it routes as its end does.
+    - Routing M = (s_hi - s_lo) + o + eps, the smallest constant that leaves
+      both routing rows slack at z = 0, as |sum_f a x - b| <= (s_hi - s_lo) + o.
+      A z within a solver's integrality tolerance of 1 thus moves a point by
+      that tolerance times M, far below eps.
+    - tie_M = c_mag max_i sum_k |phi_ik| + max |y bound| bounds every node
+      expression |phi_i . c| over the coefficient box, so the tie rows are
+      slack at z = 0 and cut off no tree whose leaves are large elsewhere.
+    """
     cfg.check()
     y_lb, y_ub = cfg.resolved_y_bounds(data.y)
     # delta = yhat*z vanishes wherever z = 0, so its bounds must admit 0 even
     # when the prediction range itself excludes it.
     d_lb, d_ub = min(y_lb, 0.0), max(y_ub, 0.0)
-    x_mag = float(np.max(np.abs(data.X)))
-    if cfg.big_M < max(2.0 * x_mag + cfg.eps_routing, y_ub - y_lb):
-        raise ConfigError(f"big-M {cfg.big_M} too small for data range {x_mag} "
-                          f"and prediction range [{y_lb}, {y_ub}]")
+    s_lo, s_hi = min(0.0, float(np.min(data.X))), max(0.0, float(np.max(data.X)))
+    b_lo, b_hi = s_lo - EMPTY_SIDE_OFFSET, s_hi + EMPTY_SIDE_OFFSET
+    M, eps = (s_hi - s_lo) + EMPTY_SIDE_OFFSET + cfg.eps_routing, cfg.eps_routing
     Phi = evaluate_basis_matrix(basis, data.X)
-    # The linearization constant must dominate every attainable node expression
-    # |phi(x_i) . c|, else it would cut optimal trees whose leaf expressions are
-    # large away from their own region.
     c_mag = max(abs(cfg.c_lb), abs(cfg.c_ub))
-    tie_M = max(cfg.big_M, c_mag * float(np.max(np.sum(np.abs(Phi), axis=1)))
-                + max(abs(y_lb), abs(y_ub)))
+    tie_M = (c_mag * float(np.max(np.sum(np.abs(Phi), axis=1)))
+             + max(abs(y_lb), abs(y_ub)))
     nn, terminal, internal = node_sets(cfg.depth)
     N_d, N_f, N_K = data.n_points, data.n_features, basis.size
-    M, eps = cfg.big_M, cfg.eps_routing
 
     variables, index = [], {}   # (name, mps, integrality, lo, hi) per variable
 
@@ -170,7 +184,7 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
          for i in range(1, N_d + 1) for n in nn}
     a = {(f, n): add_var(f"a[{f},{n}]", f"A{f}_{n}", BINARY, 0.0, 1.0)
          for f in range(1, N_f + 1) for n in internal}
-    b = {n: add_var(f"b[{n}]", f"B{n}", CONTINUOUS, -np.inf, np.inf) for n in internal}
+    b = {n: add_var(f"b[{n}]", f"B{n}", CONTINUOUS, b_lo, b_hi) for n in internal}
     c = {(k, n): add_var(f"c[{k},{n}]", f"C{k}_{n}", CONTINUOUS, cfg.c_lb, cfg.c_ub)
          for k in range(1, N_K + 1) for n in nn}
     yhat = {(i, n): add_var(f"yhat[{i},{n}]", f"YH{i}_{n}", CONTINUOUS,
@@ -433,7 +447,11 @@ def _binary(art: MilpArtifact, assign: dict, name: str) -> int:
 
 
 def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
-    """Decode an external assignment into a TreeModel and re-score it."""
+    """Decode an external assignment into a TreeModel and re-score it.
+
+    Thresholds come from the routing z, not from b, which a solver meets only
+    to its feasibility tolerance: a b on a data value would send that point
+    the other way. Missing leaf coefficients are refitted."""
     cfg, data = art.cfg, art.data
     nn, terminal, internal = node_sets(cfg.depth)
     dval = {n: _binary(art, assignments, f"d[{n}]") for n in nn}
@@ -466,11 +484,8 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
                if _binary(art, assignments, f"a[{f},{n}]") == 1]
         if len(hot) != 1:
             raise StructureError(f"branch node {n} selects {len(hot)} features")
-        feature = hot[0] - 1
-        thr = art.var_value(assignments, art.index[f"b[{n}]"], default=None)
-        if thr is None:
-            thr = _reconstruct_threshold(data, assigned, n, feature, cfg.eps_routing)
-        rules[n] = BranchRule(feature=feature, threshold=float(thr))
+        rules[n] = BranchRule(feature=hot[0] - 1,
+                              threshold=_threshold(data, assigned, n, hot[0] - 1))
 
     Phi = evaluate_basis_matrix(art.basis, data.X)
     leaves = {}
@@ -493,8 +508,10 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
     return DecodedSolution(model=model, objective=recomputed, claimed_objective=claimed)
 
 
-def _reconstruct_threshold(data: Dataset, assigned: dict, node: int, feature: int,
-                           eps: float) -> float:
+def _threshold(data: Dataset, assigned: dict, node: int, feature: int) -> float:
+    """A threshold that routes the points below node as the assignment does
+    (if any can), placed as ``fit_tree`` places it: midway between the two
+    sides, or EMPTY_SIDE_OFFSET beyond the points when one side is empty."""
     lefts, rights = [], []
     for i, leaf in assigned.items():
         left_of, right_of = left_right_ancestors(leaf)
@@ -503,9 +520,9 @@ def _reconstruct_threshold(data: Dataset, assigned: dict, node: int, feature: in
         elif node in right_of:
             rights.append(data.X[i - 1, feature])
     if lefts and rights:
-        return (max(lefts) + min(rights)) / 2.0
+        return float(max(lefts) + min(rights)) / 2.0
     if rights:
-        return float(min(rights))
+        return float(min(rights)) - EMPTY_SIDE_OFFSET
     if lefts:
-        return float(max(lefts)) + 2.0 * eps
+        return float(max(lefts)) + EMPTY_SIDE_OFFSET
     return 0.0

@@ -61,6 +61,8 @@ class MpcSpec:
             raise ConfigError("horizon T must be >= 2")
         if self.h <= 0:
             raise ConfigError("step h must be positive")
+        if self.u_rate_max < 0:
+            raise ConfigError(f"u_rate_max must be nonnegative, got {self.u_rate_max}")
         if not (self.x_bounds[0] < self.x_bounds[1] and self.u_bounds[0] < self.u_bounds[1]):
             raise ConfigError("bounds must be ordered lo < hi")
 

@@ -269,9 +269,9 @@ def test_criterion_8_property_suites(capsys):
     rng = np.random.default_rng(109)
     lp_ok, checked = True, 0
     for _ in range(30):
-        p = random_lp(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
-        sol = solve_lp(p)
-        ref = oracle_solve(p.objective, p.rows, p.bounds)
+        lp = random_lp(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
+        sol = solve_lp(*lp)
+        ref = oracle_solve(*lp)
         if ref is None:
             lp_ok &= sol.status == "infeasible"
         else:

@@ -26,7 +26,6 @@ def test_defaults_are_canonical():
     assert spec.plant.V == 50.0 and spec.x_sp == 0.6
     lc = cfg.learn_config()
     assert (lc.c_lb, lc.c_ub) == (-1000.0, 1000.0)
-    assert lc.big_M == 1000.0
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -36,6 +35,10 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(str(bad))
     bad.write_text(json.dumps({"reactor": {}}))
     with pytest.raises(ConfigError):
+        load_config(str(bad))
+    # The MILP's constants are derived from the data; the old knob is gone.
+    bad.write_text(json.dumps({"learn": {"big_M": 1000}}))
+    with pytest.raises(ConfigError, match="big_M"):
         load_config(str(bad))
 
 
@@ -216,6 +219,10 @@ def test_runtime_error_exit_code(tmp_path, capsys):
         assert run(["gen-data", "--config", str(cfg),
                     "--out-dir", str(tmp_path / "data")]) == 2
     capsys.readouterr()
+    # A negative rate limit is named, not left to fail every MPC start.
+    cfg.write_text(json.dumps({"mpc": {"u_rate_max": -5}}))
+    assert run(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 2
+    assert "u_rate_max" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["x,y\n", "x,y\n0.5,1.0\n0.6,abc\n",

@@ -6,7 +6,7 @@ import pytest
 from symtree.errors import DimensionError, NumericalError
 from scipy.sparse import csc_array
 
-from symtree.lp import EQ, GE, LE, LpProblem, _highs, fit_l1, solve_lp
+from symtree.lp import fit_l1, solve_lp
 
 # ---------------------------------------------------------------------------
 # Vertex-enumeration oracle: for a bounded small LP, every basic feasible
@@ -17,57 +17,55 @@ from symtree.lp import EQ, GE, LE, LpProblem, _highs, fit_l1, solve_lp
 # ---------------------------------------------------------------------------
 
 
-def oracle_solve(objective, rows, bounds, tol=1e-9):
-    n = len(objective)
+def oracle_solve(cost, A, row_lo, row_hi, lo, hi, tol=1e-9):
+    n = len(cost)
     planes = []
-    for coeffs, _rel, rhs in rows:
-        planes.append((np.asarray(coeffs, dtype=float), float(rhs)))
-    for j, (lo, hi) in enumerate(bounds):
+    for coeffs, r_lo, r_hi in zip(A, row_lo, row_hi):
+        for rhs in dict.fromkeys(v for v in (r_lo, r_hi) if np.isfinite(v)):
+            planes.append((np.asarray(coeffs, dtype=float), float(rhs)))
+    for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        planes.append((e, float(lo)))
-        planes.append((e.copy(), float(hi)))
+        planes.append((e, float(lo[j])))
+        planes.append((e.copy(), float(hi[j])))
 
     def feasible(x):
-        for coeffs, rel, rhs in rows:
-            v = float(np.dot(coeffs, x))
-            if rel == LE and v > rhs + tol:
-                return False
-            if rel == GE and v < rhs - tol:
-                return False
-            if rel == EQ and abs(v - rhs) > tol:
-                return False
-        for j, (lo, hi) in enumerate(bounds):
-            if x[j] < lo - tol or x[j] > hi + tol:
-                return False
-        return True
+        act = A @ x
+        return bool(np.all(act >= row_lo - tol) and np.all(act <= row_hi + tol)
+                    and np.all(x >= lo - tol) and np.all(x <= hi + tol))
 
     best = None
     for combo in itertools.combinations(range(len(planes)), n):
-        A = np.array([planes[i][0] for i in combo])
+        M = np.array([planes[i][0] for i in combo])
         b = np.array([planes[i][1] for i in combo])
-        if abs(np.linalg.det(A)) < 1e-10:
+        if abs(np.linalg.det(M)) < 1e-10:
             continue
-        x = np.linalg.solve(A, b)
+        x = np.linalg.solve(M, b)
         if feasible(x):
-            val = float(np.dot(objective, x))
+            val = float(np.dot(cost, x))
             if best is None or val < best:
                 best = val
     return best  # None means infeasible (the polytope is bounded by bounds)
 
 
 def random_lp(rng, n, m):
-    objective = rng.uniform(-2, 2, n)
-    rows = []
-    for _ in range(m):
-        coeffs = rng.uniform(-2, 2, n)
-        rel = rng.choice([LE, GE, EQ], p=[0.45, 0.45, 0.1])
-        rows.append((coeffs, rel, rng.uniform(-3, 3)))
-    bounds = []
-    for _ in range(n):
-        lo = rng.uniform(-4, 0)
-        bounds.append((lo, lo + rng.uniform(0.5, 5)))
-    return LpProblem(objective=list(objective), rows=rows, bounds=bounds)
+    """A bounded random LP as the arrays (cost, A, row_lo, row_hi, lo, hi)
+    that solve_lp takes; each row is <=, >= or = a random right-hand side."""
+    cost = rng.uniform(-2, 2, n)
+    A, row_lo, row_hi = np.zeros((m, n)), np.full(m, -np.inf), np.full(m, np.inf)
+    for j in range(m):
+        A[j] = rng.uniform(-2, 2, n)
+        sense = rng.choice(["<=", ">=", "="], p=[0.45, 0.45, 0.1])
+        rhs = rng.uniform(-3, 3)
+        if sense != "<=":
+            row_lo[j] = rhs
+        if sense != ">=":
+            row_hi[j] = rhs
+    lo, hi = np.zeros(n), np.zeros(n)
+    for j in range(n):
+        lo[j] = rng.uniform(-4, 0)
+        hi[j] = lo[j] + rng.uniform(0.5, 5)
+    return cost, A, row_lo, row_hi, lo, hi
 
 
 def test_simplex_matches_vertex_enumeration():
@@ -76,9 +74,9 @@ def test_simplex_matches_vertex_enumeration():
     for _ in range(120):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, 5))
-        p = random_lp(rng, n, m)
-        sol = solve_lp(p)
-        ref = oracle_solve(p.objective, p.rows, p.bounds)
+        lp = random_lp(rng, n, m)
+        sol = solve_lp(*lp)
+        ref = oracle_solve(*lp)
         if ref is None:
             assert sol.status == "infeasible"
         else:
@@ -89,31 +87,27 @@ def test_simplex_matches_vertex_enumeration():
 
 
 def test_unbounded_detected():
-    p = LpProblem(objective=[-1.0], rows=[([1.0], GE, 0.0)],
-                  bounds=[(0.0, np.inf)])
-    assert solve_lp(p).status == "unbounded"
+    sol = solve_lp([-1.0], np.array([[1.0]]), [0.0], [np.inf], [0.0], [np.inf])
+    assert sol.status == "unbounded"
 
 
 def test_equality_system_solved_exactly():
-    p = LpProblem(objective=[1.0, 1.0],
-                  rows=[([1.0, 1.0], EQ, 3.0), ([1.0, -1.0], EQ, 1.0)],
-                  bounds=[(-10.0, 10.0), (-10.0, 10.0)])
-    sol = solve_lp(p)
+    sol = solve_lp([1.0, 1.0], np.array([[1.0, 1.0], [1.0, -1.0]]), [3.0, 1.0],
+                   [3.0, 1.0], [-10.0, -10.0], [10.0, 10.0])
     assert sol.status == "optimal"
     assert np.allclose(sol.x, [2.0, 1.0], atol=1e-9)
 
 
 def test_rows_free_lp_sits_on_the_cost_favoured_bounds():
-    p = LpProblem(objective=[1.0, -1.0], bounds=[(0.0, 2.0), (-1.0, 3.0)])
-    sol = solve_lp(p)
+    sol = solve_lp([1.0, -1.0], np.zeros((0, 2)), [], [], [0.0, -1.0], [2.0, 3.0])
     assert sol.status == "optimal"
     assert np.allclose(sol.x, [0.0, 3.0], atol=1e-12)
     assert sol.objective == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_rows_free_lp_unbounded():
-    p = LpProblem(objective=[1.0], bounds=[(-np.inf, np.inf)])
-    assert solve_lp(p).status == "unbounded"
+    sol = solve_lp([1.0], np.zeros((0, 1)), [], [], [-np.inf], [np.inf])
+    assert sol.status == "unbounded"
 
 
 def test_highs_takes_a_sparse_matrix():
@@ -127,8 +121,8 @@ def test_highs_takes_a_sparse_matrix():
         row_lo = rng.uniform(-3, 0, m)
         row_hi = row_lo + rng.choice([0.0, 2.0, np.inf], m)
         cost, lo, hi = rng.uniform(-1, 1, 3), np.full(3, -4.0), np.full(3, 4.0)
-        dense = _highs(cost, A, row_lo, row_hi, lo, hi)
-        sparse = _highs(cost, csc_array(A), row_lo, row_hi, lo, hi)
+        dense = solve_lp(cost, A, row_lo, row_hi, lo, hi)
+        sparse = solve_lp(cost, csc_array(A), row_lo, row_hi, lo, hi)
         assert sparse.status == dense.status
         assert sparse.objective == dense.objective
         assert (sparse.x is None and dense.x is None) or np.array_equal(sparse.x, dense.x)
@@ -137,10 +131,13 @@ def test_highs_takes_a_sparse_matrix():
 
 
 def test_dimension_mismatch_rejected():
-    p = LpProblem(objective=[1.0, 2.0], rows=[([1.0], LE, 1.0)],
-                  bounds=[(0, 1), (0, 1)])
+    A = np.array([[1.0]])   # one column for two variables
     with pytest.raises(DimensionError):
-        solve_lp(p)
+        solve_lp([1.0, 2.0], A, [-np.inf], [1.0], [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(DimensionError):   # two row bounds for one row
+        solve_lp([1.0], A, [-np.inf, 0.0], [1.0, 1.0], [0.0], [1.0])
+    with pytest.raises(DimensionError):   # one variable bound for two variables
+        solve_lp([1.0, 2.0], np.ones((1, 2)), [0.0], [1.0], [0.0], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -12,7 +13,6 @@ from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis_matr
 from symtree.config import load_config
 from symtree.errors import ConfigError, IntegralityError, ParseError, StructureError
 from symtree.learner import Dataset, LearnConfig, fit_tree, objective_of
-from symtree.lp import EQ, GE, LE
 from symtree.milp import (BINARY, CONTINUOUS, build_milp, expected_counts,
                           mps_text, name_map, parse_mps_counts,
                           parse_solution_text, read_solution, write_mps)
@@ -66,11 +66,24 @@ def test_zero_penalties_strip_objective():
     assert names == {"epos", "eneg"}
 
 
-def test_small_big_m_rejected():
-    data, basis, cfg = tiny_instance()
-    cfg.big_M = 1e-3
-    with pytest.raises(ConfigError):
-        build_milp(data, basis, cfg)
+def test_constants_derived_from_data():
+    """b's bounds hold fit_tree's empty-side splits (1.0 beyond the data) and
+    an unused b's 0; the routing constant is the smallest that leaves both
+    routing rows slack at z = 0 for every feasible a and b."""
+    for X in ([[0.3], [0.7]], [[-2.0], [-0.5]], [[-1.5, 0.25], [1.0, 0.5]]):
+        data = Dataset(X=X, y=[0.0, 1.0])
+        cfg = LearnConfig(depth=1)
+        art = build_milp(data, basis_from_forms(["1"]), cfg)
+        s_lo, s_hi = min(0.0, np.min(X)), max(0.0, np.max(X))
+        b = art.index["b[1]"]
+        assert (art.lo[b], art.hi[b]) == (s_lo - 1.0, s_hi + 1.0)
+        # The routing sum is one coordinate of x, or 0 when the node does not branch.
+        worst = max(abs(v - t) for v in (s_lo, s_hi) for t in (art.lo[b], art.hi[b]))
+        for i, (side, leaf, sign) in itertools.product((1, 2), (("left", 2, 1),
+                                                              ("right", 3, -1))):
+            r = art.row_names.index(f"route_{side}[{i},{leaf},1]")
+            M = sign * art.A[r, art.index[f"z[{i},{leaf}]"]]
+            assert M == pytest.approx(worst + cfg.eps_routing, abs=1e-12)
 
 
 def test_mps_round_trip_counts(tmp_path):
@@ -128,16 +141,20 @@ def test_machine_names_are_short_and_unique():
 
 
 def test_fitted_tree_embeds_feasibly():
-    rng = np.random.default_rng(79)
-    data = Dataset(X=np.round(rng.uniform(0.2, 1.0, (6, 1)), 2),
-                   y=rng.uniform(-1, 1, 6))
+    # Negative x moves the threshold bounds and the routing constant off the
+    # positive-only ranges the canonical data gives.
     basis = basis_from_forms(["1", "x"])
-    cfg = LearnConfig(depth=1)
-    art = build_milp(data, basis, cfg)
-    rep = fit_tree(data, basis, cfg)
-    assign = embed_model(art, rep.model)
-    assert art.max_violation(assign) <= 1e-9
-    assert art.objective_value(assign) == pytest.approx(rep.objective, abs=1e-8)
+    for (lo, hi), depth in itertools.product([(0.2, 1.0), (-2.0, -0.5), (-1.5, 1.0)],
+                                             [1, 2]):
+        rng = np.random.default_rng(79)
+        data = Dataset(X=np.round(rng.uniform(lo, hi, (6, 1)), 2),
+                       y=rng.uniform(-1, 1, 6))
+        cfg = LearnConfig(depth=depth)
+        art = build_milp(data, basis, cfg)
+        rep = fit_tree(data, basis, cfg)
+        assign = embed_model(art, rep.model)
+        assert art.max_violation(assign) <= 1e-9, (lo, hi, depth)
+        assert art.objective_value(assign) == pytest.approx(rep.objective, abs=1e-8)
 
 
 def test_max_violation_reads_both_row_bounds():
@@ -177,7 +194,7 @@ def test_read_solution_round_trip():
     decoded = read_solution(art, assign)
     assert validate(decoded.model) == []
     assert decoded.objective == pytest.approx(rep.objective, abs=1e-8)
-    # binaries only: thresholds and coefficients must be reconstructed
+    # binaries only: coefficients must be refitted
     binaries = {k: v for k, v in assign.items()
                 if k.split("[")[0] in ("d", "z", "a")}
     decoded2 = read_solution(art, binaries)
@@ -267,30 +284,37 @@ def test_mps_values_read_back():
 
 
 def highs_instances():
+    """Depth-2 instances: one feature with basis {1, x}, then two features with
+    negative coordinates and basis {1, x, x@1}."""
+    one = basis_from_forms(["1", "x"])
     yield (Dataset(X=[[.74], [.25], [.64], [.42], [.9], [.25], [.74], [.9]],
                    y=[-.55, .79, .74, -.96, .41, -1, .01, -.13]),
-           LearnConfig(depth=2, lambda_m=0.0))
-    for seed in (2, 7):
+           one, LearnConfig(depth=2, lambda_m=0.0))
+    for seed in (2, 7, *range(20, 32)):
         rng = np.random.default_rng(seed)
-        yield (Dataset(X=np.round(rng.uniform(0.2, 1.0, (8, 1)), 2),
-                       y=np.round(rng.uniform(-1, 1, 8), 2)), LearnConfig(depth=2))
+        n = 8 if seed < 20 else int(rng.integers(6, 12))
+        yield (Dataset(X=np.round(rng.uniform(0.2, 1.0, (n, 1)), 2),
+                       y=np.round(rng.uniform(-1, 1, n), 2)), one, LearnConfig(depth=2))
+    rng = np.random.default_rng(40)
+    yield (Dataset(X=np.round(rng.uniform(-2, 1.5, (7, 2)), 2),
+                   y=np.round(rng.uniform(-1, 1, 7), 2)),
+           basis_from_forms(["1", "x", "x@1"]), LearnConfig(depth=2))
 
 
 def test_highs_solves_exported_arrays():
-    """The artifact's arrays go to HiGHS as they are. Its optimum may undercut
-    enumeration: a z within HiGHS's integrality tolerance (about 1e-7) times
-    big-M 1000 reaches eps_routing 1e-4, so points with equal x can fall on
-    both sides of a threshold. The decoded tree is re-scored, so it can never
-    beat enumeration."""
-    basis = basis_from_forms(["1", "x"])
-    for data, cfg in highs_instances():
+    """The artifact's arrays go to HiGHS as they are, and its proven optimum is
+    the enumerator's. The routing constant is small enough that a z within
+    HiGHS's integrality tolerance cannot carry a point across eps_routing, and
+    the decoded tree, whose thresholds come from z, re-scores to the same
+    value."""
+    for data, basis, cfg in highs_instances():
         art = build_milp(data, basis, cfg)
         res = scipy_milp(art.cost, integrality=art.integrality,
                          constraints=LinearConstraint(art.A, art.row_lo, art.row_hi),
                          bounds=Bounds(art.lo, art.hi), options={"mip_rel_gap": 0})
         assert res.status == 0, res.message
         rep = fit_tree(data, basis, cfg)
-        assert res.fun <= rep.objective + 1e-7
+        assert res.fun == pytest.approx(rep.objective, abs=1e-9)
         decoded = read_solution(art, dict(zip(art.var_names, res.x)))
         assert validate(decoded.model) == []
-        assert decoded.objective >= rep.objective - 1e-9
+        assert decoded.objective == pytest.approx(rep.objective, abs=1e-9)

@@ -334,6 +334,9 @@ def test_generate_dataset_bad_count(n):
 def test_spec_validation():
     with pytest.raises(ConfigError):
         MpcSpec(T=1)
+    # No control sequence meets a negative rate limit (zero stays valid).
+    with pytest.raises(ConfigError, match="u_rate_max"):
+        MpcSpec(u_rate_max=-5.0)
     with pytest.raises(ConfigError):
         MpcSpec(u_bounds=(5.0, 5.0))
     with pytest.raises(ConfigError):
