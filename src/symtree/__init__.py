@@ -16,6 +16,5 @@ from .errors import (ConfigError, ControllerError, ConvergenceError,
 from .learner import Dataset, FitReport, LearnConfig, fit_tree, objective_of
 from .mpc import MpcSolution, MpcSpec, PlantSpec, generate_dataset, solve_mpc
 from .reference import reference_model
-from .tree import (Bounds, BranchRule, LeafExpression, TreeModel,
-                   TreeTopology, deserialize, predict, route, serialize,
-                   validate)
+from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, deserialize,
+                   predict, route, serialize, validate)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import BasisFunction, BasisSet, evaluate_basis_matrix
+from .errors import ConfigError
 from .learner import Dataset, candidate_thresholds
 from .lp import fit_l1
-from .tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule, LeafExpression,
-                   TreeModel, TreeTopology, node_depth, single_leaf_model)
+from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, node_depth,
+                   single_leaf_model)
 
 _WIDE = 1e6  # nominal coefficient/prediction bounds for unconstrained fits
 
@@ -62,8 +63,7 @@ def _fit_line(X, y):
 
 def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> TreeModel:
     if depth < 1:
-        raise ValueError("depth must be >= 1")
-    kinds = {n: INACTIVE for n in range(1, 2 ** (depth + 1))}
+        raise ConfigError("depth must be >= 1")
     rules, leaves = {}, {}
 
     def grow(node: int, idx: np.ndarray):
@@ -83,20 +83,15 @@ def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> Tre
         # Split only on strict SSE reduction; degenerate splits become leaves.
         if best is not None and best[0] < sse_here - 1e-12:
             _, f, thr, li, ri = best
-            kinds[node] = BRANCH
             rules[node] = BranchRule(feature=f, threshold=thr)
             grow(2 * node, li)
             grow(2 * node + 1, ri)
         else:
-            kinds[node] = LEAF
             leaves[node] = LeafExpression(coefficients=tuple(float(v) for v in c))
 
     grow(1, np.arange(data.n_points))
-    return TreeModel(
-        topology=TreeTopology(depth=depth, kinds=kinds),
-        rules=rules, leaves=leaves, basis=basis,
-        bounds=Bounds(-_WIDE, _WIDE, -_WIDE, _WIDE),
-    )
+    return TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis,
+                     bounds=Bounds(-_WIDE, _WIDE, -_WIDE, _WIDE))
 
 
 def fit_cart_constant(data: Dataset, depth: int) -> TreeModel:

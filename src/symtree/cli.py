@@ -28,7 +28,7 @@ from .errors import ConfigError, SymtreeError
 from .learner import Dataset, fit_tree, mean_abs_error, objective_of
 from .milp import build_milp, parse_solution_text, read_solution, write_mps
 from .mpc import generate_dataset
-from .tree import deserialize, predict, serialize
+from .tree import _json_object, _require, deserialize, predict, serialize
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -182,7 +182,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _make_controller(spec, cfg, name):
+def _make_controller(spec, name):
     if name == "mpc":
         return mpc_controller(spec)
     if name.startswith("model:"):
@@ -198,7 +198,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     spec = cfg.mpc_spec()
     sim = cfg["sim"]
-    ctrl = _make_controller(spec, cfg, args.controller)
+    ctrl = _make_controller(spec, args.controller)
     trace = simulate(cfg.plant_spec(), ctrl, sim["x0"], sim["t_final"],
                      sim["dt_sample"])
     with open(args.out, "w") as fh:
@@ -224,7 +224,9 @@ def cmd_report(args) -> int:
     train_hashes = set()
     for rpath in args.reports:
         with open(rpath) as fh:
-            rep = json.load(fh)
+            rep = _json_object(fh.read(), rpath)
+        for key, kind in (("provenance", dict), ("kind", str), ("model_file", str)):
+            _require(rep, key, kind, rpath)
         train_hashes.add(rep["provenance"].get("dataset_sha256"))
         mpath = os.path.join(os.path.dirname(rpath) or ".", rep["model_file"])
         with open(mpath) as fh:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, ParseError
 from .learner import LearnConfig
 from .mpc import MpcSpec, PlantSpec
+from .tree import _is_number
 
 DEFAULTS = {
     "plant": {"V": 50.0, "x_f": 1.0, "k": 2.0},
@@ -64,10 +65,6 @@ class RunConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_pair(value) -> bool:

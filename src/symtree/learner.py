@@ -29,8 +29,7 @@ from .basis import BasisSet, evaluate_basis_matrix
 from .errors import ConfigError, ParseError
 from .lp import fit_l1
 from . import tree as treemod
-from .tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule, LeafExpression,
-                   TreeModel, TreeTopology, node_depth, predict)
+from .tree import Bounds, BranchRule, LeafExpression, TreeModel, node_depth, predict
 
 
 @dataclass
@@ -170,10 +169,9 @@ def _split_order(values) -> np.ndarray:
 class _Candidate:
     cost: float
     n_branch: int
-    seq: tuple                # ((feature, threshold), ...) in node-id order
+    seq: tuple                # ((feature, threshold), ...) in preorder: node, left, right
     rules: dict
     leaves: dict
-    kinds: dict
 
 
 _TIE = 1e-12  # costs closer than this tie; fewer branches, then split order, decide
@@ -257,7 +255,7 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
         if not must_branch and solved.lower_bound(mask) <= budget + _TIE:
             c, loss = leaf_fit(mask)
             best = _Candidate(cost=loss, n_branch=0, seq=(),
-                              rules={}, leaves={node: c}, kinds={node: LEAF})
+                              rules={}, leaves={node: c})
         limit = budget if best is None else min(budget, best.cost)
         if node_depth(node) < cfg.depth and mask.any():
             for f in range(data.n_features):
@@ -281,7 +279,6 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
                         rules={node: BranchRule(feature=f, threshold=float(thr)),
                                **lt.rules, **rt.rules},
                         leaves={**lt.leaves, **rt.leaves},
-                        kinds={node: BRANCH, **lt.kinds, **rt.kinds},
                     )
                     if best is None or _better(cand, best):
                         best = cand
@@ -291,10 +288,8 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
         return best
 
     winner = search(1, np.ones(data.n_points, dtype=bool), True, np.inf)
-    kinds = {n: INACTIVE for n in range(1, 2 ** (cfg.depth + 1))}
-    kinds.update(winner.kinds)
     model = TreeModel(
-        topology=TreeTopology(depth=cfg.depth, kinds=kinds),
+        depth=cfg.depth,
         rules=winner.rules,
         leaves={n: LeafExpression(coefficients=tuple(c)) for n, c in winner.leaves.items()},
         basis=basis,
@@ -309,7 +304,7 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
 def objective_of(model: TreeModel, data: Dataset, cfg: LearnConfig):
     """Re-score a model: (objective, (L_acc, L_c, L_m))."""
     l_acc = mean_abs_error(model, data)
-    l_c = float(len(model.topology.branch_nodes()))
+    l_c = float(len(model.rules))
     l_m = float(sum(np.sum(np.abs(leaf.as_array())) for leaf in model.leaves.values()))
     objective = l_acc + cfg.lambda_c * l_c + cfg.lambda_m * l_m
     return objective, (l_acc, l_c, l_m)

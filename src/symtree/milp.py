@@ -21,8 +21,8 @@ from .basis import BasisSet, evaluate_basis_matrix
 from .errors import ConfigError, IntegralityError, ParseError, StructureError
 from .learner import EMPTY_SIDE_OFFSET, Dataset, LearnConfig, objective_of
 from .lp import fit_l1
-from .tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule, LeafExpression,
-                   TreeModel, TreeTopology, ancestors, node_depth)
+from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, ancestors,
+                   node_depth)
 
 # Integrality codes as scipy.optimize.milp reads them.
 BINARY = 1
@@ -464,11 +464,9 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
     for n in terminal:
         if dval[n] != 0:
             raise StructureError(f"maximal-depth node {n} marked as branching")
-    active = {1: True}
-    for n in nn[1:]:
-        active[n] = active[n // 2] and dval[n // 2] == 1
-    kinds = {n: (BRANCH if dval[n] else LEAF) if active[n] else INACTIVE for n in nn}
-    topology = TreeTopology(depth=cfg.depth, kinds=kinds)
+    # The checks above leave every branching node under a branching parent.
+    branch_ids = [n for n in nn if dval[n]]
+    leaf_ids = [n for n in nn[1:] if dval[n // 2] and not dval[n]]
 
     # Leaf assignment of each data point from z.
     assigned = {}
@@ -479,7 +477,7 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
         assigned[i] = hits[0]
 
     rules = {}
-    for n in topology.branch_nodes():
+    for n in branch_ids:
         hot = [f for f in range(1, data.n_features + 1)
                if _binary(art, assignments, f"a[{f},{n}]") == 1]
         if len(hot) != 1:
@@ -489,7 +487,7 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
 
     Phi = evaluate_basis_matrix(art.basis, data.X)
     leaves = {}
-    for n in topology.leaf_nodes():
+    for n in leaf_ids:
         coeffs = [art.var_value(assignments, art.index[f"c[{k},{n}]"], default=None)
                   for k in range(1, art.basis.size + 1)]
         if any(v is None for v in coeffs):
@@ -500,7 +498,7 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
         leaves[n] = LeafExpression(coefficients=tuple(float(v) for v in coeffs))
 
     model = TreeModel(
-        topology=topology, rules=rules, leaves=leaves, basis=art.basis,
+        depth=cfg.depth, rules=rules, leaves=leaves, basis=art.basis,
         bounds=Bounds(cfg.c_lb, cfg.c_ub, art.y_bounds[0], art.y_bounds[1]),
     )
     recomputed, _ = objective_of(model, data, cfg)

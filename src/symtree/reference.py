@@ -9,8 +9,7 @@ flow of about 75 L/min even though the expression itself is not constant.
 from __future__ import annotations
 
 from .basis import canonical_basis
-from .tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule, LeafExpression,
-                   TreeModel, TreeTopology)
+from .tree import Bounds, BranchRule, LeafExpression, TreeModel
 
 # Leaf coefficients indexed by basis position (canonical 19-function order).
 _LEAF_COEFFS = {
@@ -25,14 +24,12 @@ _SPLITS = {1: 0.64, 2: 0.56, 3: 0.69}
 
 def reference_model() -> TreeModel:
     basis = canonical_basis()
-    kinds = {n: BRANCH for n in (1, 2, 3)}
-    kinds.update({n: LEAF for n in (4, 5, 6, 7)})
     leaves = {}
     for n, sparse in _LEAF_COEFFS.items():
         coeffs = [sparse.get(k, 0.0) for k in range(1, basis.size + 1)]
         leaves[n] = LeafExpression(coefficients=tuple(coeffs))
     return TreeModel(
-        topology=TreeTopology(depth=2, kinds=kinds),
+        depth=2,
         rules={n: BranchRule(feature=0, threshold=t) for n, t in _SPLITS.items()},
         leaves=leaves,
         basis=basis,

@@ -1,14 +1,16 @@
 """Symbolic decision tree model: routing, prediction, validation, JSON I/O.
 
 Nodes live in a depth-capped complete binary tree indexed 1..2^(D+1)-1 with
-children 2n and 2n+1; pruned positions are kept as explicit 'inactive' nodes
-so ids stay aligned with the optimization variable names.
+children 2n and 2n+1. A node is a branch if it has a rule, a leaf if it has
+an expression, and inactive (pruned) otherwise; the JSON file lists inactive
+nodes explicitly so ids stay aligned with the optimization variable names.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,7 +22,6 @@ from .errors import DimensionError, ModelInvalidError, ParseError
 BRANCH = "branch"
 LEAF = "leaf"
 INACTIVE = "inactive"
-_KINDS = (BRANCH, LEAF, INACTIVE)
 
 
 class Bounds(NamedTuple):
@@ -41,24 +42,6 @@ def ancestors(n: int) -> list:
         n //= 2
         out.append(n)
     return out
-
-
-@dataclass(frozen=True)
-class TreeTopology:
-    """Node kinds over the complete tree of the given depth cap."""
-
-    depth: int
-    kinds: dict  # node id -> BRANCH | LEAF | INACTIVE
-
-    @property
-    def node_ids(self) -> range:
-        return range(1, 2 ** (self.depth + 1))
-
-    def branch_nodes(self) -> list:
-        return [n for n in self.node_ids if self.kinds.get(n) == BRANCH]
-
-    def leaf_nodes(self) -> list:
-        return [n for n in self.node_ids if self.kinds.get(n) == LEAF]
 
 
 @dataclass(frozen=True)
@@ -84,29 +67,34 @@ class LeafExpression:
 
 @dataclass(frozen=True)
 class TreeModel:
-    topology: TreeTopology
+    depth: int     # depth cap D: node ids run over 1..2^(D+1)-1
     rules: dict    # branch node id -> BranchRule
     leaves: dict   # leaf node id -> LeafExpression
     basis: BasisSet
     bounds: Bounds
+
+    def kind(self, n: int) -> str:
+        """BRANCH, LEAF or INACTIVE; a node's kind is where it is stored."""
+        if n in self.rules:
+            return BRANCH
+        if n in self.leaves:
+            return LEAF
+        return INACTIVE
 
 
 def route(model: TreeModel, x) -> int:
     """Walk the tree from the root; ties at a threshold go right."""
     v = _floats(x)
     n = 1
-    while True:
-        kind = model.topology.kinds.get(n)
-        if kind == LEAF:
-            return n
-        if kind != BRANCH:
-            raise ModelInvalidError(f"routing reached non-leaf node {n} ({kind})")
-        rule = model.rules[n]
+    while (rule := model.rules.get(n)) is not None:
         try:
             n = 2 * n if v[rule.feature] < rule.threshold else 2 * n + 1
         except IndexError:
             raise DimensionError(f"node {n} splits on feature {rule.feature}, "
                                  f"but the point has {len(v)}") from None
+    if n not in model.leaves:
+        raise ModelInvalidError(f"routing reached node {n}, which is not a leaf")
+    return n
 
 
 def predict(model: TreeModel, x) -> float:
@@ -118,39 +106,26 @@ def predict(model: TreeModel, x) -> float:
 
 def validate(model: TreeModel) -> list:
     """Check every structural invariant; returns violation strings (empty = valid)."""
+    if model.depth < 0:
+        return [f"depth cap {model.depth} is negative"]
     v = []
-    topo = model.topology
-    if topo.depth < 0:
-        v.append(f"depth cap {topo.depth} is negative")
-        return v
-    ids = set(topo.node_ids)
-    if set(topo.kinds) != ids:
-        v.append("node kinds must cover exactly ids 1..2^(D+1)-1")
-        return v
-    for n in topo.node_ids:
-        kind = topo.kinds[n]
-        if kind not in _KINDS:
-            v.append(f"node {n}: unknown kind {kind!r}")
+    last = 2 ** (model.depth + 1) - 1
+    active = model.rules.keys() | model.leaves.keys()
+    for n in sorted(active):
+        if not 1 <= n <= last:
+            v.append(f"node {n}: id outside 1..{last}")
             continue
-        is_max_depth = node_depth(n) == topo.depth
-        if kind == BRANCH and is_max_depth:
-            v.append(f"node {n}: branch at maximal depth")
-        if not is_max_depth:
-            left, right = topo.kinds.get(2 * n), topo.kinds.get(2 * n + 1)
-            if kind == BRANCH:
-                if left == INACTIVE or right == INACTIVE:
-                    v.append(f"node {n}: branch node with inactive child")
-            else:
-                if left != INACTIVE or right != INACTIVE:
-                    v.append(f"node {n}: non-branch node with active child")
-    if topo.kinds.get(1) == INACTIVE:
+        if n in model.rules and n in model.leaves:
+            v.append(f"node {n}: both a branch and a leaf")
+        if n in model.rules:
+            if node_depth(n) == model.depth:
+                v.append(f"node {n}: branch at maximal depth")
+            elif 2 * n not in active or 2 * n + 1 not in active:
+                v.append(f"node {n}: branch node with inactive child")
+        if n > 1 and n // 2 not in model.rules:
+            v.append(f"node {n // 2}: non-branch node with active child {n}")
+    if 1 not in active:
         v.append("node 1 is inactive")
-    branch_set = set(topo.branch_nodes())
-    leaf_set = set(topo.leaf_nodes())
-    if set(model.rules) != branch_set:
-        v.append("rules must be defined exactly on branch nodes")
-    if set(model.leaves) != leaf_set:
-        v.append("leaf expressions must be defined exactly on leaf nodes")
     for n, rule in model.rules.items():
         if not np.isfinite(rule.threshold):
             v.append(f"node {n}: non-finite threshold")
@@ -172,8 +147,8 @@ def validate(model: TreeModel) -> list:
 def serialize(model: TreeModel) -> str:
     """Model as a JSON document; numbers carry full round-trip precision."""
     nodes = []
-    for n in model.topology.node_ids:
-        kind = model.topology.kinds[n]
+    for n in range(1, 2 ** (model.depth + 1)):
+        kind = model.kind(n)
         entry = {"id": n, "kind": kind}
         if kind == BRANCH:
             rule = model.rules[n]
@@ -183,7 +158,7 @@ def serialize(model: TreeModel) -> str:
             entry["coeffs"] = [float(c) for c in model.leaves[n].coefficients]
         nodes.append(entry)
     doc = {
-        "depth": model.topology.depth,
+        "depth": model.depth,
         "bounds": {
             "c_lb": model.bounds.c_lb, "c_ub": model.bounds.c_ub,
             "y_lb": model.bounds.y_lb, "y_ub": model.bounds.y_ub,
@@ -194,42 +169,54 @@ def serialize(model: TreeModel) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a boolean (JSON true/false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require(doc, key, kind, where):
     if key not in doc:
         raise ParseError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and _is_number(value):
         value = float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"{where}: field {key!r} has wrong type")
     return value
 
 
-def deserialize(text: str) -> TreeModel:
-    """Parse a serialized model; raises ParseError with field context."""
+def _json_object(text: str, where: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise ParseError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise ParseError("document root must be an object")
+        raise ParseError(f"{where}: must be a JSON object")
+    return doc
+
+
+def deserialize(text: str) -> TreeModel:
+    """Parse a serialized model; raises ParseError with field context."""
+    doc = _json_object(text, "model")
     depth = _require(doc, "depth", int, "root")
+    if depth < 0:
+        raise ParseError(f"root: depth {depth} is negative")
     bdoc = _require(doc, "bounds", dict, "root")
     bounds = Bounds(*(_require(bdoc, k, float, "bounds")
                       for k in ("c_lb", "c_ub", "y_lb", "y_ub")))
     basis = basis_from_forms(_require(doc, "basis", list, "root"))
     nodes = _require(doc, "nodes", list, "root")
-    kinds, rules, leaves = {}, {}, {}
+    ids, rules, leaves = set(), {}, {}
     for entry in nodes:
         if not isinstance(entry, dict):
             raise ParseError("nodes: entries must be objects")
         n = _require(entry, "id", int, "node")
         kind = _require(entry, "kind", str, f"node {n}")
-        if kind not in _KINDS:
+        if kind not in (BRANCH, LEAF, INACTIVE):
             raise ParseError(f"node {n}: unknown kind {kind!r}")
-        if n in kinds:
+        if n in ids:
             raise ParseError(f"node {n}: duplicate id")
-        kinds[n] = kind
+        ids.add(n)
         if kind == BRANCH:
             feature = _require(entry, "feature", int, f"node {n}")
             if feature < 0:
@@ -240,21 +227,25 @@ def deserialize(text: str) -> TreeModel:
             )
         elif kind == LEAF:
             coeffs = _require(entry, "coeffs", list, f"node {n}")
+            if not all(_is_number(c) for c in coeffs):
+                raise ParseError(f"node {n}: coefficients must be numbers")
+            if len(coeffs) != basis.size:
+                raise ParseError(f"node {n}: {len(coeffs)} coefficients for "
+                                 f"{basis.size} basis functions")
             leaves[n] = LeafExpression(coefficients=tuple(float(c) for c in coeffs))
-    expected = set(range(1, 2 ** (depth + 1)))
-    if set(kinds) != expected:
-        missing = sorted(expected - set(kinds))
-        extra = sorted(set(kinds) - expected)
+    # Count before listing: the file's depth alone must not size an id set.
+    last = 2 ** (depth + 1) - 1
+    extra = sorted(n for n in ids if not 1 <= n <= last)
+    n_missing = last - (len(ids) - len(extra))
+    if extra or n_missing:
+        missing = (sorted(set(range(1, last + 1)) - ids) if last <= 2 * len(nodes) + 1
+                   else f"{n_missing} of 1..{last}")
         raise ParseError(f"nodes: missing ids {missing}, unexpected ids {extra}")
-    return TreeModel(
-        topology=TreeTopology(depth=depth, kinds=kinds),
-        rules=rules, leaves=leaves, basis=basis, bounds=bounds,
-    )
+    return TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis,
+                     bounds=bounds)
 
 
 def single_leaf_model(coefficients, basis: BasisSet, bounds: Bounds) -> TreeModel:
     """Depth-0 tree holding one expression; used by the flat-regression baseline."""
-    topo = TreeTopology(depth=0, kinds={1: LEAF})
     leaf = LeafExpression(coefficients=tuple(float(c) for c in coefficients))
-    return TreeModel(topology=topo, rules={}, leaves={1: leaf},
-                     basis=basis, bounds=bounds)
+    return TreeModel(depth=0, rules={}, leaves={1: leaf}, basis=basis, bounds=bounds)

@@ -94,7 +94,9 @@ def exhaustive_fit_tree(data, basis, cfg):
     """Best tree by full enumeration, with no pruning: every topology, every
     midpoint threshold plus the two empty-side splits at every node, a
     scipy_leaf_fit per distinct leaf set. Ties are broken as in fit_tree
-    (cost within 1e-12, then fewer branches, then lexicographic split order).
+    (cost within 1e-12, then fewer branches, then the lexicographic order of
+    the (feature, threshold) splits in preorder: node, left subtree, right
+    subtree).
     Returns (cost, n_branch, rules {node: (feature, threshold)}, kinds {node:
     kind} for active nodes)."""
     Phi = evaluate_basis_matrix(basis, data.X)
@@ -240,7 +242,7 @@ def embed_model(art, model):
                   if n in model.leaves else np.zeros(K)) for n in nn}
     assign = {}
     for n in nn:
-        assign[f"d[{n}]"] = 1.0 if model.topology.kinds.get(n) == BRANCH else 0.0
+        assign[f"d[{n}]"] = 1.0 if model.kind(n) == BRANCH else 0.0
     for n in internal:
         assign[f"a[1,{n}]"] = assign[f"d[{n}]"]
         assign[f"b[{n}]"] = model.rules[n].threshold if n in model.rules else 0.0

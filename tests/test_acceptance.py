@@ -24,9 +24,8 @@ from symtree.lp import fit_l1, solve_lp
 from symtree.milp import build_milp, expected_counts
 from symtree.mpc import generate_dataset, rollout, solve_mpc
 from symtree.reference import reference_model
-from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
-                          LeafExpression, TreeModel, TreeTopology, deserialize,
-                          predict, route, serialize)
+from symtree.tree import (Bounds, BranchRule, LeafExpression, TreeModel,
+                          deserialize, predict, route, serialize)
 
 
 def _verdict(capsys, num, name, ok, detail=""):
@@ -143,9 +142,7 @@ def test_criterion_3_in_class_recovery(capsys):
     rng = np.random.default_rng(103)
     basis = basis_from_forms(["1", "x", "exp(x)"])
     truth = TreeModel(
-        topology=TreeTopology(depth=2, kinds={1: BRANCH, 2: LEAF, 3: BRANCH,
-                                              4: INACTIVE, 5: INACTIVE,
-                                              6: LEAF, 7: LEAF}),
+        depth=2,
         rules={1: BranchRule(feature=0, threshold=0.45),
                3: BranchRule(feature=0, threshold=0.7)},
         leaves={2: LeafExpression(coefficients=(2.0, -1.0, 0.5)),
@@ -248,7 +245,7 @@ def test_criterion_8_property_suites(capsys):
     # routing totality and the tie rule: x == threshold goes right
     basis = basis_from_forms(["1"])
     tie = TreeModel(
-        topology=TreeTopology(depth=1, kinds={1: BRANCH, 2: LEAF, 3: LEAF}),
+        depth=1,
         rules={1: BranchRule(feature=0, threshold=0.5)},
         leaves={2: LeafExpression(coefficients=(0.0,)),
                 3: LeafExpression(coefficients=(1.0,))},

@@ -3,6 +3,7 @@ import pytest
 
 from symtree.baselines import fit_cart_constant, fit_cart_linear, fit_sparse
 from symtree.basis import basis_from_forms, canonical_basis
+from symtree.errors import ConfigError
 from symtree.learner import Dataset
 from symtree.tree import predict, validate
 
@@ -21,7 +22,7 @@ def test_cart_constant_recovers_step():
 def test_cart_constant_leaf_is_mean():
     data = Dataset(X=[[0.5], [0.6], [0.7]], y=[1.0, 2.0, 6.0])
     model = fit_cart_constant(data, depth=1)
-    leaves = {n: model.leaves[n] for n in model.topology.leaf_nodes()}
+    leaves = {n: model.leaves[n] for n in sorted(model.leaves)}
     # the singleton split {0.7} vs {0.5, 0.6} minimizes SSE
     means = sorted(l.coefficients[0] for l in leaves.values())
     assert means == pytest.approx([1.5, 6.0])
@@ -31,7 +32,7 @@ def test_cart_linear_fits_line_without_splitting():
     data = Dataset(X=[[0.5], [1.0], [2.0], [3.0]], y=[2.0, 3.0, 5.0, 7.0])
     model = fit_cart_linear(data, depth=2)
     assert validate(model) == []
-    assert model.topology.branch_nodes() == []  # no SSE reduction available
+    assert sorted(model.rules) == []  # no SSE reduction available
     assert predict(model, 1.5) == pytest.approx(4.0, abs=1e-9)
 
 
@@ -63,8 +64,8 @@ def test_sparse_exact_on_representable_target():
 def test_sparse_is_single_leaf():
     data = Dataset(X=[[0.3], [0.6]], y=[1.0, 2.0])
     model = fit_sparse(data, canonical_basis(), 1e-2, (-100.0, 100.0))
-    assert model.topology.depth == 0
-    assert model.topology.leaf_nodes() == [1]
+    assert model.depth == 0
+    assert sorted(model.leaves) == [1]
 
 
 def test_sparse_lambda_shrinks_coefficients():
@@ -79,5 +80,5 @@ def test_sparse_lambda_shrinks_coefficients():
 
 
 def test_depth_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="depth must be >= 1"):
         fit_cart_constant(step_data(), depth=0)

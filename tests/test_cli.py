@@ -11,8 +11,8 @@ from symtree.config import DEFAULTS, load_config
 from symtree.errors import ConfigError
 from symtree.learner import Dataset
 from symtree.reference import reference_model
-from symtree.tree import (BRANCH, LEAF, Bounds, BranchRule, LeafExpression,
-                          TreeModel, TreeTopology, deserialize, serialize)
+from symtree.tree import (BRANCH, Bounds, BranchRule, LeafExpression,
+                          TreeModel, deserialize, serialize)
 
 
 def test_defaults_are_canonical():
@@ -154,7 +154,7 @@ def test_import_solution_round_trip(workspace):
     nn, _, internal = node_sets(lcfg.depth)
     lines = []
     for n in nn:
-        lines.append(f"d[{n}] {1 if model.topology.kinds[n] == BRANCH else 0}")
+        lines.append(f"d[{n}] {1 if model.kind(n) == BRANCH else 0}")
     for n in internal:
         lines.append(f"a[1,{n}] {1 if n in model.rules else 0}")
         if n in model.rules:
@@ -309,7 +309,7 @@ def test_predict_too_few_coordinates_exit_code(tmp_path, capsys, feature):
     """A two-feature model read at a one-coordinate point: the branch rule
     (feature 1) or the basis form x@1 (feature 0) finds no coordinate 1."""
     model = TreeModel(
-        topology=TreeTopology(depth=1, kinds={1: BRANCH, 2: LEAF, 3: LEAF}),
+        depth=1,
         rules={1: BranchRule(feature=feature, threshold=0.5)},
         leaves={2: LeafExpression(coefficients=(1.0, 2.0)),
                 3: LeafExpression(coefficients=(-1.0, 0.5))},
@@ -322,3 +322,54 @@ def test_predict_too_few_coordinates_exit_code(tmp_path, capsys, feature):
 
 def test_defaults_document_shape():
     assert set(DEFAULTS) == {"plant", "mpc", "learn", "data", "sim"}
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"depth": 60}, "missing ids"), ({"depth": -1}, "depth -1 is negative"),
+    ({"coeffs": ["a"]}, "node 4: coefficients must be numbers"),
+    ({"coeffs": [6.241]}, "node 4: 1 coefficients for 19 basis functions")],
+    ids=["depth-60", "depth-negative", "coeff-string", "coeff-count"])
+def test_malformed_model_file_exit_code(workspace, tmp_path, capsys, change, match):
+    """A depth the nodes do not fill, a non-numeric coefficient and a leaf
+    shorter than the basis are refused on load, by predict and simulate alike."""
+    ws, cfg = workspace
+    doc = json.loads(serialize(reference_model()))
+    if "depth" in change:
+        doc["depth"] = change["depth"]
+    else:
+        doc["nodes"][3]["coeffs"] = change["coeffs"]
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(doc))
+    assert run(["predict", "--model", str(mpath), "--x", "0.5"]) == 2
+    assert run(["simulate", "--config", str(cfg), "--controller", f"model:{mpath}",
+                "--out", str(tmp_path / "trace.csv")]) == 2
+    assert capsys.readouterr().err.count(match) == 2
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["cart", "lintree"])
+def test_baseline_depth_zero_exit_code(workspace, tmp_path, capsys, kind):
+    ws, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"learn": {"depth": 0}}))
+    assert run(["baseline", "--kind", kind, "--config", str(cfg),
+                "--data", str(ws / "train.csv"), "--out", str(tmp_path / "b.tree.json")]) == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, match", [
+    ("{not json", "invalid JSON"), ("[1, 2]", "must be a JSON object"),
+    ('{"kind": "cart", "model_file": "cart.tree.json"}', "missing field 'provenance'"),
+    ('{"provenance": {}, "model_file": "cart.tree.json"}', "missing field 'kind'"),
+    ('{"provenance": {}, "kind": "cart"}', "missing field 'model_file'"),
+    ('{"provenance": {}, "kind": "cart", "model_file": 3}', "'model_file' has wrong type")],
+    ids=["not-json", "not-object", "no-provenance", "no-kind", "no-model-file",
+         "model-file-number"])
+def test_report_malformed_report_exit_code(workspace, tmp_path, capsys, text, match):
+    ws, _ = workspace
+    bad = tmp_path / "bad.report.json"
+    bad.write_text(text)
+    assert run(["report", "--test", str(ws / "test.csv"), "--reports", str(bad),
+                "--out", str(tmp_path / "cmp.json")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and match in err

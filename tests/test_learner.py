@@ -7,8 +7,7 @@ from symtree.errors import ConfigError, ParseError
 from symtree.learner import (Dataset, LearnConfig, candidate_thresholds,
                              default_y_bounds, fit_tree, mean_abs_error, objective_of)
 from symtree.reference import reference_model
-from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
-                          LeafExpression, TreeModel, TreeTopology, predict,
+from symtree.tree import (Bounds, BranchRule, LeafExpression, TreeModel, predict,
                           validate)
 
 
@@ -67,8 +66,8 @@ def test_fit_tree_matches_exhaustive_oracle(name, depth):
     cost, n_branch, rules, kinds = exhaustive_fit_tree(data, basis, cfg)
     model = rep.model
     assert {n: (r.feature, r.threshold) for n, r in model.rules.items()} == rules
-    assert {n: k for n, k in model.topology.kinds.items() if k != INACTIVE} == kinds
-    assert len(model.topology.branch_nodes()) == n_branch
+    assert {n: model.kind(n) for n in (*model.rules, *model.leaves)} == kinds
+    assert len(model.rules) == n_branch
     assert rep.objective == pytest.approx(cost, abs=1e-9)
     if name == "empty-side":
         assert not data.X[:, 0].min() < rules[1][1] <= data.X[:, 0].max()
@@ -115,7 +114,7 @@ def test_report_self_consistency():
 def test_objective_counts_branch_nodes():
     basis = basis_from_forms(["1"])
     model = TreeModel(
-        topology=TreeTopology(depth=1, kinds={1: BRANCH, 2: LEAF, 3: LEAF}),
+        depth=1,
         rules={1: BranchRule(feature=0, threshold=0.5)},
         leaves={2: LeafExpression(coefficients=(0.0,)),
                 3: LeafExpression(coefficients=(0.0,))},
@@ -138,7 +137,7 @@ def test_random_trees_never_beat_optimum():
         thr = float(rng.uniform(0.0, 1.0))
         c2, c3 = rng.uniform(-1, 1, 2)
         model = TreeModel(
-            topology=TreeTopology(depth=1, kinds={1: BRANCH, 2: LEAF, 3: LEAF}),
+            depth=1,
             rules={1: BranchRule(feature=0, threshold=thr)},
             leaves={2: LeafExpression(coefficients=(float(c2),)),
                     3: LeafExpression(coefficients=(float(c3),))},
@@ -162,9 +161,7 @@ def test_in_class_recovery():
     rng = np.random.default_rng(41)
     basis = basis_from_forms(["1", "x"])
     truth = TreeModel(
-        topology=TreeTopology(depth=2, kinds={1: BRANCH, 2: BRANCH, 3: LEAF,
-                                              4: LEAF, 5: LEAF,
-                                              6: INACTIVE, 7: INACTIVE}),
+        depth=2,
         rules={1: BranchRule(feature=0, threshold=0.6),
                2: BranchRule(feature=0, threshold=0.3)},
         leaves={3: LeafExpression(coefficients=(1.0, -2.0)),

@@ -1,13 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis
-from symtree.errors import DimensionError, ParseError
+from symtree.errors import DimensionError, ModelInvalidError, ParseError
 from symtree.reference import reference_model
 from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
-                          LeafExpression, TreeModel, TreeTopology, ancestors,
+                          LeafExpression, TreeModel, ancestors,
                           deserialize, node_depth, predict, route, serialize,
                           single_leaf_model, validate)
 
@@ -17,7 +18,7 @@ from oracles import reference_basis_row
 def depth1_model(thr=1.5, left=0.0, right=5.0):
     basis = basis_from_forms(["1"])
     return TreeModel(
-        topology=TreeTopology(depth=1, kinds={1: BRANCH, 2: LEAF, 3: LEAF}),
+        depth=1,
         rules={1: BranchRule(feature=0, threshold=thr)},
         leaves={2: LeafExpression(coefficients=(left,)),
                 3: LeafExpression(coefficients=(right,))},
@@ -43,13 +44,13 @@ def test_route_is_total_on_grid():
     m = reference_model()
     for x in np.linspace(0.1, 0.9, 401):
         leaf = route(m, x)
-        assert m.topology.kinds[leaf] == LEAF
+        assert m.kind(leaf) == LEAF
 
 
 def test_predict_is_plain_inner_product():
     # no clamping or post-processing, even outside the y bounds
     m = depth1_model(right=5.0)
-    m2 = TreeModel(topology=m.topology, rules=m.rules,
+    m2 = TreeModel(depth=m.depth, rules=m.rules,
                    leaves={2: LeafExpression(coefficients=(50.0,)),
                            3: LeafExpression(coefficients=(-50.0,))},
                    basis=m.basis, bounds=m.bounds)
@@ -72,7 +73,7 @@ def oracle_leaf(model, x):
     """Routed leaf by an independent walk: a point at or above a threshold goes right."""
     xs = np.asarray(x, dtype=float).reshape(-1)
     n = 1
-    while model.topology.kinds[n] == BRANCH:
+    while model.kind(n) == BRANCH:
         rule = model.rules[n]
         n = 2 * n + int(xs[rule.feature] >= rule.threshold)
     return n
@@ -102,8 +103,7 @@ def two_feature_model():
                               "x^2*exp(-1/x)@1", "x^3*exp(x)"])
     rng = np.random.default_rng(9)
     return TreeModel(
-        topology=TreeTopology(depth=2, kinds={1: BRANCH, 2: BRANCH, 3: LEAF, 4: LEAF,
-                                              5: LEAF, 6: INACTIVE, 7: INACTIVE}),
+        depth=2,
         rules={1: BranchRule(feature=1, threshold=0.5),
                2: BranchRule(feature=0, threshold=0.3)},
         leaves={n: LeafExpression(coefficients=tuple(rng.uniform(-5, 5, basis.size)))
@@ -149,7 +149,7 @@ def narrow_point_model(feature):
     """Valid two-feature model; predict gets a one-coordinate point."""
     basis = basis_from_forms(["1", "x@1"])
     return TreeModel(
-        topology=TreeTopology(depth=1, kinds={1: BRANCH, 2: LEAF, 3: LEAF}),
+        depth=1,
         rules={1: BranchRule(feature=feature, threshold=0.5)},
         leaves={2: LeafExpression(coefficients=(1.0, 2.0)),
                 3: LeafExpression(coefficients=(-1.0, 0.5))},
@@ -182,7 +182,7 @@ def test_validate_reference_model_clean():
 def test_validate_flags_broken_parent_child():
     basis = basis_from_forms(["1"])
     m = TreeModel(
-        topology=TreeTopology(depth=1, kinds={1: LEAF, 2: BRANCH, 3: LEAF}),
+        depth=1,
         rules={2: BranchRule(feature=0, threshold=0.5)},
         leaves={1: LeafExpression(coefficients=(1.0,)),
                 3: LeafExpression(coefficients=(1.0,))},
@@ -199,13 +199,84 @@ def test_validate_flags_out_of_bounds_coefficient():
 def test_validate_flags_branch_at_max_depth():
     basis = basis_from_forms(["1"])
     m = TreeModel(
-        topology=TreeTopology(depth=1, kinds={1: BRANCH, 2: BRANCH, 3: LEAF}),
+        depth=1,
         rules={1: BranchRule(feature=0, threshold=0.5),
                2: BranchRule(feature=0, threshold=0.2)},
         leaves={3: LeafExpression(coefficients=(1.0,))},
         basis=basis, bounds=Bounds(-1.0, 1.0, -1.0, 1.0),
     )
     assert any("maximal depth" in v for v in validate(m))
+
+
+def test_kind_reads_rules_and_leaves():
+    m = two_feature_model()
+    assert [m.kind(n) for n in range(1, 8)] == [BRANCH, BRANCH, LEAF, LEAF, LEAF,
+                                               INACTIVE, INACTIVE]
+    assert m.kind(8) == INACTIVE
+
+
+def test_route_to_missing_node_raises_model_invalid():
+    m = depth1_model()
+    pruned = TreeModel(depth=1, rules=m.rules, leaves={2: m.leaves[2]},
+                       basis=m.basis, bounds=m.bounds)
+    assert route(pruned, 1.0) == 2
+    with pytest.raises(ModelInvalidError, match="node 3"):
+        route(pruned, 2.0)
+    assert any("inactive child" in v for v in validate(pruned))
+
+
+def test_validate_flags_node_both_branch_and_leaf():
+    m = depth1_model()
+    both = TreeModel(depth=1, rules=m.rules,
+                     leaves={**m.leaves, 1: LeafExpression(coefficients=(0.0,))},
+                     basis=m.basis, bounds=m.bounds)
+    assert "node 1: both a branch and a leaf" in validate(both)
+
+
+def test_validate_flags_id_outside_range():
+    m = depth1_model()
+    for n in (0, 4):
+        stray = TreeModel(depth=1, rules=m.rules,
+                          leaves={**m.leaves, n: LeafExpression(coefficients=(0.0,))},
+                          basis=m.basis, bounds=m.bounds)
+        assert f"node {n}: id outside 1..3" in validate(stray)
+
+
+def test_validate_flags_inactive_root():
+    m = depth1_model()
+    empty = TreeModel(depth=1, rules={}, leaves={}, basis=m.basis, bounds=m.bounds)
+    assert validate(empty) == ["node 1 is inactive"]
+
+
+def test_reference_model_json_is_pinned():
+    text = serialize(reference_model())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f2869dd9232081d7ef517e6e5801331b42123bb85a91c12914467d68d83597a8"
+
+
+def test_serialize_pruned_depth2_nodes_literal():
+    basis = basis_from_forms(["1", "x"])
+    m = TreeModel(
+        depth=2,
+        rules={1: BranchRule(feature=0, threshold=0.5),
+               2: BranchRule(feature=0, threshold=0.25)},
+        leaves={3: LeafExpression(coefficients=(1.0, -2.0)),
+                4: LeafExpression(coefficients=(0.5, 0.0)),
+                5: LeafExpression(coefficients=(-1.5, 3.0))},
+        basis=basis, bounds=Bounds(-5.0, 5.0, -10.0, 10.0),
+    )
+    doc = json.loads(serialize(m))
+    assert doc["depth"] == 2
+    assert doc["nodes"] == [
+        {"id": 1, "kind": "branch", "feature": 0, "threshold": 0.5},
+        {"id": 2, "kind": "branch", "feature": 0, "threshold": 0.25},
+        {"id": 3, "kind": "leaf", "coeffs": [1.0, -2.0]},
+        {"id": 4, "kind": "leaf", "coeffs": [0.5, 0.0]},
+        {"id": 5, "kind": "leaf", "coeffs": [-1.5, 3.0]},
+        {"id": 6, "kind": "inactive"},
+        {"id": 7, "kind": "inactive"},
+    ]
+    assert deserialize(serialize(m)) == m
 
 
 def test_serialize_round_trip_reference():
@@ -226,6 +297,42 @@ def test_deserialize_missing_node_one():
     doc = json.loads(serialize(depth1_model()))
     doc["nodes"] = [e for e in doc["nodes"] if e["id"] != 1]
     with pytest.raises(ParseError, match="missing ids"):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("depth, match", [(60, r"missing ids \d+ of 1\.\.\d+"),
+                                          (-1, "depth -1 is negative")],
+                         ids=["depth-60", "depth-negative"])
+def test_deserialize_rejects_depth_not_matching_nodes(depth, match):
+    # Depth 60 must be refused from the node count, without listing 2^61 ids.
+    doc = json.loads(serialize(depth1_model()))
+    doc["depth"] = depth
+    with pytest.raises(ParseError, match=match):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("coeffs, match", [
+    (["a"], "node 2: coefficients must be numbers"),
+    ([True], "node 2: coefficients must be numbers"),
+    ([None], "node 2: coefficients must be numbers"),
+    ([1.0, 2.0], "node 2: 2 coefficients for 1 basis functions"),
+    ([], "node 2: 0 coefficients for 1 basis functions")],
+    ids=["string", "bool", "null", "too-many", "empty"])
+def test_deserialize_rejects_bad_coefficients(coeffs, match):
+    doc = json.loads(serialize(depth1_model()))
+    doc["nodes"][1]["coeffs"] = coeffs
+    with pytest.raises(ParseError, match=match):
+        deserialize(json.dumps(doc))
+
+
+def test_deserialize_rejects_boolean_depth_and_threshold():
+    doc = json.loads(serialize(depth1_model()))
+    doc["depth"] = True
+    with pytest.raises(ParseError, match="'depth' has wrong type"):
+        deserialize(json.dumps(doc))
+    doc = json.loads(serialize(depth1_model()))
+    doc["nodes"][0]["threshold"] = False
+    with pytest.raises(ParseError, match="node 1: field 'threshold' has wrong type"):
         deserialize(json.dumps(doc))
 
 
