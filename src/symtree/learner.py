@@ -12,7 +12,9 @@ largest loss solved so far over any subset of a point set bounds that set's
 loss from below. A threshold is skipped, with its LPs, when the branch cost
 plus the two children's bounds already exceeds the best subtree found, so the
 search solves far fewer LPs and returns the same optimum, with the same
-tie-breaking, as full enumeration.
+tie-breaking, as full enumeration. The search's leaf losses come from one
+kept HiGHS model per fit (`LeafLosses`); the winning leaves' coefficients
+come from a cold `fit_l1` each.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .basis import BasisSet, evaluate_basis_matrix
 from .errors import ConfigError, ParseError
-from .lp import fit_l1
+from .lp import LeafLosses, fit_l1
 from . import tree as treemod
 from .tree import Bounds, BranchRule, LeafExpression, TreeModel, node_depth, predict
 
@@ -171,7 +173,7 @@ class _Candidate:
     n_branch: int
     seq: tuple                # ((feature, threshold), ...) in preorder: node, left, right
     rules: dict
-    leaves: dict
+    leaves: dict              # node -> boolean mask of its points
 
 
 _TIE = 1e-12  # costs closer than this tie; fewer branches, then split order, decide
@@ -226,21 +228,27 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
     Phi = evaluate_basis_matrix(basis, data.X)
     yb = cfg.resolved_y_bounds(data.y)
     w = 1.0 / data.n_points
-    zero = np.zeros(basis.size)
     solved = _SolvedSets(data.n_points)
+    losses = LeafLosses(Phi, data.y, w, cfg.lambda_m, (cfg.c_lb, cfg.c_ub), y_bounds=yb)
     leaf_cache: dict = {}
 
-    def leaf_fit(mask):
+    def leaf_loss(mask):
         key = mask.tobytes()
         if key not in leaf_cache:
+            loss = 0.0
             if mask.any():
-                c, loss = fit_l1(Phi[mask], data.y[mask], w, cfg.lambda_m,
-                                 (cfg.c_lb, cfg.c_ub), y_bounds=yb)
+                loss = losses.loss(mask)
                 solved.add(mask, loss)
-            else:
-                c, loss = zero, 0.0
-            leaf_cache[key] = (c, loss)
+            leaf_cache[key] = loss
         return leaf_cache[key]
+
+    def coefficients(mask):
+        """The leaf's coefficients, from the same cold LP as a lone fit."""
+        if not mask.any():
+            return np.zeros(basis.size)
+        c, _ = fit_l1(Phi[mask], data.y[mask], w, cfg.lambda_m, (cfg.c_lb, cfg.c_ub),
+                      y_bounds=yb)
+        return c
 
     def bound(node, mask):
         """Lower bound on the cost of any subtree at node over mask: a
@@ -253,9 +261,8 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
         the best costs more than budget (+_TIE)."""
         best = None
         if not must_branch and solved.lower_bound(mask) <= budget + _TIE:
-            c, loss = leaf_fit(mask)
-            best = _Candidate(cost=loss, n_branch=0, seq=(),
-                              rules={}, leaves={node: c})
+            best = _Candidate(cost=leaf_loss(mask), n_branch=0, seq=(),
+                              rules={}, leaves={node: mask})
         limit = budget if best is None else min(budget, best.cost)
         if node_depth(node) < cfg.depth and mask.any():
             for f in range(data.n_features):
@@ -291,7 +298,8 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
     model = TreeModel(
         depth=cfg.depth,
         rules=winner.rules,
-        leaves={n: LeafExpression(coefficients=tuple(c)) for n, c in winner.leaves.items()},
+        leaves={n: LeafExpression(coefficients=tuple(coefficients(mask)))
+                for n, mask in winner.leaves.items()},
         basis=basis,
         bounds=Bounds(cfg.c_lb, cfg.c_ub, yb[0], yb[1]),
     )

@@ -32,7 +32,7 @@ class Bounds(NamedTuple):
 
 
 def node_depth(n: int) -> int:
-    return int(math.floor(math.log2(n)))
+    return int(n).bit_length() - 1
 
 
 def ancestors(n: int) -> list:
@@ -221,14 +221,16 @@ def deserialize(text: str) -> TreeModel:
             feature = _require(entry, "feature", int, f"node {n}")
             if feature < 0:
                 raise ParseError(f"node {n}: negative feature index {feature}")
-            rules[n] = BranchRule(
-                feature=feature,
-                threshold=_require(entry, "threshold", float, f"node {n}"),
-            )
+            threshold = _require(entry, "threshold", float, f"node {n}")
+            if not math.isfinite(threshold):
+                raise ParseError(f"node {n}: threshold {threshold} is not finite")
+            rules[n] = BranchRule(feature=feature, threshold=threshold)
         elif kind == LEAF:
             coeffs = _require(entry, "coeffs", list, f"node {n}")
             if not all(_is_number(c) for c in coeffs):
                 raise ParseError(f"node {n}: coefficients must be numbers")
+            if not all(math.isfinite(c) for c in coeffs):
+                raise ParseError(f"node {n}: coefficients must be finite")
             if len(coeffs) != basis.size:
                 raise ParseError(f"node {n}: {len(coeffs)} coefficients for "
                                  f"{basis.size} basis functions")

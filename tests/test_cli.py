@@ -327,17 +327,23 @@ def test_defaults_document_shape():
 @pytest.mark.parametrize("change, match", [
     ({"depth": 60}, "missing ids"), ({"depth": -1}, "depth -1 is negative"),
     ({"coeffs": ["a"]}, "node 4: coefficients must be numbers"),
-    ({"coeffs": [6.241]}, "node 4: 1 coefficients for 19 basis functions")],
-    ids=["depth-60", "depth-negative", "coeff-string", "coeff-count"])
+    ({"coeffs": [6.241]}, "node 4: 1 coefficients for 19 basis functions"),
+    ({"coeffs": [float("inf")] * 19}, "node 4: coefficients must be finite"),
+    ({"threshold": float("nan")}, "node 1: threshold nan is not finite")],
+    ids=["depth-60", "depth-negative", "coeff-string", "coeff-count", "coeff-inf",
+         "threshold-nan"])
 def test_malformed_model_file_exit_code(workspace, tmp_path, capsys, change, match):
-    """A depth the nodes do not fill, a non-numeric coefficient and a leaf
-    shorter than the basis are refused on load, by predict and simulate alike."""
+    """A depth the nodes do not fill, a non-numeric or infinite coefficient, a
+    leaf shorter than the basis and a NaN threshold (which sent every point
+    right) are refused on load, by predict and simulate alike."""
     ws, cfg = workspace
     doc = json.loads(serialize(reference_model()))
     if "depth" in change:
         doc["depth"] = change["depth"]
-    else:
+    elif "coeffs" in change:
         doc["nodes"][3]["coeffs"] = change["coeffs"]
+    else:
+        doc["nodes"][0]["threshold"] = change["threshold"]
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(doc))
     assert run(["predict", "--model", str(mpath), "--x", "0.5"]) == 2

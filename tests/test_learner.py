@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_depth1, exhaustive_fit_tree
-from symtree.basis import basis_from_forms
+from symtree import learner, lp
+from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis_matrix
 from symtree.errors import ConfigError, ParseError
 from symtree.learner import (Dataset, LearnConfig, candidate_thresholds,
                              default_y_bounds, fit_tree, mean_abs_error, objective_of)
@@ -71,6 +72,42 @@ def test_fit_tree_matches_exhaustive_oracle(name, depth):
     assert rep.objective == pytest.approx(cost, abs=1e-9)
     if name == "empty-side":
         assert not data.X[:, 0].min() < rules[1][1] <= data.X[:, 0].max()
+
+
+def _kept_model_case(name):
+    rng = np.random.default_rng(61)
+    if name == "50-points":
+        x = np.sort(rng.uniform(0.1, 0.9, 50))
+        y = np.clip(54.0 + 160.0 * (0.6 - x), 0.0, 75.0) + rng.normal(0, 0.5, 50)
+        return Dataset(X=x.reshape(-1, 1), y=y), canonical_basis()
+    X = rng.uniform(0.2, 1.0, (20, 2))
+    y = np.where(X[:, 0] > 0.6, 1.0, -1.0) + X[:, 1] + rng.normal(0, 0.1, 20)
+    return Dataset(X=X, y=y), basis_from_forms(["1", "x", "x@1"])
+
+
+@pytest.mark.parametrize("name", ["50-points", "2-features"])
+def test_kept_leaf_model_matches_cold_fit(monkeypatch, name):
+    """Every leaf loss the search takes from the kept model, which frees and
+    restores rows as the sets change, equals a cold fit_l1 on that set."""
+    data, basis = _kept_model_case(name)
+    cfg = LearnConfig(depth=2, lambda_c=1e-2, lambda_m=1e-4, c_lb=-1000.0, c_ub=1000.0)
+    seen = []
+
+    class Recording(lp.LeafLosses):
+        def loss(self, mask):
+            value = super().loss(mask)
+            seen.append((mask.copy(), value))
+            return value
+
+    monkeypatch.setattr(learner, "LeafLosses", Recording)
+    rep = fit_tree(data, basis, cfg)
+    assert len(seen) == rep.subproblems_solved > 20
+    Phi = evaluate_basis_matrix(basis, data.X)
+    yb = cfg.resolved_y_bounds(data.y)
+    for mask, value in seen:
+        _, cold = lp.fit_l1(Phi[mask], data.y[mask], 1.0 / data.n_points, cfg.lambda_m,
+                            (cfg.c_lb, cfg.c_ub), y_bounds=yb)
+        assert value == pytest.approx(cold, abs=1e-9)
 
 
 def test_pruned_search_solves_fewer_lps():

@@ -6,7 +6,7 @@ import pytest
 from symtree.errors import DimensionError, NumericalError
 from scipy.sparse import csc_array
 
-from symtree.lp import fit_l1, solve_lp
+from symtree.lp import LeafLosses, fit_l1, solve_lp
 
 # ---------------------------------------------------------------------------
 # Vertex-enumeration oracle: for a bounded small LP, every basic feasible
@@ -138,6 +138,8 @@ def test_dimension_mismatch_rejected():
         solve_lp([1.0], A, [-np.inf, 0.0], [1.0, 1.0], [0.0], [1.0])
     with pytest.raises(DimensionError):   # one variable bound for two variables
         solve_lp([1.0, 2.0], np.ones((1, 2)), [0.0], [1.0], [0.0], [1.0, 1.0])
+    with pytest.raises(DimensionError, match="costs must be finite"):
+        solve_lp([np.nan, 1.0], np.ones((1, 2)), [0.0], [1.0], [0.0, 0.0], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +311,68 @@ def test_fit_l1_infeasible_bounds_raise():
     y = np.array([3.5, 3.5])
     with pytest.raises(NumericalError):
         fit_l1(Phi, y, 0.5, 0.0, (-1.0, 1.0), y_bounds=(3.0, 4.0))
+
+
+# ---------------------------------------------------------------------------
+# LeafLosses: one kept model, re-solved in place, against cold fit_l1.
+# ---------------------------------------------------------------------------
+
+
+def _leaf_instance(seed, N=14, K=3):
+    rng = np.random.default_rng(seed)
+    Phi = np.column_stack([np.ones(N), rng.uniform(-1, 1, (N, K - 1))])
+    y = rng.uniform(-2, 2, N)
+    return Phi, y
+
+
+def _cold(Phi, y, mask, lam, c_bounds, y_bounds):
+    return fit_l1(Phi[mask], y[mask], 1.0 / len(y), lam, c_bounds, y_bounds=y_bounds)[1]
+
+
+@pytest.mark.parametrize("y_bounds", [None, (-1.0, 1.0)])
+def test_leaf_losses_a_b_a_restores_rows(y_bounds):
+    """Solving A, then B (which frees most of A's points and takes others),
+    then A again gives A's loss back: every freed row gets its equality,
+    residual bounds and cost back."""
+    Phi, y = _leaf_instance(3)
+    N = len(y)
+    args = (1.0 / N, 1e-2, (-5.0, 5.0), y_bounds)
+    A = np.arange(N) < 9
+    B = np.arange(N) >= 6
+    losses = LeafLosses(Phi, y, *args)
+    first, middle, again = losses.loss(A), losses.loss(B), losses.loss(A)
+    assert again == pytest.approx(first, abs=1e-9)
+    assert first == pytest.approx(_cold(Phi, y, A, *args[1:]), abs=1e-9)
+    assert middle == pytest.approx(_cold(Phi, y, B, *args[1:]), abs=1e-9)
+
+
+@pytest.mark.parametrize("y_bounds", [None, (-1.0, 1.0)])
+@pytest.mark.parametrize("c_bounds", [(-5.0, 5.0), (0.5, 5.0)])
+def test_leaf_losses_match_cold_fit_on_random_sets(c_bounds, y_bounds):
+    """A random walk over point sets, including disjoint and nested ones, on
+    a box that excludes 0 and on binding prediction bounds. A set the cold
+    fit finds infeasible raises, and the next set still solves."""
+    Phi, y = _leaf_instance(5)
+    rng = np.random.default_rng(8)
+    losses = LeafLosses(Phi, y, 1.0 / len(y), 1e-2, c_bounds, y_bounds=y_bounds)
+    solved = 0
+    for _ in range(40):
+        mask = rng.uniform(size=len(y)) < rng.uniform(0.2, 0.9)
+        mask[rng.integers(len(y))] = True
+        try:
+            ref = _cold(Phi, y, mask, 1e-2, c_bounds, y_bounds)
+        except NumericalError:
+            with pytest.raises(NumericalError, match=f"over {mask.sum()} points"):
+                losses.loss(mask)
+            continue
+        assert losses.loss(mask) == pytest.approx(ref, abs=1e-9)
+        solved += 1
+    assert solved >= 5
+
+
+def test_leaf_losses_infeasible_set_raises_with_its_size():
+    # Predictions cannot reach [3, 4] with coefficients capped at 1.
+    losses = LeafLosses(np.ones((3, 1)), np.full(3, 3.5), 1.0 / 3, 0.0, (-1.0, 1.0),
+                        y_bounds=(3.0, 4.0))
+    with pytest.raises(NumericalError, match="over 2 points.*[Ii]nfeasible"):
+        losses.loss(np.array([True, False, True]))

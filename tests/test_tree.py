@@ -33,6 +33,13 @@ def test_node_indexing():
     assert ancestors(1) == []
 
 
+def test_node_depth_exact_below_powers_of_two():
+    # floor(log2(n)) in floats rounds 2**49 - 1 up to 49.
+    assert node_depth(2 ** 49 - 1) == 48
+    assert node_depth(2 ** 53 - 1) == 52
+    assert node_depth(2 ** 53) == 53
+
+
 def test_route_tie_goes_right():
     m = depth1_model(thr=1.5)
     assert route(m, 1.4999) == 2
@@ -316,12 +323,23 @@ def test_deserialize_rejects_depth_not_matching_nodes(depth, match):
     ([True], "node 2: coefficients must be numbers"),
     ([None], "node 2: coefficients must be numbers"),
     ([1.0, 2.0], "node 2: 2 coefficients for 1 basis functions"),
-    ([], "node 2: 0 coefficients for 1 basis functions")],
-    ids=["string", "bool", "null", "too-many", "empty"])
+    ([], "node 2: 0 coefficients for 1 basis functions"),
+    ([float("inf")], "node 2: coefficients must be finite"),
+    ([float("nan")], "node 2: coefficients must be finite")],
+    ids=["string", "bool", "null", "too-many", "empty", "inf", "nan"])
 def test_deserialize_rejects_bad_coefficients(coeffs, match):
     doc = json.loads(serialize(depth1_model()))
     doc["nodes"][1]["coeffs"] = coeffs
     with pytest.raises(ParseError, match=match):
+        deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("-inf")])
+def test_deserialize_rejects_non_finite_threshold(threshold):
+    # Python's json reads NaN and Infinity; a NaN threshold routes every point right.
+    doc = json.loads(serialize(depth1_model()))
+    doc["nodes"][0]["threshold"] = threshold
+    with pytest.raises(ParseError, match=f"node 1: threshold {threshold} is not finite"):
         deserialize(json.dumps(doc))
 
 
