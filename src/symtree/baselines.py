@@ -28,13 +28,12 @@ def fit_sparse(data: Dataset, basis: BasisSet, lambda_m: float, c_bounds) -> Tre
 
 
 def _constant_basis() -> BasisSet:
-    return BasisSet(functions=(BasisFunction(id=1, power=0),))
+    return BasisSet(functions=(BasisFunction(power=0),))
 
 
 def _linear_basis(n_features: int) -> BasisSet:
-    funcs = [BasisFunction(id=1, power=0)]
-    for f in range(n_features):
-        funcs.append(BasisFunction(id=f + 2, power=1, coordinate=f))
+    funcs = [BasisFunction(power=0)]
+    funcs += [BasisFunction(power=1, coordinate=f) for f in range(n_features)]
     return BasisSet(functions=tuple(funcs))
 
 

@@ -25,7 +25,6 @@ _EXP_ARGS = ("", "x", "-x", "1/x", "-1/x")
 class BasisFunction:
     """One symbolic form x^p * exp(arg) read from a single input coordinate."""
 
-    id: int
     power: int
     exp_arg: str = ""
     coordinate: int = 0
@@ -66,7 +65,7 @@ _FORM_RE = re.compile(
 
 
 def parse_form(text: str) -> BasisFunction:
-    """Parse a textual form like 'x^2*exp(x)' back into a BasisFunction (id 0)."""
+    """Parse a textual form like 'x^2*exp(x)' back into a BasisFunction."""
     m = _FORM_RE.match(text.strip())
     if not m or (m.group("poly") is None and m.group("arg") is None):
         raise ParseError(f"unrecognized basis form {text!r}")
@@ -79,7 +78,7 @@ def parse_form(text: str) -> BasisFunction:
         power = int(m.group("pow"))
     arg = m.group("arg") or ""
     coord = int(m.group("coord") or 0)
-    return BasisFunction(id=0, power=power, exp_arg=arg, coordinate=coord)
+    return BasisFunction(power=power, exp_arg=arg, coordinate=coord)
 
 
 class _Program:
@@ -166,15 +165,12 @@ def _floats(x) -> list:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Ordered collection of basis functions with ids 1..N_K."""
+    """Ordered collection of basis functions."""
 
     functions: tuple = field(default_factory=tuple)
     _program: _Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [f.id for f in self.functions]
-        if ids != list(range(1, len(ids) + 1)):
-            raise ValueError("basis function ids must be 1..N_K with no gaps")
         object.__setattr__(self, "_program", _Program(self.functions))
 
     @property
@@ -187,15 +183,8 @@ class BasisSet:
 
 
 def basis_from_forms(forms) -> BasisSet:
-    """Build a BasisSet from textual forms, assigning ids in order."""
-    funcs = []
-    for i, text in enumerate(forms, start=1):
-        proto = parse_form(text)
-        funcs.append(
-            BasisFunction(id=i, power=proto.power, exp_arg=proto.exp_arg,
-                          coordinate=proto.coordinate)
-        )
-    return BasisSet(functions=tuple(funcs))
+    """Build a BasisSet from textual forms, in order."""
+    return BasisSet(functions=tuple(parse_form(text) for text in forms))
 
 
 def canonical_basis() -> BasisSet:
@@ -212,11 +201,7 @@ def canonical_basis() -> BasisSet:
         (1, "1/x"), (2, "1/x"), (3, "1/x"),
         (0, "-1/x"), (1, "-1/x"),
     ]
-    funcs = tuple(
-        BasisFunction(id=i, power=p, exp_arg=arg)
-        for i, (p, arg) in enumerate(specs, start=1)
-    )
-    return BasisSet(functions=funcs)
+    return BasisSet(functions=tuple(BasisFunction(power=p, exp_arg=arg) for p, arg in specs))
 
 
 def evaluate_basis(bs: BasisSet, x) -> np.ndarray:

@@ -60,10 +60,18 @@ def _sibling(path, suffix) -> str:
     return base + suffix
 
 
-def _model_metrics(model, data, lcfg) -> dict:
-    objective, (l_acc, l_c, l_m) = objective_of(model, data, lcfg)
-    return {"objective": objective, "train_mae": l_acc,
-            "n_branch": int(l_c), "coeff_l1": l_m}
+def _write_model(path, model, kind, cfg, data, **fields) -> dict:
+    """Write the model JSON and its .report.json: provenance, kind, model
+    file and training metrics, then the command's own fields."""
+    with open(path, "w") as fh:
+        fh.write(serialize(model))
+    objective, (l_acc, l_c, l_m) = objective_of(model, data, cfg.learn_config())
+    doc = {"provenance": _provenance(cfg, data), "kind": kind,
+           "model_file": os.path.basename(path),
+           "objective": objective, "train_mae": l_acc,
+           "n_branch": int(l_c), "coeff_l1": l_m, **fields}
+    _write_json(_sibling(path, ".report.json"), doc)
+    return doc
 
 
 def cmd_gen_data(args) -> int:
@@ -95,19 +103,11 @@ def cmd_train(args) -> int:
     data = _read_dataset(args.data)
     lcfg = cfg.learn_config()
     rep = fit_tree(data, canonical_basis(), lcfg)
-    with open(args.out, "w") as fh:
-        fh.write(serialize(rep.model))
-    doc = {
-        "provenance": _provenance(cfg, data),
-        "kind": "symbolic",
-        "model_file": os.path.basename(args.out),
-        **_model_metrics(rep.model, data, lcfg),
-        "splits": [{"node": n, "feature": r.feature, "threshold": r.threshold}
-                   for n, r in sorted(rep.model.rules.items())],
-        "subproblems_solved": rep.subproblems_solved,
-        "wall_time_s": rep.wall_time,
-    }
-    _write_json(_sibling(args.out, ".report.json"), doc)
+    doc = _write_model(
+        args.out, rep.model, "symbolic", cfg, data,
+        splits=[{"node": n, "feature": r.feature, "threshold": r.threshold}
+                for n, r in sorted(rep.model.rules.items())],
+        subproblems_solved=rep.subproblems_solved, wall_time_s=rep.wall_time)
     print(f"objective {rep.objective:.6g} with {doc['n_branch']} branch nodes"
           f" ({rep.subproblems_solved} leaf LPs solved, {rep.wall_time:.1f} s)")
     return 0
@@ -124,15 +124,7 @@ def cmd_baseline(args) -> int:
         model = fit_cart_constant(data, lcfg.depth)
     else:
         model = fit_cart_linear(data, lcfg.depth)
-    with open(args.out, "w") as fh:
-        fh.write(serialize(model))
-    doc = {
-        "provenance": _provenance(cfg, data),
-        "kind": args.kind,
-        "model_file": os.path.basename(args.out),
-        **_model_metrics(model, data, lcfg),
-    }
-    _write_json(_sibling(args.out, ".report.json"), doc)
+    doc = _write_model(args.out, model, args.kind, cfg, data)
     print(f"{args.kind}: train MAE {doc['train_mae']:.6g}")
     return 0
 
@@ -158,17 +150,9 @@ def cmd_import_sol(args) -> int:
     with open(args.sol) as fh:
         assignments = parse_solution_text(fh.read())
     decoded = read_solution(art, assignments)
-    with open(args.out, "w") as fh:
-        fh.write(serialize(decoded.model))
-    doc = {
-        "provenance": _provenance(cfg, data),
-        "kind": "milp-import",
-        "model_file": os.path.basename(args.out),
-        **_model_metrics(decoded.model, data, cfg.learn_config()),
-        "claimed_objective": decoded.claimed_objective,
-        "recomputed_objective": decoded.objective,
-    }
-    _write_json(_sibling(args.out, ".report.json"), doc)
+    _write_model(args.out, decoded.model, "milp-import", cfg, data,
+                 claimed_objective=decoded.claimed_objective,
+                 recomputed_objective=decoded.objective)
     claimed = ("none" if decoded.claimed_objective is None
                else f"{decoded.claimed_objective:.6g}")
     print(f"recomputed objective {decoded.objective:.6g} (claimed: {claimed})")

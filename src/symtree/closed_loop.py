@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ H_INT_DEFAULT = 0.01  # internal RK4 step, minutes
 class Controller:
     """Uniform state -> control map; output is clipped to u_bounds."""
 
-    kind: str
     u_bounds: tuple
     fn: object  # callable state -> raw control
 
@@ -48,17 +47,15 @@ def mpc_controller(spec: MpcSpec) -> Controller:
         last = sol.controls
         return sol.first_action
 
-    return Controller(kind="mpc", u_bounds=spec.u_bounds, fn=fn)
+    return Controller(u_bounds=spec.u_bounds, fn=fn)
 
 
 def model_controller(model: TreeModel, u_bounds) -> Controller:
-    return Controller(kind="model", u_bounds=tuple(u_bounds),
-                      fn=lambda x: predict(model, x))
+    return Controller(u_bounds=tuple(u_bounds), fn=lambda x: predict(model, x))
 
 
 def constant_controller(value: float, u_bounds) -> Controller:
-    return Controller(kind="constant", u_bounds=tuple(u_bounds),
-                      fn=lambda x: value)
+    return Controller(u_bounds=tuple(u_bounds), fn=lambda x: value)
 
 
 @dataclass
@@ -67,7 +64,6 @@ class SimTrace:
     states: np.ndarray     # states at sample instants, length n_steps + 1
     controls: np.ndarray   # control applied over each interval, length n_steps
     latencies: np.ndarray  # controller call latency per step, seconds
-    config: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -139,9 +135,7 @@ def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
             raise ControllerError(
                 f"plant state diverged after t={times[i]:.4g}, x={x!r}, u={u!r}")
         x = states[i + 1] = x_next
-    return SimTrace(times=times, states=states, controls=controls, latencies=lats,
-                    config={"x0": x0, "t_final": t_final, "dt_sample": dt_sample,
-                            "h_int": h_int, "controller": ctrl.kind})
+    return SimTrace(times=times, states=states, controls=controls, latencies=lats)
 
 
 def iae(trace: SimTrace, x_sp: float) -> float:

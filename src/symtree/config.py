@@ -4,7 +4,8 @@ data generation, and closed-loop simulation.
 Defaults reproduce the reactor case study with zero flags; unknown sections
 or keys are rejected rather than ignored, and so is a value whose type is not
 its default's: a number (an integer where the default is one), a pair of
-numbers, or, where the default is null, null or a pair.
+numbers, or, where the default is null, null or a pair. A NaN is refused
+wherever a number goes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -25,8 +27,7 @@ DEFAULTS = {
     "mpc": {"T": 10, "h": 0.5, "P": 100.0, "x_sp": 0.6, "u_rate_max": 50.0,
             "x_bounds": [0.0, 1.0], "u_bounds": [0.0, 75.0]},
     "learn": {"depth": 2, "lambda_c": 1e-2, "lambda_m": 1e-4,
-              "c_bounds": [-1000.0, 1000.0], "y_bounds": None,
-              "eps": 1e-4},
+              "c_bounds": [-1000.0, 1000.0], "y_bounds": None},
     "data": {"n_train": 50, "n_test": 50, "range": [0.1, 0.9],
              "seed": 0, "mode": "uniform-grid"},
     "sim": {"x0": 0.75, "t_final": 10.0, "dt_sample": 0.1},
@@ -59,8 +60,7 @@ class RunConfig:
                            lambda_m=le["lambda_m"],
                            c_lb=le["c_bounds"][0], c_ub=le["c_bounds"][1],
                            y_lb=None if yb is None else yb[0],
-                           y_ub=None if yb is None else yb[1],
-                           eps_routing=le["eps"])
+                           y_ub=None if yb is None else yb[1])
 
     def config_hash(self) -> str:
         canon = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
@@ -72,6 +72,9 @@ def _is_pair(value) -> bool:
 
 
 def _check_type(where: str, default, value) -> None:
+    values = value if isinstance(value, list) else [value]
+    if any(_is_number(v) and math.isnan(v) for v in values):
+        raise ConfigError(f"{where} must not be NaN, got {value!r}")
     if _is_number(default) and not _is_number(value):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     if isinstance(default, int) and not isinstance(value, numbers.Integral):

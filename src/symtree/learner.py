@@ -107,12 +107,12 @@ class LearnConfig:
     c_ub: float = 100.0
     y_lb: float = None      # None: derived from the data at fit time
     y_ub: float = None
-    eps_routing: float = 1e-4
 
     def check(self):
-        if self.depth < 1:
+        # Each comparison is written so that NaN fails it.
+        if not self.depth >= 1:
             raise ConfigError("depth must be >= 1")
-        if self.lambda_c < 0 or self.lambda_m < 0:
+        if not (self.lambda_c >= 0 and self.lambda_m >= 0):
             raise ConfigError("penalty weights must be nonnegative")
         if not self.c_lb < self.c_ub:
             raise ConfigError(f"degenerate coefficient bounds [{self.c_lb}, {self.c_ub}]")
@@ -120,8 +120,6 @@ class LearnConfig:
             raise ConfigError("y bounds must be given together or both derived")
         if self.y_lb is not None and not self.y_lb < self.y_ub:
             raise ConfigError(f"degenerate prediction bounds [{self.y_lb}, {self.y_ub}]")
-        if self.eps_routing <= 0:
-            raise ConfigError("eps_routing must be positive")
 
     def resolved_y_bounds(self, y) -> tuple:
         if self.y_lb is not None:
@@ -189,21 +187,32 @@ def _better(a: _Candidate, b: _Candidate) -> bool:
 
 
 class _SolvedSets:
-    """Point sets whose leaf LP has been solved (boolean rows) and their losses."""
+    """Leaf losses of point sets (boolean masks), each solved at most once on
+    the kept model, and lower bounds on the losses of the rest."""
 
-    def __init__(self, n_points: int):
-        self.masks = np.zeros((64, n_points), dtype=bool)
+    def __init__(self, lp: LeafLosses, n_points: int):
+        self.lp = lp
+        self.masks = np.zeros((64, n_points), dtype=bool)   # rows 0..n-1: solved sets
         self.losses = np.zeros(64)
         self.n = 0
-        self._bounds = {}     # mask bytes -> (rows scanned, bound over them)
+        self._sets = {}  # mask bytes -> (loss or None, rows scanned, bound over them)
 
-    def add(self, mask: np.ndarray, loss: float):
-        if self.n == len(self.losses):
-            self.masks = np.vstack([self.masks, np.zeros_like(self.masks)])
-            self.losses = np.concatenate([self.losses, np.zeros_like(self.losses)])
-        self.masks[self.n] = mask
-        self.losses[self.n] = loss
-        self.n += 1
+    def loss(self, mask: np.ndarray) -> float:
+        """The set's leaf loss; an empty set costs 0 and solves no LP."""
+        key = mask.tobytes()
+        loss, scanned, lb = self._sets.get(key, (None, 0, 0.0))
+        if loss is None:
+            loss = 0.0
+            if mask.any():
+                loss = self.lp.loss(mask)
+                if self.n == len(self.losses):
+                    self.masks = np.vstack([self.masks, np.zeros_like(self.masks)])
+                    self.losses = np.concatenate([self.losses, np.zeros_like(self.losses)])
+                self.masks[self.n] = mask
+                self.losses[self.n] = loss
+                self.n += 1
+            self._sets[key] = (loss, scanned, lb)
+        return loss
 
     def lower_bound(self, mask: np.ndarray) -> float:
         """Largest solved loss over subsets of mask: a lower bound on its loss.
@@ -212,12 +221,12 @@ class _SolvedSets:
         bound and scans only the rows added since it was last asked.
         """
         key = mask.tobytes()
-        scanned, lb = self._bounds.get(key, (0, 0.0))
+        loss, scanned, lb = self._sets.get(key, (None, 0, 0.0))
         if scanned < self.n:
             new = slice(scanned, self.n)
             inside = ~(self.masks[new] & ~mask).any(axis=1)
             lb = max(lb, float(self.losses[new].max(where=inside, initial=0.0)))
-            self._bounds[key] = (self.n, lb)
+            self._sets[key] = (loss, self.n, lb)
         return lb
 
 
@@ -228,19 +237,8 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
     Phi = evaluate_basis_matrix(basis, data.X)
     yb = cfg.resolved_y_bounds(data.y)
     w = 1.0 / data.n_points
-    solved = _SolvedSets(data.n_points)
-    losses = LeafLosses(Phi, data.y, w, cfg.lambda_m, (cfg.c_lb, cfg.c_ub), y_bounds=yb)
-    leaf_cache: dict = {}
-
-    def leaf_loss(mask):
-        key = mask.tobytes()
-        if key not in leaf_cache:
-            loss = 0.0
-            if mask.any():
-                loss = losses.loss(mask)
-                solved.add(mask, loss)
-            leaf_cache[key] = loss
-        return leaf_cache[key]
+    solved = _SolvedSets(LeafLosses(Phi, data.y, w, cfg.lambda_m, (cfg.c_lb, cfg.c_ub),
+                                    y_bounds=yb), data.n_points)
 
     def coefficients(mask):
         """The leaf's coefficients, from the same cold LP as a lone fit."""
@@ -261,7 +259,7 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
         the best costs more than budget (+_TIE)."""
         best = None
         if not must_branch and solved.lower_bound(mask) <= budget + _TIE:
-            best = _Candidate(cost=leaf_loss(mask), n_branch=0, seq=(),
+            best = _Candidate(cost=solved.loss(mask), n_branch=0, seq=(),
                               rules={}, leaves={node: mask})
         limit = budget if best is None else min(budget, best.cost)
         if node_depth(node) < cfg.depth and mask.any():

@@ -28,6 +28,9 @@ from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, ancestors,
 BINARY = 1
 CONTINUOUS = 0
 INT_TOL = 1e-5
+#: A point routed left sits at least this far below its threshold (Bertsimas &
+#: Dunn's epsilon), so the MILP splits no two values closer than this.
+EPS_ROUTING = 1e-4
 LE, EQ, GE = "<=", "=", ">="   # row senses
 
 
@@ -160,7 +163,7 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
     d_lb, d_ub = min(y_lb, 0.0), max(y_ub, 0.0)
     s_lo, s_hi = min(0.0, float(np.min(data.X))), max(0.0, float(np.max(data.X)))
     b_lo, b_hi = s_lo - EMPTY_SIDE_OFFSET, s_hi + EMPTY_SIDE_OFFSET
-    M, eps = (s_hi - s_lo) + EMPTY_SIDE_OFFSET + cfg.eps_routing, cfg.eps_routing
+    M, eps = (s_hi - s_lo) + EMPTY_SIDE_OFFSET + EPS_ROUTING, EPS_ROUTING
     Phi = evaluate_basis_matrix(basis, data.X)
     c_mag = max(abs(cfg.c_lb), abs(cfg.c_ub))
     tie_M = (c_mag * float(np.max(np.sum(np.abs(Phi), axis=1)))

@@ -104,10 +104,10 @@ def predict(model: TreeModel, x) -> float:
     return float(model.leaves[leaf].as_array() @ phi)
 
 
-def validate(model: TreeModel) -> list:
-    """Check every structural invariant; returns violation strings (empty = valid)."""
-    if model.depth < 0:
-        return [f"depth cap {model.depth} is negative"]
+def _shape_violations(model: TreeModel) -> list:
+    """Where the active nodes do not form a tree rooted at node 1: a branch
+    sits above the depth cap with two active children, and every other
+    active node hangs under a branch."""
     v = []
     last = 2 ** (model.depth + 1) - 1
     active = model.rules.keys() | model.leaves.keys()
@@ -126,6 +126,14 @@ def validate(model: TreeModel) -> list:
             v.append(f"node {n // 2}: non-branch node with active child {n}")
     if 1 not in active:
         v.append("node 1 is inactive")
+    return v
+
+
+def validate(model: TreeModel) -> list:
+    """Check every structural invariant; returns violation strings (empty = valid)."""
+    if model.depth < 0:
+        return [f"depth cap {model.depth} is negative"]
+    v = _shape_violations(model)
     for n, rule in model.rules.items():
         if not np.isfinite(rule.threshold):
             v.append(f"node {n}: non-finite threshold")
@@ -196,7 +204,9 @@ def _json_object(text: str, where: str) -> dict:
 
 
 def deserialize(text: str) -> TreeModel:
-    """Parse a serialized model; raises ParseError with field context."""
+    """Parse a serialized model; raises ParseError with field context, and on
+    a node layout that is not a tree. Coefficients may sit outside the file's
+    bounds (an imported solution meets them only to a solver's tolerance)."""
     doc = _json_object(text, "model")
     depth = _require(doc, "depth", int, "root")
     if depth < 0:
@@ -243,8 +253,11 @@ def deserialize(text: str) -> TreeModel:
         missing = (sorted(set(range(1, last + 1)) - ids) if last <= 2 * len(nodes) + 1
                    else f"{n_missing} of 1..{last}")
         raise ParseError(f"nodes: missing ids {missing}, unexpected ids {extra}")
-    return TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis,
-                     bounds=bounds)
+    model = TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis, bounds=bounds)
+    shape = _shape_violations(model)
+    if shape:
+        raise ParseError("nodes: " + "; ".join(shape))
+    return model
 
 
 def single_leaf_model(coefficients, basis: BasisSet, bounds: Bounds) -> TreeModel:

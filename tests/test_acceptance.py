@@ -84,7 +84,7 @@ def sims(canonical, models):
         return solve_mpc(spec, float(x)).first_action
 
     controllers = {
-        "mpc": Controller(kind="mpc", u_bounds=spec.u_bounds, fn=mpc_fn),
+        "mpc": Controller(u_bounds=spec.u_bounds, fn=mpc_fn),
         "symbolic": model_controller(models["symbolic"], spec.u_bounds),
         "lintree": model_controller(models["lintree"], spec.u_bounds),
         "sparse": model_controller(models["sparse"], spec.u_bounds),

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symtree.basis import (BasisFunction, BasisSet, basis_from_forms,
-                           canonical_basis, evaluate_basis,
+from symtree.basis import (basis_from_forms, canonical_basis, evaluate_basis,
                            evaluate_basis_matrix, parse_form)
 from symtree.errors import DomainError, ParseError
 
@@ -23,7 +22,6 @@ def test_canonical_order_and_size():
     bs = canonical_basis()
     assert bs.size == 19
     assert [f.form for f in bs.functions] == CANONICAL_FORMS
-    assert [f.id for f in bs.functions] == list(range(1, 20))
 
 
 def test_canonical_row_16_is_x_exp_reciprocal():
@@ -76,11 +74,6 @@ def test_basis_from_forms_matches_canonical():
     ref = canonical_basis()
     x = 0.37
     assert np.allclose(evaluate_basis(bs, x), evaluate_basis(ref, x))
-
-
-def test_basis_ids_must_be_sequential():
-    with pytest.raises(ValueError):
-        BasisSet(functions=(BasisFunction(id=2, power=0),))
 
 
 def test_function_values_match_closed_forms():

@@ -40,6 +40,25 @@ def test_unknown_keys_rejected(tmp_path):
     bad.write_text(json.dumps({"learn": {"big_M": 1000}}))
     with pytest.raises(ConfigError, match="big_M"):
         load_config(str(bad))
+    # The routing margin is the constant milp.EPS_ROUTING.
+    bad.write_text(json.dumps({"learn": {"eps": 1e-4}}))
+    with pytest.raises(ConfigError, match="unknown key 'eps'"):
+        load_config(str(bad))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("learn", "lambda_c", float("nan")), ("learn", "lambda_m", float("nan")),
+    ("learn", "c_bounds", [float("nan"), 1.0]), ("learn", "y_bounds", [0.0, float("nan")]),
+    ("mpc", "x_sp", float("nan")), ("plant", "V", float("nan")),
+    ("data", "range", [0.1, float("nan")]), ("sim", "x0", float("nan"))],
+    ids=["lambda_c", "lambda_m", "c_bounds", "y_bounds", "x_sp", "V", "range", "x0"])
+def test_nan_config_value_rejected(tmp_path, section, key, value):
+    """Python's json reads NaN; a NaN weight left every tree's cost NaN and a
+    NaN set-point made every MPC start fail, so the loader refuses it."""
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ConfigError, match=f"{section}.{key} must not be NaN"):
+        load_config(str(path))
 
 
 def test_config_hash_stable_and_sensitive(tmp_path):
@@ -329,19 +348,24 @@ def test_defaults_document_shape():
     ({"coeffs": ["a"]}, "node 4: coefficients must be numbers"),
     ({"coeffs": [6.241]}, "node 4: 1 coefficients for 19 basis functions"),
     ({"coeffs": [float("inf")] * 19}, "node 4: coefficients must be finite"),
-    ({"threshold": float("nan")}, "node 1: threshold nan is not finite")],
+    ({"threshold": float("nan")}, "node 1: threshold nan is not finite"),
+    ({"leaf": 2}, "node 2: non-branch node with active child 4")],
     ids=["depth-60", "depth-negative", "coeff-string", "coeff-count", "coeff-inf",
-         "threshold-nan"])
+         "threshold-nan", "leaf-over-leaves"])
 def test_malformed_model_file_exit_code(workspace, tmp_path, capsys, change, match):
     """A depth the nodes do not fill, a non-numeric or infinite coefficient, a
-    leaf shorter than the basis and a NaN threshold (which sent every point
-    right) are refused on load, by predict and simulate alike."""
+    leaf shorter than the basis, a NaN threshold (which sent every point
+    right) and a leaf with active children (which predict served) are refused
+    on load, by predict and simulate alike."""
     ws, cfg = workspace
     doc = json.loads(serialize(reference_model()))
     if "depth" in change:
         doc["depth"] = change["depth"]
     elif "coeffs" in change:
         doc["nodes"][3]["coeffs"] = change["coeffs"]
+    elif "leaf" in change:
+        n = change["leaf"]
+        doc["nodes"][n - 1] = {"id": n, "kind": "leaf", "coeffs": [0.0] * 19}
     else:
         doc["nodes"][0]["threshold"] = change["threshold"]
     mpath = tmp_path / "m.json"

@@ -107,7 +107,7 @@ def test_controller_failure_is_wrapped_with_context():
     def broken(x):
         raise ValueError("boom")
 
-    ctrl = Controller(kind="model", u_bounds=(0.0, 75.0), fn=broken)
+    ctrl = Controller(u_bounds=(0.0, 75.0), fn=broken)
     with pytest.raises((ControllerError, ValueError)):
         simulate(PlantSpec(), ctrl, 0.5, 1.0, 0.1)
 

@@ -83,7 +83,7 @@ def test_constants_derived_from_data():
                                                               ("right", 3, -1))):
             r = art.row_names.index(f"route_{side}[{i},{leaf},1]")
             M = sign * art.A[r, art.index[f"z[{i},{leaf}]"]]
-            assert M == pytest.approx(worst + cfg.eps_routing, abs=1e-12)
+            assert M == pytest.approx(worst + milp.EPS_ROUTING, abs=1e-12)
 
 
 def test_mps_round_trip_counts(tmp_path):
@@ -304,7 +304,7 @@ def highs_instances():
 def test_highs_solves_exported_arrays():
     """The artifact's arrays go to HiGHS as they are, and its proven optimum is
     the enumerator's. The routing constant is small enough that a z within
-    HiGHS's integrality tolerance cannot carry a point across eps_routing, and
+    HiGHS's integrality tolerance cannot carry a point across EPS_ROUTING, and
     the decoded tree, whose thresholds come from z, re-scores to the same
     value."""
     for data, basis, cfg in highs_instances():
@@ -318,3 +318,25 @@ def test_highs_solves_exported_arrays():
         decoded = read_solution(art, dict(zip(art.var_names, res.x)))
         assert validate(decoded.model) == []
         assert decoded.objective == pytest.approx(rep.objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("gap", [0.5 * milp.EPS_ROUTING, milp.EPS_ROUTING,
+                                 2 * milp.EPS_ROUTING], ids=["half", "equal", "double"])
+def test_routing_margin_separates_values_at_least_eps_apart(gap):
+    """The routing rows send a point left only EPS_ROUTING below its
+    threshold. Two values closer than that cannot be split, so HiGHS's
+    optimum rises above the enumerator's, which splits them at the midpoint;
+    from EPS_ROUTING apart on, the two optima agree."""
+    data = Dataset(X=[[0.3], [0.3 + gap], [0.7], [0.71]], y=[0.0, 1.0, 1.0, 1.0])
+    basis, cfg = basis_from_forms(["1"]), LearnConfig(depth=1, lambda_c=1e-3, lambda_m=1e-3)
+    art = build_milp(data, basis, cfg)
+    res = scipy_milp(art.cost, integrality=art.integrality,
+                     constraints=LinearConstraint(art.A, art.row_lo, art.row_hi),
+                     bounds=Bounds(art.lo, art.hi), options={"mip_rel_gap": 0})
+    assert res.status == 0, res.message
+    enumerated = fit_tree(data, basis, cfg).objective
+    assert enumerated == pytest.approx(0.002, abs=1e-9)
+    if gap < milp.EPS_ROUTING:
+        assert res.fun > enumerated + 0.1
+    else:
+        assert res.fun == pytest.approx(enumerated, abs=1e-9)

@@ -369,6 +369,31 @@ def test_deserialize_rejects_negative_feature():
         deserialize(json.dumps(doc))
 
 
+@pytest.mark.parametrize("node, entry, match", [
+    (2, {"kind": "leaf", "coeffs": [0.0] * 19}, "node 2: non-branch node with active child 4"),
+    (5, {"kind": "inactive"}, "node 2: branch node with inactive child"),
+    (4, {"kind": "branch", "feature": 0, "threshold": 0.3}, "node 4: branch at maximal depth"),
+    (1, {"kind": "inactive"}, "node 1 is inactive")],
+    ids=["leaf-over-leaves", "branch-missing-child", "branch-at-depth-cap", "inactive-root"])
+def test_deserialize_rejects_broken_tree_shape(node, entry, match):
+    """A node layout that is not a tree is refused on load with the message
+    validate gives; the leaf over leaves used to load and predict 7.0 at 0.3."""
+    doc = json.loads(serialize(reference_model()))
+    doc["nodes"][node - 1] = {"id": node, **entry}
+    with pytest.raises(ParseError, match=match):
+        deserialize(json.dumps(doc))
+
+
+def test_deserialize_keeps_coefficients_outside_bounds():
+    # An imported solution meets the coefficient box only to the solver's
+    # tolerance, so a load does not enforce it; validate still reports it.
+    doc = json.loads(serialize(depth1_model()))
+    doc["nodes"][1]["coeffs"] = [100.0 + 1e-9]
+    model = deserialize(json.dumps(doc))
+    assert predict(model, 1.0) == 100.0 + 1e-9
+    assert any("outside" in v for v in validate(model))
+
+
 def test_deserialize_rejects_bad_json():
     with pytest.raises(ParseError):
         deserialize("{not json")
