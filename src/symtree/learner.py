@@ -12,9 +12,14 @@ largest loss solved so far over any subset of a point set bounds that set's
 loss from below. A threshold is skipped, with its LPs, when the branch cost
 plus the two children's bounds already exceeds the best subtree found, so the
 search solves far fewer LPs and returns the same optimum, with the same
-tie-breaking, as full enumeration. The search's leaf losses come from one
-kept HiGHS model per fit (`LeafLosses`); the winning leaves' coefficients
-come from a cold `fit_l1` each.
+tie-breaking, as full enumeration.
+
+The search runs over a registry of the point sets it meets (`_PointSets`).
+Each distinct set gets an integer id once, keyed by its tight box of
+per-feature rank ranges, and keeps its mask, its leaf loss, its bound and
+its splits, so a visit builds nothing twice and a bound is a lookup. The
+leaf losses come from one kept HiGHS model per fit (`LeafLosses`); the
+winning leaves' coefficients come from a cold `fit_l1` each.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import csv
 import hashlib
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .basis import BasisSet, evaluate_basis_matrix
 from .errors import ConfigError, ParseError
 from .lp import LeafLosses, fit_l1
 from . import tree as treemod
-from .tree import Bounds, BranchRule, LeafExpression, TreeModel, node_depth, predict
+from .tree import Bounds, BranchRule, LeafExpression, TreeModel, predict
 
 
 @dataclass
@@ -136,33 +141,15 @@ class FitReport:
     wall_time: float
 
 
-def _midpoints(values) -> np.ndarray:
-    vals = np.unique(values)
-    return (vals[:-1] + vals[1:]) / 2.0
-
-
 def candidate_thresholds(data: Dataset, feature: int) -> np.ndarray:
     """Midpoints between consecutive distinct sorted values of one feature."""
     if not 0 <= feature < data.n_features:
         raise IndexError(f"feature {feature} out of range for {data.n_features} features")
-    return _midpoints(data.X[:, feature])
+    vals = np.unique(data.X[:, feature])
+    return (vals[:-1] + vals[1:]) / 2.0
 
 
 EMPTY_SIDE_OFFSET = 1.0  # how far beyond the data the empty-side thresholds sit
-
-
-def _split_order(values) -> np.ndarray:
-    """Midpoints plus the two empty-side splits, middle-out.
-
-    A threshold outside the data range routes everything one way, which can
-    be optimal (one leaf pays the coefficient penalty instead of two). Balanced
-    splits come first because they tend to be cheap, and a cheap incumbent
-    early lets the bounds skip more of the rest.
-    """
-    thrs = np.concatenate([[values.min() - EMPTY_SIDE_OFFSET], _midpoints(values),
-                           [values.max() + EMPTY_SIDE_OFFSET]])
-    offset = np.abs(np.arange(len(thrs)) - (len(thrs) - 1) / 2.0)
-    return thrs[np.argsort(offset, kind="stable")]
 
 
 @dataclass
@@ -171,7 +158,7 @@ class _Candidate:
     n_branch: int
     seq: tuple                # ((feature, threshold), ...) in preorder: node, left, right
     rules: dict
-    leaves: dict              # node -> boolean mask of its points
+    leaves: dict              # node -> id of its point set
 
 
 _TIE = 1e-12  # costs closer than this tie; fewer branches, then split order, decide
@@ -186,48 +173,130 @@ def _better(a: _Candidate, b: _Candidate) -> bool:
     return (a.n_branch, a.seq) < (b.n_branch, b.seq)
 
 
-class _SolvedSets:
-    """Leaf losses of point sets (boolean masks), each solved at most once on
-    the kept model, and lower bounds on the losses of the rest."""
+EMPTY, ROOT = 0, 1  # ids of the empty set and of all points
 
-    def __init__(self, lp: LeafLosses, n_points: int):
-        self.lp = lp
-        self.masks = np.zeros((64, n_points), dtype=bool)   # rows 0..n-1: solved sets
-        self.losses = np.zeros(64)
-        self.n = 0
-        self._sets = {}  # mask bytes -> (loss or None, rows scanned, bound over them)
 
-    def loss(self, mask: np.ndarray) -> float:
-        """The set's leaf loss; an empty set costs 0 and solves no LP."""
-        key = mask.tobytes()
-        loss, scanned, lb = self._sets.get(key, (None, 0, 0.0))
+def _contains(outer, inner) -> np.ndarray:
+    """Whether each box of outer contains each box of inner, for boxes as
+    corner columns (lo, -hi) that broadcast against each other: one box
+    contains another when each of its corners is <= the other's."""
+    inside = outer[0] <= inner[0]
+    for a, b in zip(outer[1:], inner[1:]):
+        inside &= a <= b
+    return inside
+
+
+class _PointSets:
+    """The point sets the search meets, each registered once under an integer id.
+
+    Every set the search makes is the root cut by axis half-spaces, so its
+    points are exactly the points inside its tight box: the least and largest
+    dense rank of its points on each feature. For two such sets, one box lies
+    inside the other exactly when one set lies inside the other, so the box is
+    the set's key and box containment stands in for mask inclusion. A box is
+    kept as its corners (lo, -hi), one row per corner and one column per set.
+
+    Each id holds its mask, built when first asked for; its leaf loss, solved
+    at most once on the kept model; its lower bound, the largest solved loss
+    over the sets inside it (taken on registration, then raised by each later
+    solve, so a query is a lookup); and its splits, built once.
+    """
+
+    def __init__(self, X: np.ndarray, lp: LeafLosses):
+        self.X, self.lp = X, lp
+        N, F = X.shape
+        self.by_feature = [np.argsort(X[:, f], kind="stable") for f in range(F)]
+        rank = np.empty((N, F), dtype=np.int32)   # dense rank of each value
+        for f, order in enumerate(self.by_feature):
+            v = X[order, f]
+            rank[order[0], f] = 0
+            rank[order[1:], f] = np.cumsum(v[1:] != v[:-1])
+        self.point_corners = np.hstack([rank, -rank])   # each point's own box
+        self.ids = {None: EMPTY}   # corners -> id; None stands for the empty set
+        self.corners, self.bounds = np.empty((2 * F, 0), dtype=np.int32), np.empty(0)
+        self.solved = []   # ids whose loss is solved, in solve order
+        self.masks, self.losses, self.split_lists = [], [], []
+        empty = [N] * F + [1] * F   # lo > hi: contains no box
+        root = self.point_corners.min(axis=0).tolist()
+        self._register([empty, root])
+        self.losses[EMPTY] = 0.0
+        self.split_lists[EMPTY] = []
+
+    def _register(self, boxes):
+        """Give each new box (a corner list) the next id and its bound so far."""
+        n, m = len(self.masks), len(boxes)
+        new = np.array(boxes, dtype=np.int32).T
+        bounds = np.zeros(m)
+        if self.solved:
+            # A solved set's bound is the largest loss inside it, so the largest
+            # bound over the solved sets inside a box is the largest loss.
+            inside = _contains(new[:, :, None], self.corners[:, None, self.solved])
+            bounds = np.where(inside, self.bounds[self.solved], 0.0).max(axis=1)
+        self.corners = np.concatenate([self.corners, new], axis=1)
+        self.bounds = np.concatenate([self.bounds, bounds])
+        self.ids.update(zip(map(tuple, boxes), range(n, n + m)))
+        self.masks += [None] * m
+        self.losses += [None] * m
+        self.split_lists += [None] * m
+
+    def bound(self, s: int) -> float:
+        """Largest solved loss over the sets inside s: a lower bound on its loss."""
+        return self.bounds.item(s)
+
+    def mask(self, s: int) -> np.ndarray:
+        mask = self.masks[s]
+        if mask is None:
+            mask = self.masks[s] = (self.point_corners >= self.corners[:, s]).all(axis=1)
+        return mask
+
+    def loss(self, s: int) -> float:
+        """The set's leaf loss; the empty set costs 0 and solves no LP."""
+        loss = self.losses[s]
         if loss is None:
-            loss = 0.0
-            if mask.any():
-                loss = self.lp.loss(mask)
-                if self.n == len(self.losses):
-                    self.masks = np.vstack([self.masks, np.zeros_like(self.masks)])
-                    self.losses = np.concatenate([self.losses, np.zeros_like(self.losses)])
-                self.masks[self.n] = mask
-                self.losses[self.n] = loss
-                self.n += 1
-            self._sets[key] = (loss, scanned, lb)
+            loss = self.losses[s] = self.lp.loss(self.mask(s))
+            self.solved.append(s)
+            np.maximum(self.bounds, loss, out=self.bounds,
+                       where=_contains(self.corners, self.corners[:, s]))
         return loss
 
-    def lower_bound(self, mask: np.ndarray) -> float:
-        """Largest solved loss over subsets of mask: a lower bound on its loss.
+    def splits(self, s: int) -> list:
+        """(feature, threshold, left id, right id) for every split of set s,
+        built on first use; the empty set has none.
 
-        The search asks about the same sets many times, so each set keeps its
-        bound and scans only the rows added since it was last asked.
+        Per feature: the midpoints between its distinct values in s plus the
+        two empty-side splits, middle-out. A threshold outside the data range
+        routes everything one way, which can be optimal (one leaf pays the
+        coefficient penalty instead of two). Balanced splits come first
+        because they tend to be cheap, and a cheap incumbent early lets the
+        bounds skip more of the rest.
         """
-        key = mask.tobytes()
-        loss, scanned, lb = self._sets.get(key, (None, 0, 0.0))
-        if scanned < self.n:
-            new = slice(scanned, self.n)
-            inside = ~(self.masks[new] & ~mask).any(axis=1)
-            lb = max(lb, float(self.losses[new].max(where=inside, initial=0.0)))
-            self._sets[key] = (loss, self.n, lb)
-        return lb
+        if self.split_lists[s] is not None:
+            return self.split_lists[s]
+        mask = self.mask(s)
+        pending = []   # (feature, threshold, left box, right box); None is the empty set
+        for f, order in enumerate(self.by_feature):
+            idx = order[mask[order]]           # the points of s, sorted on feature f
+            v, corners = self.X[idx, f], self.point_corners[idx]
+            step = np.nonzero(v[1:] != v[:-1])[0] + 1
+            thrs = np.concatenate([[v[0] - EMPTY_SIDE_OFFSET], (v[step - 1] + v[step]) / 2.0,
+                                   [v[-1] + EMPTY_SIDE_OFFSET]])
+            cuts = np.searchsorted(v, thrs)    # points left of each threshold
+            offset = np.abs(np.arange(len(thrs)) - (len(thrs) - 1) / 2.0)
+            middle_out = np.argsort(offset, kind="stable")
+            first = np.minimum.accumulate(corners).tolist()             # box of points :k+1
+            last = np.minimum.accumulate(corners[::-1])[::-1].tolist()  # box of points k:
+            n = len(v)
+            pending += [(f, thr, tuple(first[c - 1]) if c else None,
+                         tuple(last[c]) if c < n else None)
+                        for thr, c in zip(thrs[middle_out].tolist(), cuts[middle_out].tolist())]
+        ids = self.ids
+        new = {box: None for _, _, left, right in pending for box in (left, right)
+               if box not in ids}
+        if new:
+            self._register(list(new))
+        out = self.split_lists[s] = [(f, thr, ids[left], ids[right])
+                                     for f, thr, left, right in pending]
+        return out
 
 
 def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
@@ -237,8 +306,8 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
     Phi = evaluate_basis_matrix(basis, data.X)
     yb = cfg.resolved_y_bounds(data.y)
     w = 1.0 / data.n_points
-    solved = _SolvedSets(LeafLosses(Phi, data.y, w, cfg.lambda_m, (cfg.c_lb, cfg.c_ub),
-                                    y_bounds=yb), data.n_points)
+    sets = _PointSets(data.X, LeafLosses(Phi, data.y, w, cfg.lambda_m, (cfg.c_lb, cfg.c_ub),
+                                         y_bounds=yb))
 
     def coefficients(mask):
         """The leaf's coefficients, from the same cold LP as a lone fit."""
@@ -248,62 +317,53 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
                       y_bounds=yb)
         return c
 
-    def bound(node, mask):
-        """Lower bound on the cost of any subtree at node over mask: a
-        subtree that may still branch costs at least lambda_c if it does."""
-        lb = solved.lower_bound(mask)
-        return min(lb, cfg.lambda_c) if node_depth(node) < cfg.depth else lb
-
-    def search(node, mask, must_branch, budget):
-        """Best subtree at node over the points in mask, or None when even
-        the best costs more than budget (+_TIE)."""
+    def search(node, depth, s, must_branch, budget):
+        """Best subtree at node, depth deep, over point set s, or None when
+        even the best costs more than budget (+_TIE)."""
         best = None
-        if not must_branch and solved.lower_bound(mask) <= budget + _TIE:
-            best = _Candidate(cost=solved.loss(mask), n_branch=0, seq=(),
-                              rules={}, leaves={node: mask})
+        if not must_branch and sets.bound(s) <= budget + _TIE:
+            best = _Candidate(cost=sets.loss(s), n_branch=0, seq=(), rules={}, leaves={node: s})
         limit = budget if best is None else min(budget, best.cost)
-        if node_depth(node) < cfg.depth and mask.any():
-            for f in range(data.n_features):
-                col = data.X[:, f]
-                for thr in _split_order(col[mask]):
-                    go_left = col < thr
-                    left, right = mask & go_left, mask & ~go_left
-                    right_lb = bound(2 * node + 1, right)
-                    if cfg.lambda_c + bound(2 * node, left) + right_lb > limit + _TIE:
-                        continue
-                    lt = search(2 * node, left, False, limit - cfg.lambda_c - right_lb)
-                    if lt is None:
-                        continue
-                    rt = search(2 * node + 1, right, False, limit - cfg.lambda_c - lt.cost)
-                    if rt is None:
-                        continue
-                    cand = _Candidate(
-                        cost=cfg.lambda_c + lt.cost + rt.cost,
-                        n_branch=1 + lt.n_branch + rt.n_branch,
-                        seq=((f, float(thr)),) + lt.seq + rt.seq,
-                        rules={node: BranchRule(feature=f, threshold=float(thr)),
-                               **lt.rules, **rt.rules},
-                        leaves={**lt.leaves, **rt.leaves},
-                    )
-                    if best is None or _better(cand, best):
-                        best = cand
-                        limit = min(budget, best.cost)
+        if depth < cfg.depth:
+            # A child subtree that may still branch costs at least lambda_c if it does.
+            cap = cfg.lambda_c if depth + 1 < cfg.depth else np.inf
+            for f, thr, left, right in sets.splits(s):
+                right_lb = min(sets.bound(right), cap)
+                if cfg.lambda_c + min(sets.bound(left), cap) + right_lb > limit + _TIE:
+                    continue
+                lt = search(2 * node, depth + 1, left, False, limit - cfg.lambda_c - right_lb)
+                if lt is None:
+                    continue
+                rt = search(2 * node + 1, depth + 1, right, False,
+                            limit - cfg.lambda_c - lt.cost)
+                if rt is None:
+                    continue
+                cand = _Candidate(
+                    cost=cfg.lambda_c + lt.cost + rt.cost,
+                    n_branch=1 + lt.n_branch + rt.n_branch,
+                    seq=((f, thr),) + lt.seq + rt.seq,
+                    rules={node: BranchRule(feature=f, threshold=thr), **lt.rules, **rt.rules},
+                    leaves={**lt.leaves, **rt.leaves},
+                )
+                if best is None or _better(cand, best):
+                    best = cand
+                    limit = min(budget, best.cost)
         if best is None or best.cost > budget + _TIE:
             return None
         return best
 
-    winner = search(1, np.ones(data.n_points, dtype=bool), True, np.inf)
+    winner = search(1, 0, ROOT, True, np.inf)
     model = TreeModel(
         depth=cfg.depth,
         rules=winner.rules,
-        leaves={n: LeafExpression(coefficients=tuple(coefficients(mask)))
-                for n, mask in winner.leaves.items()},
+        leaves={n: LeafExpression(coefficients=tuple(coefficients(sets.mask(s))))
+                for n, s in winner.leaves.items()},
         basis=basis,
         bounds=Bounds(cfg.c_lb, cfg.c_ub, yb[0], yb[1]),
     )
     objective, breakdown = objective_of(model, data, cfg)
     return FitReport(model=model, objective=objective, breakdown=breakdown,
-                     subproblems_solved=solved.n,
+                     subproblems_solved=len(sets.solved),
                      wall_time=time.perf_counter() - t0)
 
 

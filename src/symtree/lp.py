@@ -138,7 +138,9 @@ class LeafLosses:
     0, so what remains is that set's LP. Each call changes only the points
     whose membership changed since the last one and re-solves from the kept
     basis. Freeing the residual columns alone (costless and unbounded) is not
-    enough: HiGHS can then end a warm re-solve with status Unknown.
+    enough: HiGHS can then end a warm re-solve with status Unknown. A warm
+    re-solve that still stops short of optimal is run once more from a
+    cleared solver before it counts as a failure.
 
     A loss agrees with a cold fit_l1 to HiGHS's tolerances (about 1e-10), not
     bitwise, so take coefficients from fit_l1.
@@ -171,6 +173,10 @@ class LeafLosses:
             self._inside = mask.copy()
         self._highs.run()
         status = self._highs.getModelStatus()
+        if status != _MS.kOptimal:   # seen as Solve error or Unknown on valid data
+            self._highs.clearSolver()
+            self._highs.run()
+            status = self._highs.getModelStatus()
         if status != _MS.kOptimal:
             raise NumericalError(f"leaf LP over {int(mask.sum())} points stopped with "
                                  f"status {self._highs.modelStatusToString(status)}")

@@ -58,12 +58,20 @@ def _oracle_case(name):
             basis_from_forms(["1"]), LearnConfig(lambda_c=1.0, lambda_m=0.5))
 
 
+# Leaf LPs the search solves on each _oracle_case, by depth 1, 2, 3. The
+# counts are deterministic, so a weaker bound or a changed split order fails
+# here rather than only showing as a slower benchmark.
+_ORACLE_CASE_LPS = {"1d-duplicates": (10, 19, 21), "2-features": (12, 23, 26),
+                    "lambda_c-0": (15, 21, 19), "empty-side": (15, 15, 15)}
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("name", ["1d-duplicates", "2-features", "lambda_c-0", "empty-side"])
 def test_fit_tree_matches_exhaustive_oracle(name, depth):
     data, basis, cfg = _oracle_case(name)
     cfg.depth = depth
     rep = fit_tree(data, basis, cfg)
+    assert rep.subproblems_solved == _ORACLE_CASE_LPS[name][depth - 1]
     cost, n_branch, rules, kinds = exhaustive_fit_tree(data, basis, cfg)
     model = rep.model
     assert {n: (r.feature, r.threshold) for n, r in model.rules.items()} == rules
@@ -75,6 +83,13 @@ def test_fit_tree_matches_exhaustive_oracle(name, depth):
 
 
 def _kept_model_case(name):
+    if name == "warm-retry":
+        # Here a warm re-solve of the kept model ends with status Solve error
+        # on some sets; solved again from a cleared solver, it is optimal.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2.0, 1.5, 20)
+        y = np.where(x > -0.25, 1.0, -1.0) + x + rng.normal(0, 0.1, 20)
+        return Dataset(X=x.reshape(-1, 1), y=y), basis_from_forms(["1", "x"])
     rng = np.random.default_rng(61)
     if name == "50-points":
         x = np.sort(rng.uniform(0.1, 0.9, 50))
@@ -85,7 +100,7 @@ def _kept_model_case(name):
     return Dataset(X=X, y=y), basis_from_forms(["1", "x", "x@1"])
 
 
-@pytest.mark.parametrize("name", ["50-points", "2-features"])
+@pytest.mark.parametrize("name", ["50-points", "2-features", "warm-retry"])
 def test_kept_leaf_model_matches_cold_fit(monkeypatch, name):
     """Every leaf loss the search takes from the kept model, which frees and
     restores rows as the sets change, equals a cold fit_l1 on that set."""
@@ -111,13 +126,43 @@ def test_kept_leaf_model_matches_cold_fit(monkeypatch, name):
 
 
 def test_pruned_search_solves_fewer_lps():
-    # The count is deterministic, so losing the bounds fails here (full
-    # enumeration solves one LP per interval: N(N+1)/2 = 325) rather than
-    # only showing as a slower benchmark.
+    # The count is deterministic, so losing or weakening the bounds fails
+    # here (full enumeration solves one LP per interval: N(N+1)/2 = 325)
+    # rather than only showing as a slower benchmark.
     x = np.linspace(0.1, 0.9, 25)
     data = Dataset(X=x.reshape(-1, 1), y=60 + 15 * np.sin(6 * x))
     rep = fit_tree(data, basis_from_forms(["1", "x"]), LearnConfig(depth=2, lambda_m=1e-4))
-    assert rep.subproblems_solved < 25 * 26 // 2 // 2
+    assert rep.subproblems_solved == 106
+
+
+@pytest.mark.parametrize("depth, lps", [(2, 46), (3, 79)])
+def test_set_bounds_are_the_subset_bounds(monkeypatch, depth, lps):
+    """Two features with repeated coordinates: box containment stands in for
+    mask inclusion, so after the fit every registered set's bound is the
+    largest solved loss over the solved sets whose masks lie inside its mask,
+    and no two ids share a mask."""
+    rng = np.random.default_rng(5)
+    X = np.round(rng.uniform(0.2, 1.0, (16, 2)), 1)
+    y = np.where(X[:, 0] > 0.6, 1.0, -1.0) + X[:, 1] + rng.normal(0, 0.1, 16)
+    registries = []
+
+    class Kept(learner._PointSets):
+        def __init__(self, *args):
+            super().__init__(*args)
+            registries.append(self)
+
+    monkeypatch.setattr(learner, "_PointSets", Kept)
+    rep = fit_tree(Dataset(X=X, y=y), basis_from_forms(["1", "x@1"]), LearnConfig(depth=depth))
+    assert rep.subproblems_solved == lps
+    sets, = registries
+    masks = [sets.mask(s) for s in range(len(sets.masks))]
+    assert len({mask.tobytes() for mask in masks}) == len(masks)
+    solved = [(masks[s], loss) for s, loss in enumerate(sets.losses)
+              if loss is not None and masks[s].any()]
+    assert len(solved) == lps
+    for s, mask in enumerate(masks):
+        inside = [loss for sub, loss in solved if not (sub & ~mask).any()]
+        assert sets.bound(s) == max([0.0] + inside)
 
 
 def test_step_function_recovered_exactly():
