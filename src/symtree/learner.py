@@ -14,17 +14,28 @@ plus the two children's bounds already exceeds the best subtree found, so the
 search solves far fewer LPs and returns the same optimum, with the same
 tie-breaking, as full enumeration.
 
+Each child subtree is bounded before it is searched. Every (set, depth) the
+search visits is memoised: the best subtree found there, with its nodes
+numbered from its own root and relocated under each parent that reuses it,
+or else the largest budget under which none was found, which bounds the
+subtree from below and answers any smaller budget at once. A child that may
+still branch is also bounded one level ahead (LB1): it is a leaf, or one
+branch plus the cheapest pair of grandchild bounds over its splits, each
+capped at lambda_c when the grandchild may branch in turn.
+
 The search runs over a registry of the point sets it meets (`_PointSets`).
 Each distinct set gets an integer id once, keyed by its tight box of
 per-feature rank ranges, and keeps its mask, its leaf loss, its bound and
-its splits, so a visit builds nothing twice and a bound is a lookup. The
-leaf losses come from one kept HiGHS model per fit (`LeafLosses`); the
+its splits (as arrays of features, thresholds and child ids), so a visit
+builds nothing twice, a bound is a lookup and LB1 is one numpy expression.
+The leaf losses come from one kept HiGHS model per fit (`LeafLosses`); the
 winning leaves' coefficients come from a cold `fit_l1` each.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import time
@@ -157,8 +168,13 @@ class _Candidate:
     cost: float
     n_branch: int
     seq: tuple                # ((feature, threshold), ...) in preorder: node, left, right
-    rules: dict
+    rules: dict               # nodes are numbered from 1 at the subtree's root
     leaves: dict              # node -> id of its point set
+
+
+def _under(nodes: dict, root: int) -> dict:
+    """Re-key a subtree's nodes, numbered from 1 at its own root, to hang at node root."""
+    return {n + ((root - 1) << (n.bit_length() - 1)): v for n, v in nodes.items()}
 
 
 _TIE = 1e-12  # costs closer than this tie; fewer branches, then split order, decide
@@ -174,6 +190,14 @@ def _better(a: _Candidate, b: _Candidate) -> bool:
 
 
 EMPTY, ROOT = 0, 1  # ids of the empty set and of all points
+
+
+@functools.cache
+def _middle_out(n: int) -> np.ndarray:
+    """Positions 0..n-1 ordered from the middle outwards, left before right."""
+    order = np.argsort(np.abs(np.arange(n) - (n - 1) / 2.0), kind="stable")
+    order.flags.writeable = False   # one array serves every caller
+    return order
 
 
 def _contains(outer, inner) -> np.ndarray:
@@ -199,33 +223,43 @@ class _PointSets:
     Each id holds its mask, built when first asked for; its leaf loss, solved
     at most once on the kept model; its lower bound, the largest solved loss
     over the sets inside it (taken on registration, then raised by each later
-    solve, so a query is a lookup); and its splits, built once.
+    solve, so a query is a lookup); and its splits, built once. The ids are
+    looked up by the bytes of the box's corners.
     """
 
     def __init__(self, X: np.ndarray, lp: LeafLosses):
-        self.X, self.lp = X, lp
+        self.lp = lp
         N, F = X.shape
-        self.by_feature = [np.argsort(X[:, f], kind="stable") for f in range(F)]
+        orders = [np.argsort(X[:, f], kind="stable") for f in range(F)]
         rank = np.empty((N, F), dtype=np.int32)   # dense rank of each value
-        for f, order in enumerate(self.by_feature):
+        for f, order in enumerate(orders):
             v = X[order, f]
             rank[order[0], f] = 0
             rank[order[1:], f] = np.cumsum(v[1:] != v[:-1])
         self.point_corners = np.hstack([rank, -rank])   # each point's own box
-        self.ids = {None: EMPTY}   # corners -> id; None stands for the empty set
+        # Per feature: the points sorted on it, and their values and boxes in that order.
+        self.by_feature = [(order, X[order, f], self.point_corners[order])
+                           for f, order in enumerate(orders)]
+        self.ids = {}   # corners, as bytes -> id
+        self.key_dtype = np.dtype((np.void, self.point_corners[0].nbytes))
         self.corners, self.bounds = np.empty((2 * F, 0), dtype=np.int32), np.empty(0)
         self.solved = []   # ids whose loss is solved, in solve order
-        self.masks, self.losses, self.split_lists = [], [], []
+        self.masks, self.losses, self.split_arrays = [], [], []
         empty = [N] * F + [1] * F   # lo > hi: contains no box
-        root = self.point_corners.min(axis=0).tolist()
-        self._register([empty, root])
+        boxes = np.array([empty, self.point_corners.min(axis=0)], dtype=np.int32)
+        self._register(boxes, self._keys(boxes))
         self.losses[EMPTY] = 0.0
-        self.split_lists[EMPTY] = []
+        none = np.empty(0, dtype=int)
+        self.split_arrays[EMPTY] = none, np.empty(0), none, none
 
-    def _register(self, boxes):
-        """Give each new box (a corner list) the next id and its bound so far."""
+    def _keys(self, boxes: np.ndarray) -> list:
+        """The ids dictionary's keys of a contiguous array of boxes, one per row."""
+        return boxes.view(self.key_dtype).ravel().tolist()
+
+    def _register(self, boxes: np.ndarray, keys: list):
+        """Give each new box (one per row) the next id and its bound so far."""
         n, m = len(self.masks), len(boxes)
-        new = np.array(boxes, dtype=np.int32).T
+        new = boxes.T
         bounds = np.zeros(m)
         if self.solved:
             # A solved set's bound is the largest loss inside it, so the largest
@@ -234,10 +268,10 @@ class _PointSets:
             bounds = np.where(inside, self.bounds[self.solved], 0.0).max(axis=1)
         self.corners = np.concatenate([self.corners, new], axis=1)
         self.bounds = np.concatenate([self.bounds, bounds])
-        self.ids.update(zip(map(tuple, boxes), range(n, n + m)))
+        self.ids.update(zip(keys, range(n, n + m)))
         self.masks += [None] * m
         self.losses += [None] * m
-        self.split_lists += [None] * m
+        self.split_arrays += [None] * m
 
     def bound(self, s: int) -> float:
         """Largest solved loss over the sets inside s: a lower bound on its loss."""
@@ -259,9 +293,9 @@ class _PointSets:
                        where=_contains(self.corners, self.corners[:, s]))
         return loss
 
-    def splits(self, s: int) -> list:
-        """(feature, threshold, left id, right id) for every split of set s,
-        built on first use; the empty set has none.
+    def splits(self, s: int) -> tuple:
+        """Every split of set s as four arrays, built on first use: feature,
+        threshold, left id and right id. The empty set has none.
 
         Per feature: the midpoints between its distinct values in s plus the
         two empty-side splits, middle-out. A threshold outside the data range
@@ -270,33 +304,43 @@ class _PointSets:
         because they tend to be cheap, and a cheap incumbent early lets the
         bounds skip more of the rest.
         """
-        if self.split_lists[s] is not None:
-            return self.split_lists[s]
-        mask = self.mask(s)
-        pending = []   # (feature, threshold, left box, right box); None is the empty set
-        for f, order in enumerate(self.by_feature):
-            idx = order[mask[order]]           # the points of s, sorted on feature f
-            v, corners = self.X[idx, f], self.point_corners[idx]
+        if self.split_arrays[s] is not None:
+            return self.split_arrays[s]
+        mask, empty = self.mask(s), self.corners[None, :, EMPTY]
+        features, thresholds, lefts, rights = [], [], [], []
+        for f, (order, xs, cs) in enumerate(self.by_feature):
+            keep = mask[order]
+            v, corners = xs[keep], cs[keep]          # the points of s, sorted on feature f
             step = np.nonzero(v[1:] != v[:-1])[0] + 1
             thrs = np.concatenate([[v[0] - EMPTY_SIDE_OFFSET], (v[step - 1] + v[step]) / 2.0,
-                                   [v[-1] + EMPTY_SIDE_OFFSET]])
-            cuts = np.searchsorted(v, thrs)    # points left of each threshold
-            offset = np.abs(np.arange(len(thrs)) - (len(thrs) - 1) / 2.0)
-            middle_out = np.argsort(offset, kind="stable")
-            first = np.minimum.accumulate(corners).tolist()             # box of points :k+1
-            last = np.minimum.accumulate(corners[::-1])[::-1].tolist()  # box of points k:
-            n = len(v)
-            pending += [(f, thr, tuple(first[c - 1]) if c else None,
-                         tuple(last[c]) if c < n else None)
-                        for thr, c in zip(thrs[middle_out].tolist(), cuts[middle_out].tolist())]
-        ids = self.ids
-        new = {box: None for _, _, left, right in pending for box in (left, right)
-               if box not in ids}
-        if new:
-            self._register(list(new))
-        out = self.split_lists[s] = [(f, thr, ids[left], ids[right])
-                                     for f, thr, left, right in pending]
+                                   [v[-1] + EMPTY_SIDE_OFFSET]])[_middle_out(len(step) + 2)]
+            cuts = np.searchsorted(v, thrs)          # points left of each threshold
+            # The empty box is the identity of the corner-wise minimum, so
+            # row k of the running minima is the box of the first k points,
+            # and of the points from k on.
+            padded = np.concatenate([empty, corners, empty])
+            lefts.append(np.minimum.accumulate(padded[:-1])[cuts])
+            rights.append(np.minimum.accumulate(padded[:0:-1])[::-1][cuts])
+            features.append(np.full(len(thrs), f))
+            thresholds.append(thrs)
+        boxes = np.concatenate(lefts + rights)
+        keys = self._keys(boxes)
+        ids = list(map(self.ids.get, keys))
+        if None in ids:
+            new = {key: row for row, (key, i) in enumerate(zip(keys, ids)) if i is None}
+            self._register(boxes[list(new.values())], list(new))
+            ids = list(map(self.ids.__getitem__, keys))
+        ids, k = np.array(ids), len(keys) // 2
+        out = self.split_arrays[s] = (np.concatenate(features), np.concatenate(thresholds),
+                                      ids[:k], ids[k:])
         return out
+
+    def split_bound(self, s: int, cap: float) -> float:
+        """Least sum of the two sides' bounds, each capped at cap, over the
+        splits of a nonempty set s."""
+        _, _, lefts, rights = self.splits(s)
+        return float((np.minimum(self.bounds[lefts], cap)
+                      + np.minimum(self.bounds[rights], cap)).min())
 
 
 def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
@@ -317,42 +361,77 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
                       y_bounds=yb)
         return c
 
-    def search(node, depth, s, must_branch, budget):
-        """Best subtree at node, depth deep, over point set s, or None when
-        even the best costs more than budget (+_TIE)."""
+    # (set id, depth) -> (lower bound, best subtree): the subtree when a search
+    # there found one, with its cost as the bound; else (largest budget that
+    # found none, None).
+    memo = {}
+
+    def lower(c, depth, cap):
+        """Lower bound on the best subtree over set c at depth, which costs at
+        least cap if it branches."""
+        return max(min(sets.bound(c), cap), memo.get((c, depth), (0.0,))[0])
+
+    def one_level(c, cap):
+        """LB1: c as a leaf, or one branch whose children cost at least their
+        bounds capped at cap."""
+        b = sets.bound(c)
+        if b <= cfg.lambda_c:   # then b is already the cheap bound; the empty set stops here
+            return b
+        return min(b, cfg.lambda_c + sets.split_bound(c, cap))
+
+    def search(depth, s, must_branch, budget):
+        """Best subtree at depth over point set s, its nodes numbered from 1 at
+        its root, or None when even the best costs more than budget (+_TIE)."""
+        bound, known = memo.get((s, depth), (-np.inf, None))
+        if known is not None:
+            return known if known.cost <= budget + _TIE else None
+        if budget <= bound:
+            return None
         best = None
         if not must_branch and sets.bound(s) <= budget + _TIE:
-            best = _Candidate(cost=sets.loss(s), n_branch=0, seq=(), rules={}, leaves={node: s})
+            best = _Candidate(cost=sets.loss(s), n_branch=0, seq=(), rules={}, leaves={1: s})
         limit = budget if best is None else min(budget, best.cost)
         if depth < cfg.depth:
-            # A child subtree that may still branch costs at least lambda_c if it does.
-            cap = cfg.lambda_c if depth + 1 < cfg.depth else np.inf
-            for f, thr, left, right in sets.splits(s):
-                right_lb = min(sets.bound(right), cap)
-                if cfg.lambda_c + min(sets.bound(left), cap) + right_lb > limit + _TIE:
+            # A child subtree that may still branch costs at least lambda_c if it
+            # does; so does a grandchild.
+            deeper = depth + 1 < cfg.depth
+            cap = cfg.lambda_c if deeper else np.inf
+            grand_cap = cfg.lambda_c if depth + 2 < cfg.depth else np.inf
+            features, thresholds, lefts, rights = sets.splits(s)
+            for f, thr, left, right in zip(features.tolist(), thresholds.tolist(),
+                                           lefts.tolist(), rights.tolist()):
+                left_lb, right_lb = lower(left, depth + 1, cap), lower(right, depth + 1, cap)
+                if cfg.lambda_c + left_lb + right_lb > limit + _TIE:
                     continue
-                lt = search(2 * node, depth + 1, left, False, limit - cfg.lambda_c - right_lb)
+                if deeper:
+                    left_lb = max(left_lb, one_level(left, grand_cap))
+                    right_lb = max(right_lb, one_level(right, grand_cap))
+                    if cfg.lambda_c + left_lb + right_lb > limit + _TIE:
+                        continue
+                lt = search(depth + 1, left, False, limit - cfg.lambda_c - right_lb)
                 if lt is None:
                     continue
-                rt = search(2 * node + 1, depth + 1, right, False,
-                            limit - cfg.lambda_c - lt.cost)
+                rt = search(depth + 1, right, False, limit - cfg.lambda_c - lt.cost)
                 if rt is None:
                     continue
                 cand = _Candidate(
                     cost=cfg.lambda_c + lt.cost + rt.cost,
                     n_branch=1 + lt.n_branch + rt.n_branch,
                     seq=((f, thr),) + lt.seq + rt.seq,
-                    rules={node: BranchRule(feature=f, threshold=thr), **lt.rules, **rt.rules},
-                    leaves={**lt.leaves, **rt.leaves},
+                    rules={1: BranchRule(feature=f, threshold=thr), **_under(lt.rules, 2),
+                           **_under(rt.rules, 3)},
+                    leaves={**_under(lt.leaves, 2), **_under(rt.leaves, 3)},
                 )
                 if best is None or _better(cand, best):
                     best = cand
                     limit = min(budget, best.cost)
         if best is None or best.cost > budget + _TIE:
+            memo[s, depth] = budget, None
             return None
+        memo[s, depth] = best.cost, best
         return best
 
-    winner = search(1, 0, ROOT, True, np.inf)
+    winner = search(0, ROOT, True, np.inf)
     model = TreeModel(
         depth=cfg.depth,
         rules=winner.rules,

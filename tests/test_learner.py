@@ -1,15 +1,20 @@
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
 from oracles import brute_force_depth1, exhaustive_fit_tree
 from symtree import learner, lp
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis_matrix
+from symtree.config import load_config
 from symtree.errors import ConfigError, ParseError
 from symtree.learner import (Dataset, LearnConfig, candidate_thresholds,
                              default_y_bounds, fit_tree, mean_abs_error, objective_of)
+from symtree.mpc import generate_dataset
 from symtree.reference import reference_model
 from symtree.tree import (Bounds, BranchRule, LeafExpression, TreeModel, predict,
-                          validate)
+                          serialize, validate)
 
 
 def random_instance(rng):
@@ -60,9 +65,12 @@ def _oracle_case(name):
 
 # Leaf LPs the search solves on each _oracle_case, by depth 1, 2, 3. The
 # counts are deterministic, so a weaker bound or a changed split order fails
-# here rather than only showing as a slower benchmark.
-_ORACLE_CASE_LPS = {"1d-duplicates": (10, 19, 21), "2-features": (12, 23, 26),
-                    "lambda_c-0": (15, 21, 19), "empty-side": (15, 15, 15)}
+# here rather than only showing as a slower benchmark. A tighter bound need
+# not solve fewer LPs on every instance: at lambda_c 0, depth 3 solves 20
+# where a weaker bound solved 19, because a smaller budget can skip a child's
+# leaf LP and the child then explores its splits instead.
+_ORACLE_CASE_LPS = {"1d-duplicates": (10, 19, 19), "2-features": (12, 21, 23),
+                    "lambda_c-0": (15, 20, 20), "empty-side": (15, 15, 15)}
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -80,6 +88,41 @@ def test_fit_tree_matches_exhaustive_oracle(name, depth):
     assert rep.objective == pytest.approx(cost, abs=1e-9)
     if name == "empty-side":
         assert not data.X[:, 0].min() < rules[1][1] <= data.X[:, 0].max()
+
+
+def _memo_case(rng, trial):
+    """A depth-3 instance whose search meets the same (set, depth) from many
+    parents: 1-D data with a duplicate and a near-duplicate x on even trials,
+    two features on a coarse grid on odd ones. Each (lambda_c, lambda_m) pair
+    comes up once with each kind of data."""
+    lambda_c, lambda_m = [(c, m) for c in (0.0, 1e-2, 1.0) for m in (0.0, 1e-2)][trial // 2]
+    cfg = LearnConfig(depth=3, lambda_c=lambda_c, lambda_m=lambda_m, c_lb=-10.0, c_ub=10.0)
+    if trial % 2 == 0:
+        x = np.round(rng.uniform(0.2, 1.0, 8), 2)
+        x[4] = x[1]
+        x[6] = x[2] + 1e-12
+        y = np.round(rng.uniform(-1.0, 1.0, 8), 2)
+        return Dataset(X=x.reshape(-1, 1), y=y), basis_from_forms(["1", "x"]), cfg
+    X = np.round(rng.uniform(0.2, 1.0, (6, 2)), 1)
+    y = np.where(X[:, 0] > 0.6, 1.0, -1.0) + X[:, 1] + rng.normal(0, 0.1, 6)
+    return Dataset(X=X, y=y), basis_from_forms(["1", "x@1"]), cfg
+
+
+def test_memoised_subtrees_match_exhaustive_oracle():
+    """A subtree reused from the (set, depth) memo is relocated under its new
+    parent and wins ties as a fresh search would: equal rules, kinds and
+    branch counts to full enumeration, over every lambda_c regime."""
+    rng = np.random.default_rng(67)
+    for trial in range(12):
+        data, basis, cfg = _memo_case(rng, trial)
+        rep = fit_tree(data, basis, cfg)
+        cost, n_branch, rules, kinds = exhaustive_fit_tree(data, basis, cfg)
+        model = rep.model
+        where = f"trial {trial}, lambda_c {cfg.lambda_c}, lambda_m {cfg.lambda_m}"
+        assert {n: (r.feature, r.threshold) for n, r in model.rules.items()} == rules, where
+        assert {n: model.kind(n) for n in (*model.rules, *model.leaves)} == kinds, where
+        assert len(model.rules) == n_branch, where
+        assert rep.objective == pytest.approx(cost, abs=1e-9), where
 
 
 def _kept_model_case(name):
@@ -132,11 +175,11 @@ def test_pruned_search_solves_fewer_lps():
     x = np.linspace(0.1, 0.9, 25)
     data = Dataset(X=x.reshape(-1, 1), y=60 + 15 * np.sin(6 * x))
     rep = fit_tree(data, basis_from_forms(["1", "x"]), LearnConfig(depth=2, lambda_m=1e-4))
-    assert rep.subproblems_solved == 106
+    assert rep.subproblems_solved == 100
 
 
-@pytest.mark.parametrize("depth, lps", [(2, 46), (3, 79)])
-def test_set_bounds_are_the_subset_bounds(monkeypatch, depth, lps):
+@pytest.mark.parametrize("depth", [2, 3])
+def test_set_bounds_are_the_subset_bounds(monkeypatch, depth):
     """Two features with repeated coordinates: box containment stands in for
     mask inclusion, so after the fit every registered set's bound is the
     largest solved loss over the solved sets whose masks lie inside its mask,
@@ -153,6 +196,7 @@ def test_set_bounds_are_the_subset_bounds(monkeypatch, depth, lps):
 
     monkeypatch.setattr(learner, "_PointSets", Kept)
     rep = fit_tree(Dataset(X=X, y=y), basis_from_forms(["1", "x@1"]), LearnConfig(depth=depth))
+    lps = {2: 45, 3: 65}[depth]
     assert rep.subproblems_solved == lps
     sets, = registries
     masks = [sets.mask(s) for s in range(len(sets.masks))]
@@ -163,6 +207,49 @@ def test_set_bounds_are_the_subset_bounds(monkeypatch, depth, lps):
     for s, mask in enumerate(masks):
         inside = [loss for sub, loss in solved if not (sub & ~mask).any()]
         assert sets.bound(s) == max([0.0] + inside)
+
+
+@functools.cache
+def _labels(n, mode):
+    """MPC labels of the default run configuration on [0.1, 0.9], seed 0."""
+    return generate_dataset(load_config().mpc_spec(), n, 0.1, 0.9, mode, 0)
+
+
+# sha256 of the serialized canonical model and the leaf LPs its search solves,
+# by depth: the search's bounds may change what it solves, never what it returns.
+_CANONICAL_MODELS = {
+    2: ("8d6ec6bd296884a394b5b54116d39e5c11122f520c26912ba530fc603e8f8367", 205),
+    3: ("6579fa8c3ac415317bfd500471efee49ed1d0c4950845095bd0e21223f9016e5", 217),
+}
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_canonical_models_are_pinned(depth):
+    cfg = load_config().learn_config()
+    cfg.depth = depth
+    rep = fit_tree(_labels(50, "uniform-grid"), canonical_basis(), cfg)
+    sha, lps = _CANONICAL_MODELS[depth]
+    assert hashlib.sha256(serialize(rep.model).encode()).hexdigest() == sha
+    assert rep.subproblems_solved == lps
+
+
+def test_search_keeps_optimum_where_kept_leaf_loss_is_high():
+    """With lambda_m 0 the kept leaf model returns 0.38005 on the set of the
+    11 largest states, where the optimum is 0.36662. A loss above the optimum
+    raises every bound over that set, so it could prune the best tree; here
+    the search still returns the enumerated optimum, a single split, at
+    depths 2 and 3 alike."""
+    data = _labels(25, "seeded-random")
+    cfg = load_config().learn_config()
+    cfg.lambda_m = 0.0
+    cfg.depth = 3
+    cost, n_branch, rules, kinds = exhaustive_fit_tree(data, canonical_basis(), cfg)
+    assert n_branch == 1   # also the optimum over the depth-2 trees, which it is one of
+    for depth in (2, 3):
+        cfg.depth = depth
+        model = fit_tree(data, canonical_basis(), cfg).model
+        assert {n: (r.feature, r.threshold) for n, r in model.rules.items()} == rules
+        assert {n: model.kind(n) for n in (*model.rules, *model.leaves)} == kinds
 
 
 def test_step_function_recovered_exactly():
