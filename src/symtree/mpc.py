@@ -3,6 +3,9 @@
 Solves the finite-horizon tracking problem (single shooting, explicit Euler
 inside the horizon) with an augmented-Lagrangian outer loop for rate and
 state constraints and an L-BFGS-B inner loop that keeps the flow box bounds.
+The inner loop drives scipy's L-BFGS-B routine ``scipy.optimize._lbfgsb.setulb``
+directly, as ``scipy.optimize.minimize`` does but without its per-evaluation
+bookkeeping.
 The penalty and its multipliers read each constraint in its own unit (the rate
 limit for rate rows, the state range for state rows), so the penalty's
 curvature does not swamp the tracking objective's; a solution is accepted on
@@ -21,7 +24,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from .errors import ConfigError, ConvergenceError
 from .learner import Dataset
@@ -174,30 +177,80 @@ def _project(spec: MpcSpec, u: np.ndarray) -> np.ndarray:
     return np.clip(u, spec.u_bounds[0], spec.u_bounds[1])
 
 
+@dataclass(frozen=True)
+class LbfgsbResult:
+    x: np.ndarray
+    nit: int    # iterations
+    nfev: int   # evaluations of fun
+
+
+def minimize(fun, x0, bounds, maxiter: int, ftol: float, gtol: float) -> LbfgsbResult:
+    """L-BFGS-B over the box bounds = (lo, hi) in every coordinate.
+
+    Runs scipy's reverse-communication loop over ``_lbfgsb.setulb`` as
+    ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` does (memory 10,
+    at most 20 line-search steps, at most 15000 evaluations), so it takes the
+    same iterates; fun(x) returns the value and its gradient.
+    """
+    m, n = 10, len(x0)
+    x = np.clip(np.asarray(x0, dtype=float), bounds[0], bounds[1])
+    lo, hi = np.full(n, float(bounds[0])), np.full(n, float(bounds[1]))
+    nbd = np.full(n, 2, dtype=np.int32)   # bounded below and above
+    f, g = 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    nit = nfev = 0
+    last_x = None
+    while True:
+        _lbfgsb.setulb(m, x, lo, hi, nbd, f, g, factr, gtol, wa, iwa, task,
+                       lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:      # f and g at x
+            # Like scipy's memo, a repeat of the last point evaluated is
+            # answered from a copy and not counted; setulb may since have
+            # overwritten g with a restored gradient.
+            xs = x.tolist()
+            if xs != last_x:
+                last_x, (last_f, last_g) = xs, fun(x)
+                nfev += 1
+            f, g = last_f, last_g.copy()
+        elif task[0] == 1:    # a new iterate; stop as scipy does
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > 15000:
+                task[:] = 5, 502
+        else:
+            return LbfgsbResult(x=x, nit=nit, nfev=nfev)
+
+
 def _inner_minimize(spec: MpcSpec, x0: float, u: np.ndarray, mu: np.ndarray,
-                    rho: float, bounds):
+                    rho: float):
     """Box-bounded minimization of the augmented Lagrangian subproblem.
 
     L-BFGS-B keeps the flow bounds exact by projection; the gradient is the
-    exact adjoint from _sweep.
+    exact adjoint from _sweep. The returned gradient and constraints come from
+    a sweep at the returned x: after a failed line search L-BFGS-B returns
+    the previous iterate, not the last point it evaluated.
     """
-    res = minimize(
-        lambda uu: _sweep(spec, x0, uu, mu, rho)[1:3],
-        u, jac=True, method="L-BFGS-B", bounds=bounds,
-        options=dict(maxiter=_MAX_INNER, ftol=1e-16, gtol=0.01 * KKT_TOL),
-    )
+    res = minimize(lambda uu: _sweep(spec, x0, uu, mu, rho)[1:3], u,
+                   spec.u_bounds, maxiter=_MAX_INNER, ftol=1e-16,
+                   gtol=0.01 * KKT_TOL)
     _, _, grad, g = _sweep(spec, x0, res.x, mu, rho)
     return res.x, grad, np.array(g)
 
 
-def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray, bounds):
+def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray):
     u = _project(spec, u0.astype(float))
     scale = np.array(_con_scale(spec, spec.T - 1))
     mu = np.zeros(len(scale))
     rho = 10.0
     prev_viol = np.inf
     for _ in range(_MAX_OUTER):
-        u, grad, g = _inner_minimize(spec, x0, u, mu, rho, bounds)
+        u, grad, g = _inner_minimize(spec, x0, u, mu, rho)
         viol = float(np.max(np.maximum(g, 0.0), initial=0.0))
         pg = np.linalg.norm(u - _project(spec, u - grad))
         if viol <= CON_TOL and pg <= KKT_TOL:
@@ -218,19 +271,20 @@ def solve_mpc(spec: MpcSpec, x0: float, warm=None) -> MpcSolution:
     gets the objective below its pinned first term (x0 - x_sp)^2, so once a
     converged start is within 1e-8 relative (1e-10 absolute) of that floor,
     no other start can beat it by more, and the remaining starts are skipped.
-    With ``warm`` (T-1 controls, e.g. a nearby state's optimum) one solve
+    With ``warm`` (T-1 finite controls, e.g. a nearby state's optimum) one solve
     starts from it instead, and its solution is returned when it converges;
     otherwise the cold starts run as without ``warm``.
     """
     if not spec.x_bounds[0] <= x0 <= spec.x_bounds[1]:
         raise ConfigError(f"initial state {x0} outside bounds {spec.x_bounds}")
     n = spec.T - 1
-    bounds = [spec.u_bounds] * n
     if warm is not None:
         warm = np.asarray(warm, dtype=float)
         if warm.shape != (n,):
             raise ConfigError(f"expected {n} warm-start controls, got {warm.shape}")
-        sol = _solve_from(spec, x0, warm, bounds)
+        if not np.isfinite(warm).all():
+            raise ConfigError(f"warm-start controls must be finite, got {warm}")
+        sol = _solve_from(spec, x0, warm)
         if sol is not None:
             return sol
     u_lo, u_hi = spec.u_bounds
@@ -247,7 +301,7 @@ def solve_mpc(spec: MpcSpec, x0: float, warm=None) -> MpcSolution:
         # would return the same solution, which cannot replace the first.
         if flow in flows[:i]:
             continue
-        sol = _solve_from(spec, x0, np.full(n, flow), bounds)
+        sol = _solve_from(spec, x0, np.full(n, flow))
         if sol is not None and (best is None or sol.objective < best.objective):
             best = sol
             if best.objective <= floor + 1e-8 * floor + 1e-10:

@@ -285,7 +285,7 @@ def all_starts_best(spec, x0):
     n = spec.T - 1
     best = None
     for flow in distinct_starts(spec, x0):
-        sol = mpc._solve_from(spec, x0, np.full(n, flow), [spec.u_bounds] * n)
+        sol = mpc._solve_from(spec, x0, np.full(n, flow))
         if sol is not None and (best is None or sol.objective < best.objective):
             best = sol
     assert best is not None, f"no start converged for x0={x0}"

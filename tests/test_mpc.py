@@ -191,7 +191,7 @@ def test_repeated_start_is_solved_once(monkeypatch, x0, skips):
     assert (flows[2] == u_hi) == skips
     best = None
     for flow in flows:
-        sol = mpc._solve_from(spec, x0, np.full(n, flow), [spec.u_bounds] * n)
+        sol = mpc._solve_from(spec, x0, np.full(n, flow))
         if sol is not None and (best is None or sol.objective < best.objective):
             best = sol
     calls_all_starts = len(calls)
@@ -277,9 +277,9 @@ def test_failed_warm_start_falls_back_to_cold_starts(monkeypatch, x0):
     real_solve_from = mpc._solve_from
     calls = []
 
-    def warm_fails(spec_, x0_, u0, bounds):
+    def warm_fails(spec_, x0_, u0):
         calls.append(u0)
-        return None if len(calls) == 1 else real_solve_from(spec_, x0_, u0, bounds)
+        return None if len(calls) == 1 else real_solve_from(spec_, x0_, u0)
 
     monkeypatch.setattr(mpc, "_solve_from", warm_fails)
     sol = solve_mpc(spec, x0, warm=warm)
@@ -294,6 +294,18 @@ def test_failed_warm_start_falls_back_to_cold_starts(monkeypatch, x0):
 def test_warm_start_shape_rejected():
     with pytest.raises(ConfigError):
         solve_mpc(canonical_spec(), 0.5, warm=np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_warm_start_rejected(bad):
+    # NaN would run every outer iteration before the cold starts take over;
+    # an infinite flow would be clipped to a bound without a word.
+    warm = np.full(canonical_spec().T - 1, 30.0)
+    warm[4] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        solve_mpc(canonical_spec(), 0.5, warm=warm)
+    with pytest.raises(ConfigError, match="finite"):
+        solve_mpc(canonical_spec(), 0.5, warm=np.full(len(warm), bad))
 
 
 def test_x0_outside_bounds_rejected():
