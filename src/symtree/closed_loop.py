@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControllerError, DomainError, SymtreeError
+from .errors import ControllerError, SymtreeError
 from .mpc import MpcSpec, PlantSpec, plant_rhs, solve_mpc
 from .tree import TreeModel, predict
 
@@ -122,7 +122,7 @@ def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
         t0 = time.perf_counter()
         try:
             u = ctrl(x)
-        except (DomainError, SymtreeError) as exc:
+        except SymtreeError as exc:
             raise ControllerError(
                 f"controller failed at t={times[i]:.4g}, x={x!r}: {exc}") from exc
         lats[i] = time.perf_counter() - t0

@@ -14,14 +14,17 @@ plus the two children's bounds already exceeds the best subtree found, so the
 search solves far fewer LPs and returns the same optimum, with the same
 tie-breaking, as full enumeration.
 
+A subtree is kept as its cost and its nodes in preorder: a branch as its
+(feature, threshold), a leaf as the id of its point set. A split is then the
+branch followed by its two children's preorders, so a memoised subtree hangs
+under any parent as it is, and one walk over the winner numbers its nodes.
 Each child subtree is bounded before it is searched. Every (set, depth) the
-search visits is memoised: the best subtree found there, with its nodes
-numbered from its own root and relocated under each parent that reuses it,
-or else the largest budget under which none was found, which bounds the
-subtree from below and answers any smaller budget at once. A child that may
-still branch is also bounded one level ahead (LB1): it is a leaf, or one
-branch plus the cheapest pair of grandchild bounds over its splits, each
-capped at lambda_c when the grandchild may branch in turn.
+search visits is memoised: the best subtree found there, or else the largest
+budget under which none was found, which bounds the subtree from below and
+answers any smaller budget at once. A child that may still branch is also
+bounded one level ahead (LB1): it is a leaf, or one branch plus the cheapest
+pair of grandchild bounds over its splits, each capped at lambda_c when the
+grandchild may branch in turn.
 
 The search runs over a registry of the point sets it meets (`_PointSets`).
 Each distinct set gets an integer id once, keyed by its tight box of
@@ -147,7 +150,6 @@ class LearnConfig:
 class FitReport:
     model: TreeModel
     objective: float
-    breakdown: tuple          # (L_acc, L_c, L_m)
     subproblems_solved: int   # leaf LPs actually solved
     wall_time: float
 
@@ -163,30 +165,19 @@ def candidate_thresholds(data: Dataset, feature: int) -> np.ndarray:
 EMPTY_SIDE_OFFSET = 1.0  # how far beyond the data the empty-side thresholds sit
 
 
-@dataclass
-class _Candidate:
-    cost: float
-    n_branch: int
-    seq: tuple                # ((feature, threshold), ...) in preorder: node, left, right
-    rules: dict               # nodes are numbered from 1 at the subtree's root
-    leaves: dict              # node -> id of its point set
-
-
-def _under(nodes: dict, root: int) -> dict:
-    """Re-key a subtree's nodes, numbered from 1 at its own root, to hang at node root."""
-    return {n + ((root - 1) << (n.bit_length() - 1)): v for n, v in nodes.items()}
-
-
 _TIE = 1e-12  # costs closer than this tie; fewer branches, then split order, decide
 
 
-def _better(a: _Candidate, b: _Candidate) -> bool:
-    """True if a beats b under cost, then fewer branches, then lex split order."""
-    if a.cost < b.cost - _TIE:
+def _better(a: tuple, b: tuple) -> bool:
+    """True if subtree a beats b under cost, then fewer branches, then lex
+    split order. A subtree is (cost, preorder): a branch in the preorder is
+    its (feature, threshold), a leaf its set id."""
+    if a[0] < b[0] - _TIE:
         return True
-    if a.cost > b.cost + _TIE:
+    if a[0] > b[0] + _TIE:
         return False
-    return (a.n_branch, a.seq) < (b.n_branch, b.seq)
+    a_seq, b_seq = ([n for n in t[1] if isinstance(n, tuple)] for t in (a, b))
+    return (len(a_seq), a_seq) < (len(b_seq), b_seq)
 
 
 EMPTY, ROOT = 0, 1  # ids of the empty set and of all points
@@ -361,9 +352,8 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
                       y_bounds=yb)
         return c
 
-    # (set id, depth) -> (lower bound, best subtree): the subtree when a search
-    # there found one, with its cost as the bound; else (largest budget that
-    # found none, None).
+    # (set id, depth) -> the best subtree when a search there found one, its
+    # cost a lower bound; else (largest budget that found none, None).
     memo = {}
 
     def lower(c, depth, cap):
@@ -379,18 +369,18 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
             return b
         return min(b, cfg.lambda_c + sets.split_bound(c, cap))
 
-    def search(depth, s, must_branch, budget):
-        """Best subtree at depth over point set s, its nodes numbered from 1 at
-        its root, or None when even the best costs more than budget (+_TIE)."""
-        bound, known = memo.get((s, depth), (-np.inf, None))
-        if known is not None:
-            return known if known.cost <= budget + _TIE else None
+    def search(depth, s, budget):
+        """Best subtree at depth over point set s, or None when even the best
+        costs more than budget (+_TIE). The root always branches."""
+        bound, preorder = known = memo.get((s, depth), (-np.inf, None))
+        if preorder is not None:
+            return known if bound <= budget + _TIE else None
         if budget <= bound:
             return None
         best = None
-        if not must_branch and sets.bound(s) <= budget + _TIE:
-            best = _Candidate(cost=sets.loss(s), n_branch=0, seq=(), rules={}, leaves={1: s})
-        limit = budget if best is None else min(budget, best.cost)
+        if depth > 0 and sets.bound(s) <= budget + _TIE:
+            best = (sets.loss(s), (s,))
+        limit = budget if best is None else min(budget, best[0])
         if depth < cfg.depth:
             # A child subtree that may still branch costs at least lambda_c if it
             # does; so does a grandchild.
@@ -408,41 +398,39 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
                     right_lb = max(right_lb, one_level(right, grand_cap))
                     if cfg.lambda_c + left_lb + right_lb > limit + _TIE:
                         continue
-                lt = search(depth + 1, left, False, limit - cfg.lambda_c - right_lb)
+                lt = search(depth + 1, left, limit - cfg.lambda_c - right_lb)
                 if lt is None:
                     continue
-                rt = search(depth + 1, right, False, limit - cfg.lambda_c - lt.cost)
+                rt = search(depth + 1, right, limit - cfg.lambda_c - lt[0])
                 if rt is None:
                     continue
-                cand = _Candidate(
-                    cost=cfg.lambda_c + lt.cost + rt.cost,
-                    n_branch=1 + lt.n_branch + rt.n_branch,
-                    seq=((f, thr),) + lt.seq + rt.seq,
-                    rules={1: BranchRule(feature=f, threshold=thr), **_under(lt.rules, 2),
-                           **_under(rt.rules, 3)},
-                    leaves={**_under(lt.leaves, 2), **_under(rt.leaves, 3)},
-                )
+                cand = (cfg.lambda_c + lt[0] + rt[0], ((f, thr),) + lt[1] + rt[1])
                 if best is None or _better(cand, best):
                     best = cand
-                    limit = min(budget, best.cost)
-        if best is None or best.cost > budget + _TIE:
+                    limit = min(budget, best[0])
+        if best is None or best[0] > budget + _TIE:
             memo[s, depth] = budget, None
             return None
-        memo[s, depth] = best.cost, best
+        memo[s, depth] = best
         return best
 
-    winner = search(0, ROOT, True, np.inf)
-    model = TreeModel(
-        depth=cfg.depth,
-        rules=winner.rules,
-        leaves={n: LeafExpression(coefficients=tuple(coefficients(sets.mask(s))))
-                for n, s in winner.leaves.items()},
-        basis=basis,
-        bounds=Bounds(cfg.c_lb, cfg.c_ub, yb[0], yb[1]),
-    )
-    objective, breakdown = objective_of(model, data, cfg)
-    return FitReport(model=model, objective=objective, breakdown=breakdown,
-                     subproblems_solved=len(sets.solved),
+    rules, leaves = {}, {}
+
+    def place(node, preorder):
+        """Give node the next entry of the winner's preorder, then its children."""
+        entry = next(preorder)
+        if isinstance(entry, tuple):
+            rules[node] = BranchRule(*entry)
+            place(2 * node, preorder)
+            place(2 * node + 1, preorder)
+        else:
+            leaves[node] = LeafExpression(coefficients=tuple(coefficients(sets.mask(entry))))
+
+    place(1, iter(search(0, ROOT, np.inf)[1]))
+    model = TreeModel(depth=cfg.depth, rules=rules, leaves=leaves, basis=basis,
+                      bounds=Bounds(cfg.c_lb, cfg.c_ub, yb[0], yb[1]))
+    objective, _ = objective_of(model, data, cfg)
+    return FitReport(model=model, objective=objective, subproblems_solved=len(sets.solved),
                      wall_time=time.perf_counter() - t0)
 
 

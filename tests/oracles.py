@@ -45,7 +45,11 @@ def reference_basis_row(functions, x):
 
 
 def scipy_leaf_fit(Phi, y, w, lam, c_bounds, y_bounds):
-    """L1 leaf objective by scipy linprog; mirrors the leaf LP contract."""
+    """L1 leaf objective by scipy linprog; mirrors the leaf LP contract.
+
+    The cost is divided by its least positive weight and the tolerances are
+    tightened: at HiGHS's defaults (1e-7) and lambda_m 0, the best single split
+    of 25 seeded-random MPC labels came out 7.2e-5 above its optimum."""
     if len(y) == 0:
         return 0.0
     N, K = Phi.shape
@@ -64,10 +68,13 @@ def scipy_leaf_fit(Phi, y, w, lam, c_bounds, y_bounds):
                       np.hstack([-Phi, np.zeros((N, 2 * N + 2 * K))])])
     b_ub = np.concatenate([np.full(N, y_bounds[1]), np.full(N, -y_bounds[0])])
     bounds = [c_bounds] * K + [(0, None)] * (2 * N + 2 * K)
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+    scale = min(v for v in (w, lam) if v > 0)
+    res = linprog(cost / scale, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
-    return res.fun
+    return res.fun * scale
 
 
 def brute_force_depth1(data, basis, cfg):
