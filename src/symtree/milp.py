@@ -155,6 +155,9 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
     - tie_M = c_mag max_i sum_k |phi_ik| + max |y bound| bounds every node
       expression |phi_i . c| over the coefficient box, so the tie rows are
       slack at z = 0 and cut off no tree whose leaves are large elsewhere.
+
+    A constant that is not finite (c_bounds of +-1e308 overflow tie_M) is
+    refused with a ConfigError, since an MPS file cannot hold it.
     """
     cfg.check()
     y_lb, y_ub = cfg.resolved_y_bounds(data.y)
@@ -168,6 +171,10 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
     c_mag = max(abs(cfg.c_lb), abs(cfg.c_ub))
     tie_M = (c_mag * float(np.max(np.sum(np.abs(Phi), axis=1)))
              + max(abs(y_lb), abs(y_ub)))
+    for name, v in (("c_lb", cfg.c_lb), ("c_ub", cfg.c_ub), ("y_lb", y_lb),
+                    ("y_ub", y_ub), ("M", M), ("tie_M", tie_M)):
+        if not np.isfinite(v):
+            raise ConfigError(f"MILP constant {name} = {v!r} is not finite")
     nn, terminal, internal = node_sets(cfg.depth)
     N_d, N_f, N_K = data.n_points, data.n_features, basis.size
 
@@ -309,23 +316,21 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
 
 
 def _fmt12(v: float) -> str:
-    for prec in range(12, 2, -1):
+    """v in at most 12 characters, to as many significant digits as fit. Three
+    always do: the longest such form of a float is -1.23e-308, at 10."""
+    for prec in range(12, 3, -1):
         s = f"{float(v):.{prec}g}"
         if len(s) <= 12:
             return s
-    return f"{float(v):.2g}"[:12]
+    return f"{float(v):.3g}"
 
 
-def _pair_lines(label: str, entries: list) -> list:
-    """Data lines holding (row name, value) entries two to a line."""
-    lines = []
-    for j in range(0, len(entries), 2):
-        name, v = entries[j]
-        line = f"    {label:<10}{name:<10}{_fmt12(v):<12}"
-        if j + 1 < len(entries):
-            name, v = entries[j + 1]
-            line = f"{line}   {name:<10}{_fmt12(v):<12}"
-        lines.append(line.rstrip())
+def _pair_lines(label: str, cells: list) -> list:
+    """Data lines holding ready-made (row name, value) cells two to a line."""
+    head = f"    {label:<10}"
+    lines = [f"{head}{a}   {b}".rstrip() for a, b in zip(cells[0::2], cells[1::2])]
+    if len(cells) % 2:
+        lines.append(f"{head}{cells[-1]}".rstrip())
     return lines
 
 
@@ -339,18 +344,23 @@ def mps_text(art: MilpArtifact) -> str:
     lines += [f" {t}  {name}" for t, name in zip(sense, row_mps)]
     # Column-major entries of [cost; A]: variable order, then row order.
     cols = sparse.vstack([sparse.csc_array(art.cost[None, :]), art.A], format="csc")
-    labels = ["OBJ"] + row_mps
-    entries = [(labels[r], v) for r, v in zip(cols.indices.tolist(), cols.data.tolist())]
+    vals = cols.data.tolist()
+    rhs = np.where(le, art.row_hi, art.row_lo).tolist()
+    lo, hi = art.lo.tolist(), art.hi.tolist()
+    # Each distinct nonzero value formatted once. Zeros stay out: 0.0 and -0.0
+    # are one key but print apart, and only an UP bound writes a zero.
+    fmt = {v: f"{_fmt12(v):<12}" for v in {*vals, *rhs, *lo, *hi} if v}
+    labels = [f"{name:<10}" for name in ["OBJ"] + row_mps]
+    cells = [labels[r] + fmt[v] for r, v in zip(cols.indices.tolist(), vals)]
     ptr = cols.indptr.tolist()
     lines.append("COLUMNS")
     for j, mps in enumerate(art.var_mps):
-        lines += _pair_lines(mps, entries[ptr[j]:ptr[j + 1]])
+        lines += _pair_lines(mps, cells[ptr[j]:ptr[j + 1]])
     lines.append("RHS")
-    rhs = np.where(le, art.row_hi, art.row_lo).tolist()
-    lines += _pair_lines("RHS", [(name, v) for name, v in zip(row_mps, rhs) if v != 0.0])
+    lines += _pair_lines("RHS", [labels[r] + fmt[v]
+                                 for r, v in enumerate(rhs, start=1) if v != 0.0])
     lines.append("BOUNDS")
-    for mps, kind, v_lo, v_hi in zip(art.var_mps, art.integrality.tolist(),
-                                     art.lo.tolist(), art.hi.tolist()):
+    for mps, kind, v_lo, v_hi in zip(art.var_mps, art.integrality.tolist(), lo, hi):
         if kind == BINARY:
             lines.append(f" BV {'BND':<10}{mps}")
         elif v_lo == -np.inf and v_hi == np.inf:
@@ -359,9 +369,10 @@ def mps_text(art: MilpArtifact) -> str:
             if v_lo == -np.inf:
                 lines.append(f" MI {'BND':<10}{mps}")
             elif v_lo != 0.0:
-                lines.append(f" LO {'BND':<10}{mps:<10}{_fmt12(v_lo)}")
+                lines.append(f" LO {'BND':<10}{mps:<10}{fmt[v_lo]}".rstrip())
             if v_hi != np.inf:
-                lines.append(f" UP {'BND':<10}{mps:<10}{_fmt12(v_hi)}")
+                lines.append(f" UP {'BND':<10}{mps:<10}"
+                             f"{fmt[v_hi] if v_hi else _fmt12(v_hi)}".rstrip())
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 

@@ -161,6 +161,22 @@ def test_export_milp_counts(workspace):
     assert (ws / "prob.names.json").exists()
 
 
+@pytest.mark.parametrize("bounds, constant", [("[-1e308, 1e308]", "tie_M"),
+                                              ("[-Infinity, Infinity]", "c_lb")])
+def test_export_milp_non_finite_constant_exit_code(workspace, tmp_path, capsys,
+                                                   bounds, constant):
+    # tie_M overflowed, or json's Infinity passed through, and the MPS file
+    # was written with inf in it.
+    ws, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"learn": {"c_bounds": %s}}' % bounds)
+    out = tmp_path / "prob.mps"
+    assert run(["export-milp", "--config", str(cfg),
+                "--data", str(ws / "train.csv"), "--out", str(out)]) == 2
+    assert f"MILP constant {constant} = " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_import_solution_round_trip(workspace):
     ws, cfg = workspace
     model = deserialize((ws / "model.tree.json").read_text())

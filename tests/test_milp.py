@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -16,6 +17,7 @@ from symtree.learner import Dataset, LearnConfig, fit_tree, objective_of
 from symtree.milp import (BINARY, CONTINUOUS, build_milp, expected_counts,
                           mps_text, name_map, parse_mps_counts,
                           parse_solution_text, read_solution, write_mps)
+from symtree.mpc import generate_dataset
 from symtree.tree import BRANCH, route, validate
 
 
@@ -281,6 +283,65 @@ def test_mps_values_read_back():
     A.data = rounded(A.data)
     assert not np.array_equal(A.data, art.A.data)  # some entries do round
     assert (got["A"] != A).nnz == 0
+
+
+@pytest.mark.parametrize("v", [
+    0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, -2 / 3, 1e-4, 123456789012.5, -123456789012.5,
+    1.2345678901234e-5, -9.87654321e10, 1.5e300, -1.23456789e-300, 5e-324, -5e-324,
+    1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308,
+    -1.2345678901e-308])
+def test_fmt12_fits_and_rounds(v):
+    """At most 12 characters, reading back as v rounded to 12 or fewer
+    significant digits: at 3 digits even -1.23e-308 takes only 10."""
+    s = milp._fmt12(v)
+    assert len(s) <= 12
+    assert any(float(s) == float(f"{v:.{p}g}") for p in range(3, 13)), s
+
+
+def _pinned_instances():
+    """(a) the canonical 50-point uniform-grid training set at depth 2; (b) two
+    features with negative coordinates at depth 3. build_milp's finite
+    constants never leave a variable bounded above only, so (b) opens one
+    bound by hand for an MI line, and sets two more to 0.0 and -0.0."""
+    train = generate_dataset(load_config().mpc_spec(), 50, 0.1, 0.9, "uniform-grid", 0)
+    yield "canonical", build_milp(train, canonical_basis(), load_config().learn_config())
+    rng = np.random.default_rng(43)
+    data = Dataset(X=np.round(rng.uniform(-2, 1.5, (6, 2)), 2),
+                   y=np.round(rng.uniform(-1, 1, 6), 2))
+    art = build_milp(data, basis_from_forms(["1", "x", "x@1"]), LearnConfig(depth=3))
+    art.lo[art.index["ypred[1]"]] = -np.inf
+    art.hi[art.index["ypred[2]"]] = 0.0
+    art.hi[art.index["ypred[3]"]] = -0.0
+    yield "negative", art
+
+
+# sha256 of mps_text on each pinned instance: the writer's line pairing,
+# padding and number formatting may get faster, never different.
+_PINNED_MPS = {
+    "canonical": "fcfb0965987564440d5a542416c3b1728cbea123ceb538e567fa324ecdbf6422",
+    "negative": "9577c7dc31fa1ea3e165c4ba89374010c9e59681e9ebf29555ad1e81cfc38c77",
+}
+
+
+def test_mps_text_is_pinned():
+    for name, art in _pinned_instances():
+        text = mps_text(art)
+        if name == "negative":
+            kinds = {line[:4] for line in text.splitlines()}
+            assert {" LO ", " UP ", " MI ", " FR ", " BV "} <= kinds
+        assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_MPS[name], name
+
+
+@pytest.mark.parametrize("X, bounds, constant", [
+    ([[0.3], [0.9]], {"c_lb": -1e308, "c_ub": 1e308}, "tie_M"),  # 1e308 * 1.9
+    ([[0.3], [0.9]], {"c_lb": -np.inf, "c_ub": np.inf}, "c_lb"),
+    ([[0.3], [0.9]], {"y_lb": -1.0, "y_ub": np.inf}, "y_ub"),
+    ([[-1e308], [1e308]], {}, "M")], ids=["tie_M", "c_lb", "y_ub", "M"])
+def test_non_finite_constant_refused(X, bounds, constant):
+    """An MPS file cannot hold inf: each non-finite constant is named."""
+    data = Dataset(X=X, y=[0.0, 1.0])
+    with pytest.raises(ConfigError, match=f"constant {constant} = "):
+        build_milp(data, basis_from_forms(["1", "x"]), LearnConfig(depth=1, **bounds))
 
 
 def highs_instances():
