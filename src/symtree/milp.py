@@ -12,7 +12,10 @@ re-scored internally.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 from scipy import sparse
@@ -68,9 +71,10 @@ class MilpArtifact:
     def n_rows(self) -> int:
         return len(self.row_names)
 
-    @property
+    @cached_property
     def row_mps(self) -> list:
-        return [f"R{j:07d}" for j in range(1, self.n_rows + 1)]
+        """Fixed-format row names, built once per artifact."""
+        return ["R%07d" % j for j in range(1, self.n_rows + 1)]
 
     def var_value(self, assign: dict, i: int, default=0.0):
         if self.var_names[i] in assign:
@@ -136,6 +140,36 @@ def expected_counts(n_data: int, n_features: int, depth: int, n_basis: int):
     return binaries + continuous, binaries, rows
 
 
+def _name_index(var_names: list, var_mps: list) -> dict:
+    """Structured and machine name -> variable index. Refuses a machine name
+    wider than fixed-format MPS allows and a name given twice."""
+    if max(map(len, var_mps)) > 8:
+        wide = next(mps for mps in var_mps if len(mps) > 8)
+        raise ConfigError(f"machine name {wide!r} exceeds fixed-format width")
+    keys = [None] * (2 * len(var_mps))
+    keys[::2], keys[1::2] = var_names, var_mps
+    index = dict(zip(keys, np.arange(len(var_mps)).repeat(2).tolist()))
+    if len(index) != len(keys):
+        dup = next(k for k, count in Counter(keys).items() if count > 1)
+        raise ConfigError(f"duplicate variable name {dup!r}")
+    return index
+
+
+def _rows(names, sense, rhs, cols, vals):
+    """One constraint family as (names, row_lo, row_hi, cols[m, w], vals[m, w]).
+
+    Term t of every row is column cols[t] with coefficient vals[t]. The terms,
+    sense and rhs broadcast to one shape of rows, which flattens row-major, so
+    a last axis of length p interleaves p kinds of row."""
+    shape = np.broadcast_shapes(*map(np.shape, [*cols, *vals, sense, rhs]))
+    col_ids, coefs = np.empty(shape + (len(cols),), dtype=int), np.empty(shape + (len(cols),))
+    for t, (col, val) in enumerate(zip(cols, vals)):
+        col_ids[..., t], coefs[..., t] = col, val
+    sense, rhs = np.broadcast_to(sense, shape).ravel(), np.broadcast_to(rhs, shape).ravel()
+    return (names, np.where(sense == LE, -np.inf, rhs), np.where(sense == GE, np.inf, rhs),
+            col_ids.reshape(len(names), -1), coefs.reshape(len(names), -1))
+
+
 def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact:
     """Emit the full variable/constraint representation of the learning problem.
 
@@ -158,6 +192,9 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
 
     A constant that is not finite (c_bounds of +-1e308 overflow tie_M) is
     refused with a ConfigError, since an MPS file cannot hold it.
+
+    Each variable block is an index array shaped by its subscripts (z[i - 1,
+    n - 1] is z[i,n]) and each constraint family one ``_rows`` call.
     """
     cfg.check()
     y_lb, y_ub = cfg.resolved_y_bounds(data.y)
@@ -176,141 +213,104 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
         if not np.isfinite(v):
             raise ConfigError(f"MILP constant {name} = {v!r} is not finite")
     nn, terminal, internal = node_sets(cfg.depth)
-    N_d, N_f, N_K = data.n_points, data.n_features, basis.size
+    points, features, funcs = (range(1, k + 1) for k in
+                               (data.n_points, data.n_features, basis.size))
 
-    variables, index = [], {}   # (name, mps, integrality, lo, hi) per variable
+    var_names, var_mps, blocks = [], [], []   # blocks: (integrality, lo, hi, size)
 
-    def add_var(name, mps, kind, lo, hi):
-        if len(mps) > 8:
-            raise ConfigError(f"machine name {mps!r} exceeds fixed-format width")
-        if mps in index or name in index:
-            raise ConfigError(f"duplicate variable name {mps!r}")
-        index[name] = index[mps] = len(variables)
-        variables.append((name, mps, kind, lo, hi))
-        return len(variables) - 1
+    def block(name, mps, kind, lo, hi, *axes):
+        subs = [list(map(str, axis)) for axis in axes]
+        start = len(var_names)
+        var_names.extend([f"{name}[{k}]" for k in map(",".join, product(*subs))])
+        var_mps.extend([mps + k for k in map("_".join, product(*subs))])
+        blocks.append((kind, lo, hi, len(var_names) - start))
+        return np.arange(start, len(var_names)).reshape([len(axis) for axis in axes])
 
-    d = {n: add_var(f"d[{n}]", f"D{n}", BINARY, 0.0, 1.0) for n in nn}
-    z = {(i, n): add_var(f"z[{i},{n}]", f"Z{i}_{n}", BINARY, 0.0, 1.0)
-         for i in range(1, N_d + 1) for n in nn}
-    a = {(f, n): add_var(f"a[{f},{n}]", f"A{f}_{n}", BINARY, 0.0, 1.0)
-         for f in range(1, N_f + 1) for n in internal}
-    b = {n: add_var(f"b[{n}]", f"B{n}", CONTINUOUS, b_lo, b_hi) for n in internal}
-    c = {(k, n): add_var(f"c[{k},{n}]", f"C{k}_{n}", CONTINUOUS, cfg.c_lb, cfg.c_ub)
-         for k in range(1, N_K + 1) for n in nn}
-    yhat = {(i, n): add_var(f"yhat[{i},{n}]", f"YH{i}_{n}", CONTINUOUS,
-                            -np.inf, np.inf)
-            for i in range(1, N_d + 1) for n in nn}
-    delta = {(i, n): add_var(f"delta[{i},{n}]", f"DL{i}_{n}", CONTINUOUS, d_lb, d_ub)
-             for i in range(1, N_d + 1) for n in nn}
-    epos = {i: add_var(f"epos[{i}]", f"EP{i}", CONTINUOUS, 0.0, np.inf)
-            for i in range(1, N_d + 1)}
-    eneg = {i: add_var(f"eneg[{i}]", f"EN{i}", CONTINUOUS, 0.0, np.inf)
-            for i in range(1, N_d + 1)}
-    cpos = {(k, n): add_var(f"cpos[{k},{n}]", f"CP{k}_{n}", CONTINUOUS, 0.0, np.inf)
-            for k in range(1, N_K + 1) for n in nn}
-    cneg = {(k, n): add_var(f"cneg[{k},{n}]", f"CN{k}_{n}", CONTINUOUS, 0.0, np.inf)
-            for k in range(1, N_K + 1) for n in nn}
-    ypred = {i: add_var(f"ypred[{i}]", f"YP{i}", CONTINUOUS, y_lb, y_ub)
-             for i in range(1, N_d + 1)}
+    d = block("d", "D", BINARY, 0.0, 1.0, nn)
+    z = block("z", "Z", BINARY, 0.0, 1.0, points, nn)
+    a = block("a", "A", BINARY, 0.0, 1.0, features, internal)
+    b = block("b", "B", CONTINUOUS, b_lo, b_hi, internal)
+    c = block("c", "C", CONTINUOUS, cfg.c_lb, cfg.c_ub, funcs, nn)
+    yhat = block("yhat", "YH", CONTINUOUS, -np.inf, np.inf, points, nn)
+    delta = block("delta", "DL", CONTINUOUS, d_lb, d_ub, points, nn)
+    epos = block("epos", "EP", CONTINUOUS, 0.0, np.inf, points)
+    eneg = block("eneg", "EN", CONTINUOUS, 0.0, np.inf, points)
+    cpos = block("cpos", "CP", CONTINUOUS, 0.0, np.inf, funcs, nn)
+    cneg = block("cneg", "CN", CONTINUOUS, 0.0, np.inf, funcs, nn)
+    ypred = block("ypred", "YP", CONTINUOUS, y_lb, y_ub, points)
+    index = _name_index(var_names, var_mps)
 
-    row_names, row_lo, row_hi = [], [], []
-    rows, cols, vals = [], [], []   # coordinates and values of A's entries
+    n_int = len(internal)
+    point_nodes = [(i, n) for i in points for n in nn]
+    func_nodes = [(k, n) for k in funcs for n in nn]
+    path = [(n, m) for n in nn for m in ancestors(n)]
+    route = [(n, m, right) for n in nn
+             for right, ms in enumerate(left_right_ancestors(n)) for m in ms]
+    pn, pm = np.array(path).T - 1
+    rn, rm, right = np.array(route).T - [[1], [1], [0]]
+    families = [
+        # Tree structure: children branch only under a branching parent; the
+        # root branches; maximal-depth nodes never branch.
+        _rows([f"struct_{s}[{n}]" for n in internal for s in ("left", "right")], LE, 0.0,
+              [d[1:].reshape(n_int, 2), d[:n_int, None]], [1.0, -1.0]),
+        _rows(["struct_root"], EQ, 1.0, [d[:1]], [1.0]),
+        _rows([f"struct_leaf[{n}]" for n in terminal], EQ, 0.0, [d[n_int:]], [1.0]),
+        # No data on branching nodes.
+        _rows([f"no_branch_data[{i},{n}]" for i, n in point_nodes], LE, 1.0, [z, d], [1.0, 1.0]),
+        # Every data point assigned exactly once.
+        _rows([f"assign_once[{i}]" for i in points], EQ, 1.0, [*z.T], [1.0] * len(nn)),
+        # No data on inactive nodes: assignment implies branching ancestors.
+        _rows([f"active_path[{i},{n},{m}]" for i in points for n, m in path], LE, 0.0,
+              [z[:, pn], d[pm]], [1.0, -1.0]),
+        # Exactly one branching feature at each branching node.
+        _rows([f"one_feature[{n}]" for n in internal], EQ, 0.0,
+              [*a, d[:n_int]], [1.0] * len(features) + [-1.0]),
+        # Big-M routing along the path of the assigned node.
+        _rows([f"route_{('left', 'right')[r]}[{i},{n},{m}]" for i in points for n, m, r in route],
+              np.where(right, GE, LE), np.where(right, -M, M - eps),
+              [*a[:, rm], b[rm], z[:, rn]],
+              [*data.X.T[:, :, None], -1.0, np.where(right, -M, M)]),
+        # Node expression values.
+        _rows([f"node_value[{i},{n}]" for i, n in point_nodes], EQ, 0.0,
+              [yhat, *c], [1.0, *-Phi.T[:, :, None]]),
+        # Branch nodes carry zero coefficients.
+        _rows([f"coef_{s}[{k},{n}]" for k, n in func_nodes for s in ("ub", "lb")],
+              [LE, GE], [cfg.c_ub, cfg.c_lb], [c[:, :, None], d[:, None]],
+              [1.0, [cfg.c_ub, cfg.c_lb]]),
+        # Linearized product delta = yhat * z. The first two rows have no yhat
+        # term: their 0.0 coefficients are dropped by eliminate_zeros.
+        _rows([f"prod_{s}[{i},{n}]" for i, n in point_nodes
+               for s in ("ub", "lb", "tie_ub", "tie_lb")],
+              [LE, GE, LE, GE], [0.0, 0.0, tie_M, -tie_M],
+              [delta[:, :, None], yhat[:, :, None], z[:, :, None]],
+              [1.0, [0.0, 0.0, -1.0, -1.0], [-y_ub, -y_lb, tie_M, -tie_M]]),
+        # Tree output is the assigned node's expression value.
+        _rows([f"output[{i}]" for i in points], EQ, 0.0,
+              [ypred, *delta.T], [1.0] + [-1.0] * len(nn)),
+        # Absolute-value splits for residuals and coefficients.
+        _rows([f"resid_split[{i}]" for i in points], EQ, data.y,
+              [epos, eneg, ypred], [1.0, -1.0, 1.0]),
+        _rows([f"coef_split[{k},{n}]" for k, n in func_nodes], EQ, 0.0,
+              [cpos, cneg, c], [1.0, -1.0, -1.0]),
+    ]
+    names, row_lo, row_hi, cols, vals = zip(*families)
+    row_names = [name for family in names for name in family]
+    widths = np.repeat([fc.shape[1] for fc in cols], [len(fn) for fn in names])
+    rows = np.repeat(np.arange(len(row_names)), widths)
 
-    def add_row(name, sense, rhs, terms):
-        for i, coef in terms:
-            rows.append(len(row_names))
-            cols.append(i)
-            vals.append(coef)
-        row_names.append(name)
-        row_lo.append(-np.inf if sense == LE else float(rhs))
-        row_hi.append(np.inf if sense == GE else float(rhs))
+    cost = np.zeros(len(var_names))
+    cost[epos] = cost[eneg] = 1.0 / data.n_points
+    cost[d] = cfg.lambda_c
+    cost[cpos] = cost[cneg] = cfg.lambda_m
 
-    # Tree structure: children branch only under a branching parent; the root
-    # branches; maximal-depth nodes never branch.
-    for n in internal:
-        add_row(f"struct_left[{n}]", LE, 0.0, [(d[2 * n], 1.0), (d[n], -1.0)])
-        add_row(f"struct_right[{n}]", LE, 0.0, [(d[2 * n + 1], 1.0), (d[n], -1.0)])
-    add_row("struct_root", EQ, 1.0, [(d[1], 1.0)])
-    for n in terminal:
-        add_row(f"struct_leaf[{n}]", EQ, 0.0, [(d[n], 1.0)])
-    # No data on branching nodes.
-    for i in range(1, N_d + 1):
-        for n in nn:
-            add_row(f"no_branch_data[{i},{n}]", LE, 1.0,
-                    [(z[i, n], 1.0), (d[n], 1.0)])
-    # Every data point assigned exactly once.
-    for i in range(1, N_d + 1):
-        add_row(f"assign_once[{i}]", EQ, 1.0, [(z[i, n], 1.0) for n in nn])
-    # No data on inactive nodes: assignment implies branching ancestors.
-    for i in range(1, N_d + 1):
-        for n in nn:
-            for m in ancestors(n):
-                add_row(f"active_path[{i},{n},{m}]", LE, 0.0,
-                        [(z[i, n], 1.0), (d[m], -1.0)])
-    # Exactly one branching feature at each branching node.
-    for n in internal:
-        add_row(f"one_feature[{n}]", EQ, 0.0,
-                [(a[f, n], 1.0) for f in range(1, N_f + 1)] + [(d[n], -1.0)])
-    # Big-M routing along the path of the assigned node.
-    for i in range(1, N_d + 1):
-        xi = data.X[i - 1]
-        for n in nn:
-            lefts, rights = left_right_ancestors(n)
-            for m in lefts:
-                terms = [(a[f, m], float(xi[f - 1])) for f in range(1, N_f + 1)]
-                terms += [(b[m], -1.0), (z[i, n], M)]
-                add_row(f"route_left[{i},{n},{m}]", LE, M - eps, terms)
-            for m in rights:
-                terms = [(a[f, m], float(xi[f - 1])) for f in range(1, N_f + 1)]
-                terms += [(b[m], -1.0), (z[i, n], -M)]
-                add_row(f"route_right[{i},{n},{m}]", GE, -M, terms)
-    # Node expression values.
-    for i in range(1, N_d + 1):
-        for n in nn:
-            terms = [(yhat[i, n], 1.0)]
-            terms += [(c[k, n], -float(Phi[i - 1, k - 1])) for k in range(1, N_K + 1)]
-            add_row(f"node_value[{i},{n}]", EQ, 0.0, terms)
-    # Branch nodes carry zero coefficients.
-    for k in range(1, N_K + 1):
-        for n in nn:
-            add_row(f"coef_ub[{k},{n}]", LE, cfg.c_ub,
-                    [(c[k, n], 1.0), (d[n], cfg.c_ub)])
-            add_row(f"coef_lb[{k},{n}]", GE, cfg.c_lb,
-                    [(c[k, n], 1.0), (d[n], cfg.c_lb)])
-    # Linearized product delta = yhat * z.
-    for i in range(1, N_d + 1):
-        for n in nn:
-            add_row(f"prod_ub[{i},{n}]", LE, 0.0,
-                    [(delta[i, n], 1.0), (z[i, n], -y_ub)])
-            add_row(f"prod_lb[{i},{n}]", GE, 0.0,
-                    [(delta[i, n], 1.0), (z[i, n], -y_lb)])
-            add_row(f"prod_tie_ub[{i},{n}]", LE, tie_M,
-                    [(delta[i, n], 1.0), (yhat[i, n], -1.0), (z[i, n], tie_M)])
-            add_row(f"prod_tie_lb[{i},{n}]", GE, -tie_M,
-                    [(delta[i, n], 1.0), (yhat[i, n], -1.0), (z[i, n], -tie_M)])
-    # Tree output is the assigned node's expression value.
-    for i in range(1, N_d + 1):
-        add_row(f"output[{i}]", EQ, 0.0,
-                [(ypred[i], 1.0)] + [(delta[i, n], -1.0) for n in nn])
-    # Absolute-value splits for residuals and coefficients.
-    for i in range(1, N_d + 1):
-        add_row(f"resid_split[{i}]", EQ, float(data.y[i - 1]),
-                [(epos[i], 1.0), (eneg[i], -1.0), (ypred[i], 1.0)])
-    for k in range(1, N_K + 1):
-        for n in nn:
-            add_row(f"coef_split[{k},{n}]", EQ, 0.0,
-                    [(cpos[k, n], 1.0), (cneg[k, n], -1.0), (c[k, n], -1.0)])
-
-    cost = np.zeros(len(variables))
-    cost[list(epos.values()) + list(eneg.values())] = 1.0 / N_d
-    cost[list(d.values())] = cfg.lambda_c
-    cost[list(cpos.values()) + list(cneg.values())] = cfg.lambda_m
-
-    A = sparse.csc_array((vals, (rows, cols)), shape=(len(row_names), len(variables)))
+    A = sparse.csc_array((np.concatenate([fv.ravel() for fv in vals]),
+                          (rows, np.concatenate([fc.ravel() for fc in cols]))),
+                         shape=(len(row_names), len(var_names)))
     A.eliminate_zeros()
-    var_names, var_mps, integrality, lo, hi = map(list, zip(*variables))
-    return MilpArtifact(cost=cost, A=A, row_lo=np.array(row_lo), row_hi=np.array(row_hi),
-                        lo=np.array(lo), hi=np.array(hi), integrality=np.array(integrality),
+    *bounds, sizes = zip(*blocks)
+    integrality, lo, hi = (np.repeat(v, sizes) for v in bounds)
+    return MilpArtifact(cost=cost, A=A, row_lo=np.concatenate(row_lo),
+                        row_hi=np.concatenate(row_hi), lo=lo, hi=hi, integrality=integrality,
                         var_names=var_names, var_mps=var_mps, row_names=row_names,
                         data=data, basis=basis, cfg=cfg, y_bounds=(y_lb, y_ub), index=index)
 

@@ -6,7 +6,8 @@ and optima are found by exhaustive enumeration. Basis values come from each
 function's closed form on its own, with no sharing between functions. MPC
 solves, warm or cold, are held to the best of every distinct start at their
 state, with no early stop.
-The exported MPS text is read back by a fixed-format reader of its own.
+The exported MPS text is read back by a fixed-format reader of its own, and
+the MILP arrays are checked against a builder that emits one row at a time.
 """
 
 import itertools
@@ -18,11 +19,13 @@ from scipy.optimize import Bounds, LinearConstraint, linprog
 from scipy.optimize import milp as scipy_milp
 
 from symtree import milp, mpc
-from symtree.basis import evaluate_basis_matrix
-from symtree.learner import Dataset, candidate_thresholds
-from symtree.milp import BINARY
+from symtree.basis import BasisSet, evaluate_basis_matrix
+from symtree.errors import ConfigError
+from symtree.learner import EMPTY_SIDE_OFFSET, Dataset, LearnConfig, candidate_thresholds
+from symtree.milp import (BINARY, CONTINUOUS, EPS_ROUTING, EQ, GE, LE, MilpArtifact,
+                          left_right_ancestors, node_sets)
 from symtree.mpc import KKT_TOL
-from symtree.tree import BRANCH, LEAF, node_depth, route
+from symtree.tree import BRANCH, LEAF, ancestors, node_depth, route
 
 _EXP_ARGUMENT = {
     "x": lambda v: v,
@@ -220,6 +223,188 @@ def read_mps_arrays(text):
         else:
             raise ValueError(f"unknown bound type {kind!r}")
     return out
+
+
+def loop_build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact:
+    """``milp.build_milp`` as it was written with one ``add_row`` call per
+    row, kept to check the family-at-a-time builder field by field.
+
+    Emit the full variable/constraint representation of the learning problem.
+
+    Its constants come from the data (as in Bertsimas & Dunn, "Optimal
+    classification trees", Mach. Learn. 2017) and hold for every feasible
+    tree. The routing sum sum_f a[f,m] x[i,f] is one coordinate of x_i, or 0
+    where m does not branch, so it lies in [s_lo, s_hi] = [min(0, min X),
+    max(0, max X)]. With o = EMPTY_SIDE_OFFSET:
+
+    - b lies in [s_lo - o, s_hi + o]. That holds every threshold ``fit_tree``
+      emits (midpoints, and empty-side splits o beyond one feature's values)
+      and the 0 of an unused b; a threshold beyond it routes as its end does.
+    - Routing M = (s_hi - s_lo) + o + eps, the smallest constant that leaves
+      both routing rows slack at z = 0, as |sum_f a x - b| <= (s_hi - s_lo) + o.
+      A z within a solver's integrality tolerance of 1 thus moves a point by
+      that tolerance times M, far below eps.
+    - tie_M = c_mag max_i sum_k |phi_ik| + max |y bound| bounds every node
+      expression |phi_i . c| over the coefficient box, so the tie rows are
+      slack at z = 0 and cut off no tree whose leaves are large elsewhere.
+
+    A constant that is not finite (c_bounds of +-1e308 overflow tie_M) is
+    refused with a ConfigError, since an MPS file cannot hold it.
+    """
+    cfg.check()
+    y_lb, y_ub = cfg.resolved_y_bounds(data.y)
+    # delta = yhat*z vanishes wherever z = 0, so its bounds must admit 0 even
+    # when the prediction range itself excludes it.
+    d_lb, d_ub = min(y_lb, 0.0), max(y_ub, 0.0)
+    s_lo, s_hi = min(0.0, float(np.min(data.X))), max(0.0, float(np.max(data.X)))
+    b_lo, b_hi = s_lo - EMPTY_SIDE_OFFSET, s_hi + EMPTY_SIDE_OFFSET
+    M, eps = (s_hi - s_lo) + EMPTY_SIDE_OFFSET + EPS_ROUTING, EPS_ROUTING
+    Phi = evaluate_basis_matrix(basis, data.X)
+    c_mag = max(abs(cfg.c_lb), abs(cfg.c_ub))
+    tie_M = (c_mag * float(np.max(np.sum(np.abs(Phi), axis=1)))
+             + max(abs(y_lb), abs(y_ub)))
+    for name, v in (("c_lb", cfg.c_lb), ("c_ub", cfg.c_ub), ("y_lb", y_lb),
+                    ("y_ub", y_ub), ("M", M), ("tie_M", tie_M)):
+        if not np.isfinite(v):
+            raise ConfigError(f"MILP constant {name} = {v!r} is not finite")
+    nn, terminal, internal = node_sets(cfg.depth)
+    N_d, N_f, N_K = data.n_points, data.n_features, basis.size
+
+    variables, index = [], {}   # (name, mps, integrality, lo, hi) per variable
+
+    def add_var(name, mps, kind, lo, hi):
+        if len(mps) > 8:
+            raise ConfigError(f"machine name {mps!r} exceeds fixed-format width")
+        if mps in index or name in index:
+            raise ConfigError(f"duplicate variable name {mps!r}")
+        index[name] = index[mps] = len(variables)
+        variables.append((name, mps, kind, lo, hi))
+        return len(variables) - 1
+
+    d = {n: add_var(f"d[{n}]", f"D{n}", BINARY, 0.0, 1.0) for n in nn}
+    z = {(i, n): add_var(f"z[{i},{n}]", f"Z{i}_{n}", BINARY, 0.0, 1.0)
+         for i in range(1, N_d + 1) for n in nn}
+    a = {(f, n): add_var(f"a[{f},{n}]", f"A{f}_{n}", BINARY, 0.0, 1.0)
+         for f in range(1, N_f + 1) for n in internal}
+    b = {n: add_var(f"b[{n}]", f"B{n}", CONTINUOUS, b_lo, b_hi) for n in internal}
+    c = {(k, n): add_var(f"c[{k},{n}]", f"C{k}_{n}", CONTINUOUS, cfg.c_lb, cfg.c_ub)
+         for k in range(1, N_K + 1) for n in nn}
+    yhat = {(i, n): add_var(f"yhat[{i},{n}]", f"YH{i}_{n}", CONTINUOUS,
+                            -np.inf, np.inf)
+            for i in range(1, N_d + 1) for n in nn}
+    delta = {(i, n): add_var(f"delta[{i},{n}]", f"DL{i}_{n}", CONTINUOUS, d_lb, d_ub)
+             for i in range(1, N_d + 1) for n in nn}
+    epos = {i: add_var(f"epos[{i}]", f"EP{i}", CONTINUOUS, 0.0, np.inf)
+            for i in range(1, N_d + 1)}
+    eneg = {i: add_var(f"eneg[{i}]", f"EN{i}", CONTINUOUS, 0.0, np.inf)
+            for i in range(1, N_d + 1)}
+    cpos = {(k, n): add_var(f"cpos[{k},{n}]", f"CP{k}_{n}", CONTINUOUS, 0.0, np.inf)
+            for k in range(1, N_K + 1) for n in nn}
+    cneg = {(k, n): add_var(f"cneg[{k},{n}]", f"CN{k}_{n}", CONTINUOUS, 0.0, np.inf)
+            for k in range(1, N_K + 1) for n in nn}
+    ypred = {i: add_var(f"ypred[{i}]", f"YP{i}", CONTINUOUS, y_lb, y_ub)
+             for i in range(1, N_d + 1)}
+
+    row_names, row_lo, row_hi = [], [], []
+    rows, cols, vals = [], [], []   # coordinates and values of A's entries
+
+    def add_row(name, sense, rhs, terms):
+        for i, coef in terms:
+            rows.append(len(row_names))
+            cols.append(i)
+            vals.append(coef)
+        row_names.append(name)
+        row_lo.append(-np.inf if sense == LE else float(rhs))
+        row_hi.append(np.inf if sense == GE else float(rhs))
+
+    # Tree structure: children branch only under a branching parent; the root
+    # branches; maximal-depth nodes never branch.
+    for n in internal:
+        add_row(f"struct_left[{n}]", LE, 0.0, [(d[2 * n], 1.0), (d[n], -1.0)])
+        add_row(f"struct_right[{n}]", LE, 0.0, [(d[2 * n + 1], 1.0), (d[n], -1.0)])
+    add_row("struct_root", EQ, 1.0, [(d[1], 1.0)])
+    for n in terminal:
+        add_row(f"struct_leaf[{n}]", EQ, 0.0, [(d[n], 1.0)])
+    # No data on branching nodes.
+    for i in range(1, N_d + 1):
+        for n in nn:
+            add_row(f"no_branch_data[{i},{n}]", LE, 1.0,
+                    [(z[i, n], 1.0), (d[n], 1.0)])
+    # Every data point assigned exactly once.
+    for i in range(1, N_d + 1):
+        add_row(f"assign_once[{i}]", EQ, 1.0, [(z[i, n], 1.0) for n in nn])
+    # No data on inactive nodes: assignment implies branching ancestors.
+    for i in range(1, N_d + 1):
+        for n in nn:
+            for m in ancestors(n):
+                add_row(f"active_path[{i},{n},{m}]", LE, 0.0,
+                        [(z[i, n], 1.0), (d[m], -1.0)])
+    # Exactly one branching feature at each branching node.
+    for n in internal:
+        add_row(f"one_feature[{n}]", EQ, 0.0,
+                [(a[f, n], 1.0) for f in range(1, N_f + 1)] + [(d[n], -1.0)])
+    # Big-M routing along the path of the assigned node.
+    for i in range(1, N_d + 1):
+        xi = data.X[i - 1]
+        for n in nn:
+            lefts, rights = left_right_ancestors(n)
+            for m in lefts:
+                terms = [(a[f, m], float(xi[f - 1])) for f in range(1, N_f + 1)]
+                terms += [(b[m], -1.0), (z[i, n], M)]
+                add_row(f"route_left[{i},{n},{m}]", LE, M - eps, terms)
+            for m in rights:
+                terms = [(a[f, m], float(xi[f - 1])) for f in range(1, N_f + 1)]
+                terms += [(b[m], -1.0), (z[i, n], -M)]
+                add_row(f"route_right[{i},{n},{m}]", GE, -M, terms)
+    # Node expression values.
+    for i in range(1, N_d + 1):
+        for n in nn:
+            terms = [(yhat[i, n], 1.0)]
+            terms += [(c[k, n], -float(Phi[i - 1, k - 1])) for k in range(1, N_K + 1)]
+            add_row(f"node_value[{i},{n}]", EQ, 0.0, terms)
+    # Branch nodes carry zero coefficients.
+    for k in range(1, N_K + 1):
+        for n in nn:
+            add_row(f"coef_ub[{k},{n}]", LE, cfg.c_ub,
+                    [(c[k, n], 1.0), (d[n], cfg.c_ub)])
+            add_row(f"coef_lb[{k},{n}]", GE, cfg.c_lb,
+                    [(c[k, n], 1.0), (d[n], cfg.c_lb)])
+    # Linearized product delta = yhat * z.
+    for i in range(1, N_d + 1):
+        for n in nn:
+            add_row(f"prod_ub[{i},{n}]", LE, 0.0,
+                    [(delta[i, n], 1.0), (z[i, n], -y_ub)])
+            add_row(f"prod_lb[{i},{n}]", GE, 0.0,
+                    [(delta[i, n], 1.0), (z[i, n], -y_lb)])
+            add_row(f"prod_tie_ub[{i},{n}]", LE, tie_M,
+                    [(delta[i, n], 1.0), (yhat[i, n], -1.0), (z[i, n], tie_M)])
+            add_row(f"prod_tie_lb[{i},{n}]", GE, -tie_M,
+                    [(delta[i, n], 1.0), (yhat[i, n], -1.0), (z[i, n], -tie_M)])
+    # Tree output is the assigned node's expression value.
+    for i in range(1, N_d + 1):
+        add_row(f"output[{i}]", EQ, 0.0,
+                [(ypred[i], 1.0)] + [(delta[i, n], -1.0) for n in nn])
+    # Absolute-value splits for residuals and coefficients.
+    for i in range(1, N_d + 1):
+        add_row(f"resid_split[{i}]", EQ, float(data.y[i - 1]),
+                [(epos[i], 1.0), (eneg[i], -1.0), (ypred[i], 1.0)])
+    for k in range(1, N_K + 1):
+        for n in nn:
+            add_row(f"coef_split[{k},{n}]", EQ, 0.0,
+                    [(cpos[k, n], 1.0), (cneg[k, n], -1.0), (c[k, n], -1.0)])
+
+    cost = np.zeros(len(variables))
+    cost[list(epos.values()) + list(eneg.values())] = 1.0 / N_d
+    cost[list(d.values())] = cfg.lambda_c
+    cost[list(cpos.values()) + list(cneg.values())] = cfg.lambda_m
+
+    A = sparse.csc_array((vals, (rows, cols)), shape=(len(row_names), len(variables)))
+    A.eliminate_zeros()
+    var_names, var_mps, integrality, lo, hi = map(list, zip(*variables))
+    return MilpArtifact(cost=cost, A=A, row_lo=np.array(row_lo), row_hi=np.array(row_hi),
+                        lo=np.array(lo), hi=np.array(hi), integrality=np.array(integrality),
+                        var_names=var_names, var_mps=var_mps, row_names=row_names,
+                        data=data, basis=basis, cfg=cfg, y_bounds=(y_lb, y_ub), index=index)
 
 
 def milp_optimum_depth1(art):

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
-from oracles import embed_model, milp_optimum_depth1, read_mps_arrays
+from oracles import embed_model, loop_build_milp, milp_optimum_depth1, read_mps_arrays
 from symtree import milp
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis_matrix
 from symtree.config import load_config
@@ -140,6 +140,101 @@ def test_machine_names_are_short_and_unique():
     names = art.var_mps
     assert len(set(names)) == len(names)
     assert all(len(n) <= 8 for n in names)
+
+
+def test_machine_name_width_refused_before_rows(monkeypatch):
+    """At N=1000, depth 3, the first name over fixed-format MPS's 8 characters
+    is YH1000_10. It is refused once the variables are named, before any
+    constraint row is built."""
+    rng = np.random.default_rng(79)
+    data = Dataset(X=rng.uniform(0.1, 0.9, (1000, 1)), y=rng.uniform(-1, 1, 1000))
+    basis, cfg = basis_from_forms(["1", "x"]), LearnConfig(depth=3)
+    with pytest.raises(ConfigError, match="'YH1000_10' exceeds"):
+        loop_build_milp(data, basis, cfg)
+
+    def no_rows(*args):
+        raise AssertionError("a constraint row was built")
+    monkeypatch.setattr(milp, "_rows", no_rows)
+    with pytest.raises(ConfigError, match="'YH1000_10' exceeds"):
+        build_milp(data, basis, cfg)
+
+
+def test_duplicate_variable_name_refused():
+    assert milp._name_index(["x[1]", "x[2]"], ["X1", "X2"]) == \
+        {"x[1]": 0, "X1": 0, "x[2]": 1, "X2": 1}
+    with pytest.raises(ConfigError, match="duplicate variable name 'X1'"):
+        milp._name_index(["x[1]", "x[2]"], ["X1", "X1"])
+    with pytest.raises(ConfigError, match="duplicate variable name 'x\\[1\\]'"):
+        milp._name_index(["x[1]", "x[1]"], ["X1", "X2"])
+
+
+def test_row_names_built_once(tmp_path):
+    """write_mps reads the row names twice (MPS text and sidecar); both see
+    the one list the artifact built."""
+    data, basis, cfg = tiny_instance()
+    art = build_milp(data, basis, cfg)
+    assert art.row_mps is art.row_mps
+    assert art.row_mps == [f"R{j:07d}" for j in range(1, art.n_rows + 1)]
+    write_mps(art, tmp_path / "prob.mps")
+    sidecar = json.loads((tmp_path / "prob.names.json").read_text())
+    assert list(sidecar["rows"]) == art.row_mps
+
+
+def assert_same_artifact(got, want):
+    """Every array, name list and name map of two artifacts, and their MPS
+    text, equal exactly (dtypes, and the sign of every zero, included)."""
+    for key in ("indptr", "indices", "data"):
+        g, w = getattr(got.A, key), getattr(want.A, key)
+        assert g.dtype == w.dtype and np.array_equal(g, w), key
+    assert got.A.shape == want.A.shape
+    for key in ("row_lo", "row_hi", "lo", "hi", "integrality", "cost"):
+        g, w = getattr(got, key), getattr(want, key)
+        assert g.dtype == w.dtype and np.array_equal(g, w), key
+        assert np.array_equal(np.signbit(g), np.signbit(w)), key
+    for key in ("var_names", "var_mps", "row_names", "index", "y_bounds"):
+        assert getattr(got, key) == getattr(want, key), key
+    assert list(got.index) == list(want.index)
+    assert mps_text(got) == mps_text(want)
+
+
+def random_milp_instances(n, seed):
+    """1-2 features with exact zeros and negative coordinates, N 1-12, depths
+    1-3, bases with and without x@1, y bounds set or taken from the data, and
+    lambda_c and lambda_m sometimes 0."""
+    rng = np.random.default_rng(seed)
+    forms = ["1", "x", "x^2", "x*exp(x)", "x@1", "x^2@1"]
+    for _ in range(n):
+        n_f, n_d = int(rng.integers(1, 3)), int(rng.integers(1, 13))
+        X = np.round(rng.uniform(-2, 1.5, (n_d, n_f)), 1)
+        X[rng.random((n_d, n_f)) < 0.25] = 0.0
+        picked = [f for f in forms[:4 if n_f == 1 else 6] if rng.random() < 0.5]
+        kw = {"depth": int(rng.integers(1, 4))}
+        if rng.random() < 0.5:
+            kw.update(y_lb=-1.5, y_ub=float(rng.choice([0.0, 1.5])))
+        if rng.random() < 0.3:
+            kw["lambda_c"] = 0.0
+        if rng.random() < 0.3:
+            kw["lambda_m"] = 0.0
+        yield (Dataset(X=X, y=np.round(rng.uniform(-1, 1, n_d), 2)),
+               basis_from_forms(picked or ["1"]), LearnConfig(**kw))
+
+
+def test_build_matches_row_by_row_oracle():
+    instances = list(random_milp_instances(220, 101))
+    assert {cfg.depth for _, _, cfg in instances} == {1, 2, 3}
+    assert {data.n_features for data, _, _ in instances} == {1, 2}
+    for data, basis, cfg in instances:
+        assert_same_artifact(build_milp(data, basis, cfg), loop_build_milp(data, basis, cfg))
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_build_matches_row_by_row_oracle_at_scale(n):
+    """The canonical uniform-grid training set, and the same at N=200."""
+    cfg = load_config()
+    data = generate_dataset(cfg.mpc_spec(), n, 0.1, 0.9, "uniform-grid", 0)
+    cfg = cfg.learn_config()
+    assert_same_artifact(build_milp(data, canonical_basis(), cfg),
+                         loop_build_milp(data, canonical_basis(), cfg))
 
 
 def test_fitted_tree_embeds_feasibly():
