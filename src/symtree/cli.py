@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -173,7 +174,10 @@ def _make_controller(spec, name):
         with open(name[len("model:"):]) as fh:
             return model_controller(deserialize(fh.read()), spec.u_bounds)
     if name.startswith("const:"):
-        return constant_controller(float(name[len("const:"):]), spec.u_bounds)
+        value = float(name[len("const:"):])
+        if not math.isfinite(value):
+            raise ConfigError(f"constant control must be finite, got {name!r}")
+        return constant_controller(value, spec.u_bounds)
     raise ConfigError(f"unknown controller {name!r} "
                       "(expected mpc, model:<path>, or const:<value>)")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ControllerError, SymtreeError
-from .mpc import MpcSpec, PlantSpec, plant_rhs, solve_mpc
+from .mpc import MpcSpec, PlantSpec, solve_mpc
 from .tree import TreeModel, predict
 
 H_INT_DEFAULT = 0.01  # internal RK4 step, minutes
@@ -79,21 +79,26 @@ class SimTrace:
         return buf.getvalue()
 
 
-def rk4_step(plant: PlantSpec, x: float, u: float, h: float) -> float:
-    k1 = plant_rhs(plant, x, u)
-    k2 = plant_rhs(plant, x + 0.5 * h * k1, u)
-    k3 = plant_rhs(plant, x + 0.5 * h * k2, u)
-    k4 = plant_rhs(plant, x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def integrate_hold(plant: PlantSpec, x: float, u: float, dt: float,
                    h_int: float = H_INT_DEFAULT) -> float:
-    """Advance the plant by dt with the control held constant."""
+    """Advance the plant by dt with the control held constant: classical RK4
+    in n = max(1, round(dt / h_int)) substeps of h = dt / n, its stages
+    inlined in plant_rhs's operation order. round() halves to even, so h
+    nears 1.5 * h_int as dt / h_int nears 1.5 from below and is 1.25 * h_int
+    at dt / h_int = 2.5."""
     n_sub = max(1, round(dt / h_int))
     h = dt / n_sub
+    a, x_f, k_rate = u / plant.V, plant.x_f, plant.k_rate
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(n_sub):
-        x = rk4_step(plant, x, u, h)
+        k1 = a * (x_f - x) - k_rate * x**3
+        x1 = x + half * k1
+        k2 = a * (x_f - x1) - k_rate * x1**3
+        x2 = x + half * k2
+        k3 = a * (x_f - x2) - k_rate * x2**3
+        x3 = x + h * k3
+        k4 = a * (x_f - x3) - k_rate * x3**3
+        x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
     return x
 
 
@@ -101,8 +106,8 @@ def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
              dt_sample: float, h_int: float = H_INT_DEFAULT) -> SimTrace:
     """Zero-order-hold closed loop; latency is measured around the controller call.
 
-    Non-finite inputs, a non-positive step and a plant state that diverges
-    raise ControllerError.
+    Non-finite inputs, a non-positive step, a non-finite control and a plant
+    state that diverges raise ControllerError.
     """
     if not all(math.isfinite(v) for v in (x0, t_final, dt_sample, h_int)):
         raise ControllerError(f"non-finite simulation input (x0={x0}, "
@@ -113,29 +118,32 @@ def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
         raise ControllerError(f"internal step h_int must be positive, got {h_int}")
     n_steps = round(t_final / dt_sample)
     times = np.arange(n_steps + 1) * dt_sample
-    states = np.empty(n_steps + 1)
-    controls = np.empty(n_steps)
-    lats = np.empty(n_steps)
     x = float(x0)
-    states[0] = x
+    states, controls, lats = [x], [], []
+    clock, isfinite = time.perf_counter, math.isfinite
     for i in range(n_steps):
-        t0 = time.perf_counter()
+        t0 = clock()
         try:
             u = ctrl(x)
         except SymtreeError as exc:
             raise ControllerError(
                 f"controller failed at t={times[i]:.4g}, x={x!r}: {exc}") from exc
-        lats[i] = time.perf_counter() - t0
-        controls[i] = u
-        try:
-            x_next = integrate_hold(plant, x, u, dt_sample, h_int)
-        except OverflowError:
-            x_next = math.inf
-        if not math.isfinite(x_next):
+        lats.append(clock() - t0)
+        if not isfinite(u):
             raise ControllerError(
-                f"plant state diverged after t={times[i]:.4g}, x={x!r}, u={u!r}")
-        x = states[i + 1] = x_next
-    return SimTrace(times=times, states=states, controls=controls, latencies=lats)
+                f"controller gave non-finite control u={u!r} at t={times[i]:.4g}, x={x!r}")
+        controls.append(u)
+        try:
+            x = integrate_hold(plant, x, u, dt_sample, h_int)
+        except OverflowError:
+            x = math.inf
+        if not isfinite(x):
+            raise ControllerError(f"plant state diverged after t={times[i]:.4g}, "
+                                  f"x={states[-1]!r}, u={u!r}")
+        states.append(x)
+    return SimTrace(times=times, states=np.array(states, dtype=float),
+                    controls=np.array(controls, dtype=float),
+                    latencies=np.array(lats, dtype=float))
 
 
 def iae(trace: SimTrace, x_sp: float) -> float:

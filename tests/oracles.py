@@ -8,6 +8,8 @@ solves, warm or cold, are held to the best of every distinct start at their
 state, with no early stop.
 The exported MPS text is read back by a fixed-format reader of its own, and
 the MILP arrays are checked against a builder that emits one row at a time.
+The closed loop's held-control integration is checked against one RK4 step
+per substep over mpc.plant_rhs.
 """
 
 import itertools
@@ -530,3 +532,20 @@ def assert_warm_chain_matches_cold(spec, solves):
         assert sol.kkt_residual <= KKT_TOL
         assert within_objective_gate(sol.objective, cold.objective)
         assert abs(sol.first_action - cold.first_action) <= 1e-3
+
+
+def _rk4_step(plant, x, u, h):
+    k1 = mpc.plant_rhs(plant, x, u)
+    k2 = mpc.plant_rhs(plant, x + 0.5 * h * k1, u)
+    k3 = mpc.plant_rhs(plant, x + 0.5 * h * k2, u)
+    k4 = mpc.plant_rhs(plant, x + h * k3, u)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def loop_integrate_hold(plant, x, u, dt, h_int):
+    """The plant advanced by dt under a held u, one RK4 step call per substep."""
+    n_sub = max(1, round(dt / h_int))
+    h = dt / n_sub
+    for _ in range(n_sub):
+        x = _rk4_step(plant, x, u, h)
+    return x

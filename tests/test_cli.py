@@ -299,6 +299,16 @@ def test_simulate_bad_sim_section_exit_code(tmp_path, capsys, sim):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_constant_refused(tmp_path, capsys, value):
+    # Refused as configuration, before any loop runs or any file is written.
+    out = tmp_path / "trace.csv"
+    assert run(["simulate", "--controller", f"const:{value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: constant control must be finite, got 'const:{value}'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"sim": {"t_final": "ten"}}, {"mpc": {"T": "10"}}, {"sim": {"dt_sample": True}},
     {"mpc": {"x_bounds": [0.0, "1"]}}, {"mpc": {"u_bounds": [0.0, 75.0, 1.0]}},

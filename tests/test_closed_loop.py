@@ -1,15 +1,16 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import assert_warm_chain_matches_cold, record_mpc_solves
+from oracles import (assert_warm_chain_matches_cold, loop_integrate_hold,
+                     record_mpc_solves)
 
 from symtree import closed_loop
 from symtree.closed_loop import (Controller, constant_controller, iae,
                                  integrate_hold, latency_stats,
-                                 model_controller, mpc_controller, rk4_step,
-                                 simulate)
+                                 model_controller, mpc_controller, simulate)
 from symtree.errors import ControllerError, DimensionError
 from symtree.learner import Dataset
 from symtree.mpc import MpcSpec, PlantSpec, steady_state_flow
@@ -31,6 +32,86 @@ def test_rk4_matches_dense_reference():
     coarse = integrate_hold(plant, 0.2, 70.0, 1.0, h_int=0.01)
     fine = integrate_hold(plant, 0.2, 70.0, 1.0, h_int=0.0005)
     assert coarse == pytest.approx(fine, abs=1e-8)
+
+
+# (dt, h_int, substeps) at dt / h_int = 10, 1, 0.6 (one substep of length dt)
+# and 2.5, which round() halves to even: two substeps of 1.25 * h_int.
+HOLD_STEPS = [(0.1, 0.01, 10), (0.1, 0.1, 1), (0.06, 0.1, 1), (0.5, 0.2, 2)]
+
+
+def test_integrate_hold_matches_per_substep_loop():
+    assert 0.5 / 0.2 == 2.5  # an exact tie, so round() really halves to even
+    plant = PlantSpec()
+    rng = np.random.default_rng(21)
+    cases = 0
+    for dt, h_int, n_sub in HOLD_STEPS:
+        assert max(1, round(dt / h_int)) == n_sub
+        xs = np.concatenate([[1e-3, 1.5], rng.uniform(1e-3, 1.5, 598)])
+        us = np.concatenate([np.zeros(200), np.full(200, 75.0),
+                             rng.uniform(0.0, 75.0, 200)])
+        for x, u in zip(xs.tolist(), us.tolist()):
+            assert integrate_hold(plant, x, u, dt, h_int) == \
+                loop_integrate_hold(plant, x, u, dt, h_int)
+            cases += 1
+    assert cases == 2400
+
+
+@pytest.mark.parametrize("dt, h_int, n_sub", HOLD_STEPS)
+def test_integrate_hold_overflow_matches_per_substep_loop(dt, h_int, n_sub):
+    for hold in (integrate_hold, loop_integrate_hold):
+        with pytest.raises(OverflowError):
+            hold(PlantSpec(), 1e103, 40.0, dt, h_int)
+
+
+# sha256 of states.tobytes() + controls.tobytes() over 10 min at 0.1-min
+# samples, as one RK4 step call per substep over mpc.plant_rhs produced them.
+TRACE_PINS = {
+    ("model", 0.1): "db78e8708cd089af78f31123edfb6a3c30ebb8cfb6a9c90cc61a0495ee765541",
+    ("model", 0.45): "81180294c9409b40f219e418eee1914179af79e339cfe35648d78acc11f0e0f5",
+    ("model", 0.75): "4b0440159696aab825d27c5761e7f0aeee3dff3f6b60d3e553ed4f22e5ec29f4",
+    ("model", 0.9): "43c7396c48c18ae1ec52e39c8b4ee2a609d0a2848eed01e662fe4d15ce6bf613",
+    ("const", 0.3): "0bb3f247d76534e5717a674a90b8b28e875f02895ae7517c4fc55b1a3608493b",
+}
+
+
+@pytest.mark.parametrize("kind, x0", sorted(TRACE_PINS))
+def test_closed_loop_bytes_pinned(kind, x0):
+    ctrl = (model_controller(reference_model(), (0.0, 75.0)) if kind == "model"
+            else constant_controller(54.0, (0.0, 75.0)))
+    trace = simulate(PlantSpec(), ctrl, x0, 10.0, 0.1)
+    digest = hashlib.sha256(trace.states.tobytes() + trace.controls.tobytes())
+    assert digest.hexdigest() == TRACE_PINS[kind, x0]
+
+
+def test_plain_callable_int_control_gives_float_trace():
+    trace = simulate(PlantSpec(), lambda x: 54, 0.3, 1.0, 0.1)
+    ref = simulate(PlantSpec(), constant_controller(54.0, (0.0, 75.0)), 0.3, 1.0, 0.1)
+    for got, want in ((trace.states, ref.states), (trace.controls, ref.controls)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    assert trace.latencies.dtype == np.float64
+
+
+@pytest.mark.parametrize("ctrl, shown", [
+    (constant_controller(math.nan, (0.0, 75.0)), "nan"),
+    (lambda x: math.inf, "inf"), (lambda x: -math.inf, "-inf")])
+def test_non_finite_control_blamed_before_integration(monkeypatch, ctrl, shown):
+    # Controller's clip passes NaN through; a plain callable can return inf.
+    def no_hold(*args):
+        raise AssertionError("a non-finite control reached the plant")
+
+    monkeypatch.setattr(closed_loop, "integrate_hold", no_hold)
+    with pytest.raises(ControllerError,
+                       match=rf"non-finite control u={shown} at t=0, x=0\.75$"):
+        simulate(PlantSpec(), ctrl, 0.75, 1.0, 0.1)
+
+
+def test_non_finite_control_names_its_step():
+    controls = iter([54.0, 54.0, math.nan])
+    ref = simulate(PlantSpec(), constant_controller(54.0, (0.0, 75.0)), 0.75, 0.2, 0.1)
+    with pytest.raises(ControllerError, match=r"u=nan at t=0\.2, x=") as info:
+        simulate(PlantSpec(), lambda x: next(controls), 0.75, 1.0, 0.1)
+    assert str(info.value).endswith(f"x={float(ref.states[-1])!r}")
 
 
 def test_equilibrium_is_preserved():
