@@ -6,8 +6,10 @@ nothing, x, -x, 1/x, -1/x, applied to a designated input coordinate.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +32,12 @@ class BasisFunction:
     coordinate: int = 0
 
     def __post_init__(self):
-        if self.power < 0:
-            raise ValueError("power must be a nonnegative integer")
+        # Exactly int, so no bool or float: the form must parse back, and the
+        # compiled source holds integers only.
+        for name in ("power", "coordinate"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         if self.exp_arg not in _EXP_ARGS:
             raise ValueError(f"unknown exponential argument {self.exp_arg!r}")
 
@@ -54,7 +60,7 @@ class BasisFunction:
         return text
 
     def __call__(self, x) -> float:
-        return _Program((self,))(_floats(x))[0]
+        return _compile((self,))(_floats(x))[0]
 
 
 _FORM_RE = re.compile(
@@ -81,67 +87,102 @@ def parse_form(text: str) -> BasisFunction:
     return BasisFunction(power=power, exp_arg=arg, coordinate=coord)
 
 
-class _Program:
-    """Basis functions compiled for evaluation on Python floats.
+@functools.lru_cache
+def _compile(functions: tuple) -> Callable[[list], list]:
+    """Compile the functions into one Python function of a point's
+    coordinates v that returns their values in order.
 
-    Each distinct exponential (coordinate, argument) is computed once per
-    point, as exp(sign * x) or, for a reciprocal argument, exp(sign / x);
-    each function then reads its coordinate, its power and the slot of its
-    exponential (slot -1 holds the constant 1.0 of exp-free forms).
+    The source is generated and exec'd once per tuple. It computes each distinct
+    exp(sign * x), or exp(sign / x) just after the 1/x guard, then each
+    distinct x ** p, then every value as power times exponential (an exp-free
+    form returns its power: * 1.0 is exact). So each value is bitwise what its
+    form gives on its own, and coordinates are read, guards checked and
+    overflows met in the order a per-term evaluation meets them. The source
+    holds only integer indices and powers and the literals +-1.0. Raises
+    DomainError inside the guard and on overflow, naming the form, and
+    DimensionError when v has fewer coordinates than a form reads.
     """
+    body, xs, exps, powers = [], {}, {}, {}
 
-    def __init__(self, functions):
-        self.functions = functions
-        slots = {}
-        self.exps = []   # (coordinate, sign, reciprocal, first function using it)
-        self.terms = []  # (coordinate, power, exponential slot) per function
-        for f in functions:
-            slot = -1
-            if f.exp_arg:
-                key = (f.coordinate, f.exp_arg)
-                if key not in slots:
-                    slots[key] = len(self.exps)
-                    sign = -1.0 if f.exp_arg.startswith("-") else 1.0
-                    self.exps.append((f.coordinate, sign, "/" in f.exp_arg, f))
-                slot = slots[key]
-            self.terms.append((f.coordinate, f.power, slot))
+    def read(c):
+        if c not in xs:
+            xs[c] = f"x{c:d}"
+            body.append(f"x{c:d} = v[{c:d}]")
+        return xs[c]
 
-    def __call__(self, v: list) -> list:
-        """Values of every function at the coordinates v; raises DomainError
-        inside the 1/x guard and on overflow, naming the form, and
-        DimensionError when v has fewer coordinates than a form reads."""
-        try:
-            es = []
-            for c, sign, reciprocal, f in self.exps:
-                x = v[c]
-                if not reciprocal:
-                    a = sign * x
-                elif abs(x) < X_GUARD:
-                    raise DomainError(
-                        f"basis form {f.form!r} undefined for |x| < {X_GUARD:g} (got {x!r})"
-                    )
-                else:
-                    a = sign / x
-                try:
-                    es.append(math.exp(a))
-                except OverflowError:
-                    raise _overflow(f, x) from None
-            es.append(1.0)
-            out = [v[c] ** p * es[s] for c, p, s in self.terms]
-        except OverflowError:
-            f = next(f for f in self.functions if _power_overflows(v[f.coordinate], f.power))
-            raise _overflow(f, v[f.coordinate]) from None
-        except IndexError:
-            f = next(f for f in self.functions if f.coordinate >= len(v))
-            raise DimensionError(f"basis form {f.form!r} reads coordinate {f.coordinate}, "
-                                 f"but the point has {len(v)}") from None
+    for k, f in enumerate(functions):
+        if f.exp_arg and (f.coordinate, f.exp_arg) not in exps:
+            x = read(f.coordinate)
+            sign = "-1.0" if f.exp_arg.startswith("-") else "1.0"
+            if "/" in f.exp_arg:
+                body.append(f"if abs({x}) < X_GUARD: raise undefined(F[{k:d}], {x})")
+                arg = f"{sign} / {x}"
+            else:
+                arg = f"{sign} * {x}"
+            exps[f.coordinate, f.exp_arg] = e = f"e{len(exps):d}"
+            body.append(f"{e} = exp({arg})")
+    terms = []
+    for f in functions:
+        if (f.coordinate, f.power) not in powers:
+            x = read(f.coordinate)
+            powers[f.coordinate, f.power] = p = f"p{len(powers):d}"
+            body.append(f"{p} = {x} ** {f.power:d}")
+        term = powers[f.coordinate, f.power]
+        terms.append(f"{term} * {exps[f.coordinate, f.exp_arg]}" if f.exp_arg else term)
+    body.append(f"out = [{', '.join(terms)}]")
+    source = "\n".join([
+        "def program(v):",
+        "    try:",
+        *(f"        {line}" for line in body),
+        "    except OverflowError:",
+        "        raise overflowed(F, v) from None",
+        "    except IndexError:",
+        "        raise missing(F, v) from None",
         # A sum of finite values is finite unless it overflows itself, so
         # the per-value scan only runs when something may be wrong.
-        if not math.isfinite(sum(out)):
-            for f, value in zip(self.functions, out):
-                if not math.isfinite(value):
-                    raise _overflow(f, v[f.coordinate])
-        return out
+        "    if not isfinite(sum(out)):",
+        "        check_finite(F, v, out)",
+        "    return out",
+    ])
+    namespace = {"F": functions, "X_GUARD": X_GUARD, "exp": math.exp,
+                 "isfinite": math.isfinite, "undefined": _undefined,
+                 "overflowed": _overflowed, "missing": _missing,
+                 "check_finite": _check_finite}
+    exec(source, namespace)
+    return namespace["program"]
+
+
+def _undefined(f: BasisFunction, x: float) -> DomainError:
+    return DomainError(f"basis form {f.form!r} undefined for |x| < {X_GUARD:g} (got {x!r})")
+
+
+def _overflowed(functions: tuple, v: list) -> DomainError:
+    """The error for an OverflowError at v, naming the first function whose
+    exponential overflows, else the first whose power does. Exponentials run
+    in the order of their first functions, and each before the one that
+    raised passed its guard, so this loop divides by no zero."""
+    for f in functions:
+        if f.exp_arg:
+            x = v[f.coordinate]
+            sign = -1.0 if f.exp_arg.startswith("-") else 1.0
+            try:
+                math.exp(sign / x if "/" in f.exp_arg else sign * x)
+            except OverflowError:
+                return _overflow(f, x)
+    f = next(f for f in functions if _power_overflows(v[f.coordinate], f.power))
+    return _overflow(f, v[f.coordinate])
+
+
+def _missing(functions: tuple, v: list) -> DimensionError:
+    f = next(f for f in functions if f.coordinate >= len(v))
+    return DimensionError(f"basis form {f.form!r} reads coordinate {f.coordinate}, "
+                          f"but the point has {len(v)}")
+
+
+def _check_finite(functions: tuple, v: list, out: list) -> None:
+    for f, value in zip(functions, out):
+        if not math.isfinite(value):
+            raise _overflow(f, v[f.coordinate])
 
 
 def _power_overflows(x: float, p: int) -> bool:
@@ -168,10 +209,10 @@ class BasisSet:
     """Ordered collection of basis functions."""
 
     functions: tuple = field(default_factory=tuple)
-    _program: _Program = field(init=False, repr=False, compare=False)
+    _program: Callable[[list], list] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_program", _Program(self.functions))
+        object.__setattr__(self, "_program", _compile(self.functions))
 
     @property
     def size(self) -> int:

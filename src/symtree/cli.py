@@ -174,9 +174,12 @@ def _make_controller(spec, name):
         with open(name[len("model:"):]) as fh:
             return model_controller(deserialize(fh.read()), spec.u_bounds)
     if name.startswith("const:"):
-        value = float(name[len("const:"):])
+        try:
+            value = float(name[len("const:"):])
+        except ValueError:  # not a number: refused with the non-finite ones
+            value = math.nan
         if not math.isfinite(value):
-            raise ConfigError(f"constant control must be finite, got {name!r}")
+            raise ConfigError(f"constant control must be a finite number, got {name!r}")
         return constant_controller(value, spec.u_bounds)
     raise ConfigError(f"unknown controller {name!r} "
                       "(expected mpc, model:<path>, or const:<value>)")

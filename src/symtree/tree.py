@@ -101,7 +101,7 @@ def predict(model: TreeModel, x) -> float:
     """Inner product of the routed leaf's coefficients with the basis values."""
     leaf = route(model, x)
     phi = evaluate_basis(model.basis, x)
-    return float(model.leaves[leaf].as_array() @ phi)
+    return float(model.leaves[leaf].as_array().dot(phi))
 
 
 def _shape_violations(model: TreeModel) -> list:

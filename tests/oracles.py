@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own LP formulation and
 tree search: leaf fits go through scipy's linprog on a different LP layout,
 and optima are found by exhaustive enumeration. Basis values come from each
-function's closed form on its own, with no sharing between functions. MPC
+function's closed form on its own, with no sharing between functions, and
+the compiled basis program is held to the per-term loop it replaced. MPC
 solves, warm or cold, are held to the best of every distinct start at their
 state, with no early stop.
 The exported MPS text is read back by a fixed-format reader of its own, and
@@ -21,8 +22,8 @@ from scipy.optimize import Bounds, LinearConstraint, linprog
 from scipy.optimize import milp as scipy_milp
 
 from symtree import milp, mpc
-from symtree.basis import BasisSet, evaluate_basis_matrix
-from symtree.errors import ConfigError
+from symtree.basis import X_GUARD, BasisSet, evaluate_basis_matrix
+from symtree.errors import ConfigError, DimensionError, DomainError
 from symtree.learner import EMPTY_SIDE_OFFSET, Dataset, LearnConfig, candidate_thresholds
 from symtree.milp import (BINARY, CONTINUOUS, EPS_ROUTING, EQ, GE, LE, MilpArtifact,
                           left_right_ancestors, node_sets)
@@ -47,6 +48,71 @@ def reference_basis_row(functions, x):
         e = math.exp(_EXP_ARGUMENT[f.exp_arg](v)) if f.exp_arg else 1.0
         row.append(v ** f.power * e)
     return np.array(row)
+
+
+def loop_basis_program(functions, v):
+    """The values of every function at the coordinates v, by the per-term
+    loop the compiled basis program must match bitwise, errors included.
+
+    Each distinct exponential (coordinate, argument) is computed once, as
+    exp(sign * x) or, for a reciprocal argument, exp(sign / x); each function
+    then reads its coordinate, its power and the slot of its exponential
+    (slot -1 holds the constant 1.0 of exp-free forms). Raises DomainError
+    inside the 1/x guard and on overflow, naming the form, and DimensionError
+    when v has fewer coordinates than a form reads."""
+    def overflow(f, x):
+        return DomainError(f"basis form {f.form!r} overflowed at x={x!r}")
+
+    def power_overflows(x, p):
+        try:
+            x**p
+        except OverflowError:
+            return True
+        return False
+
+    slots = {}
+    exps = []   # (coordinate, sign, reciprocal, first function using it)
+    terms = []  # (coordinate, power, exponential slot) per function
+    for f in functions:
+        slot = -1
+        if f.exp_arg:
+            key = (f.coordinate, f.exp_arg)
+            if key not in slots:
+                slots[key] = len(exps)
+                sign = -1.0 if f.exp_arg.startswith("-") else 1.0
+                exps.append((f.coordinate, sign, "/" in f.exp_arg, f))
+            slot = slots[key]
+        terms.append((f.coordinate, f.power, slot))
+    try:
+        es = []
+        for c, sign, reciprocal, f in exps:
+            x = v[c]
+            if not reciprocal:
+                a = sign * x
+            elif abs(x) < X_GUARD:
+                raise DomainError(
+                    f"basis form {f.form!r} undefined for |x| < {X_GUARD:g} (got {x!r})"
+                )
+            else:
+                a = sign / x
+            try:
+                es.append(math.exp(a))
+            except OverflowError:
+                raise overflow(f, x) from None
+        es.append(1.0)
+        out = [v[c] ** p * es[s] for c, p, s in terms]
+    except OverflowError:
+        f = next(f for f in functions if power_overflows(v[f.coordinate], f.power))
+        raise overflow(f, v[f.coordinate]) from None
+    except IndexError:
+        f = next(f for f in functions if f.coordinate >= len(v))
+        raise DimensionError(f"basis form {f.form!r} reads coordinate {f.coordinate}, "
+                             f"but the point has {len(v)}") from None
+    if not math.isfinite(sum(out)):
+        for f, value in zip(functions, out):
+            if not math.isfinite(value):
+                raise overflow(f, v[f.coordinate])
+    return out
 
 
 def scipy_leaf_fit(Phi, y, w, lam, c_bounds, y_bounds):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from symtree.basis import (basis_from_forms, canonical_basis, evaluate_basis,
-                           evaluate_basis_matrix, parse_form)
-from symtree.errors import DomainError, ParseError
+from symtree.basis import (X_GUARD, BasisFunction, basis_from_forms, canonical_basis,
+                           evaluate_basis, evaluate_basis_matrix, parse_form)
+from symtree.errors import DimensionError, DomainError, ParseError
 
-from oracles import reference_basis_row
+from oracles import loop_basis_program, reference_basis_row
 
 CANONICAL_FORMS = [
     "1", "x", "x^2", "x^3", "x^4", "x^5",
@@ -142,3 +142,57 @@ def test_two_feature_evaluation_matches_oracle_bitwise():
     rows = np.array([reference_basis_row(bs.functions, x) for x in X])
     assert all(np.array_equal(evaluate_basis(bs, x), row) for x, row in zip(X, rows))
     assert np.array_equal(evaluate_basis_matrix(bs, X), rows)
+
+
+TWO_FEATURE_FORMS = [
+    "1", "x", "x@1", "exp(x)", "x*exp(x)@1", "x^2*exp(x)", "exp(x)@1",
+    "exp(-x)@1", "x^3*exp(-x)", "x*exp(1/x)@1", "x^2*exp(1/x)",
+    "exp(-1/x)", "x*exp(-1/x)@1", "x^4@1",
+]
+
+
+def _outcome(evaluate, forms, v):
+    """The bits of every value, or the type and message of the error."""
+    try:
+        return [value.hex() for value in evaluate(forms, v)]
+    except (DomainError, DimensionError) as e:
+        return type(e), str(e)
+
+
+def test_compiled_program_matches_loop_oracle():
+    def compiled(forms, v):
+        return evaluate_basis(basis_from_forms(forms), v).tolist()
+
+    def loop(forms, v):
+        return loop_basis_program(basis_from_forms(forms).functions, v)
+
+    rng = np.random.default_rng(22)
+    special = [0.0, -0.0, X_GUARD, -X_GUARD, 9.99e-7, -9.99e-7, 800.0, -0.001,
+               math.nan, math.inf, -math.inf]
+    xs = [*rng.uniform(1e-3, 3.0, 300), *rng.uniform(-3.0, -1e-3, 300), *special]
+    cases = [(CANONICAL_FORMS, [x]) for x in xs]
+    cases.append((["x", "x^5@1"], [1.0, 1e100]))
+    cases.append((TWO_FEATURE_FORMS, [0.5]))
+    # a guard or an overflow met before the missing coordinate is read
+    cases += [(["x*exp(1/x)", "x@1"], [0.0]), (["x^5", "x@1"], [1e100])]
+    for forms in (["x^2*exp(-1/x)"], ["1"], ["x*exp(x)", "exp(x)", "x*exp(x)", "x", "x"], []):
+        cases += [(forms, [x]) for x in [0.5, -2.0, *special]]
+    outcomes = [_outcome(compiled, forms, v) for forms, v in cases]
+    assert outcomes == [_outcome(loop, forms, v) for forms, v in cases]
+    # every path is taken: the guard, overflow and a missing coordinate
+    errors = [o for o in outcomes if isinstance(o, tuple)]
+    assert any("undefined for" in message for _, message in errors)
+    assert any("overflowed" in message for _, message in errors)
+    assert any(kind is DimensionError for kind, _ in errors)
+    assert _outcome(compiled, [], [0.5]) == []
+
+
+@pytest.mark.parametrize("kwargs", [{"power": 2.5}, {"power": True}, {"power": -1},
+                                    {"power": 1, "coordinate": -1},
+                                    {"power": 1, "coordinate": 1.0},
+                                    {"power": 1, "coordinate": True}])
+def test_power_and_coordinate_must_be_nonnegative_ints(kwargs):
+    # x^2.5 and x@-1 would evaluate but never parse back; 1.0 and True are
+    # not integers, though True == 1 would read as x
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        BasisFunction(**kwargs)

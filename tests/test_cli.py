@@ -299,13 +299,13 @@ def test_simulate_bad_sim_section_exit_code(tmp_path, capsys, sim):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 def test_simulate_non_finite_constant_refused(tmp_path, capsys, value):
     # Refused as configuration, before any loop runs or any file is written.
     out = tmp_path / "trace.csv"
     assert run(["simulate", "--controller", f"const:{value}", "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
-        f"error: constant control must be finite, got 'const:{value}'\n"
+        f"error: constant control must be a finite number, got 'const:{value}'\n"
     assert not out.exists()
 
 
