@@ -24,8 +24,8 @@ from .basis import BasisSet, evaluate_basis_matrix
 from .errors import ConfigError, IntegralityError, ParseError, StructureError
 from .learner import EMPTY_SIDE_OFFSET, Dataset, LearnConfig, objective_of
 from .lp import fit_l1
-from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, ancestors,
-                   node_depth)
+from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, _shape_violations,
+                   ancestors, child_toward, node_depth, route)
 
 # Integrality codes as scipy.optimize.milp reads them.
 BINARY = 1
@@ -104,17 +104,6 @@ def node_sets(depth: int):
     terminal = [n for n in all_nodes if node_depth(n) == depth]
     internal = [n for n in all_nodes if node_depth(n) < depth]
     return all_nodes, terminal, internal
-
-
-def left_right_ancestors(n: int):
-    """Ancestors split by branch direction on the path from the root to n."""
-    lefts, rights = [], []
-    cur = n
-    while cur > 1:
-        parent = cur // 2
-        (lefts if cur % 2 == 0 else rights).append(parent)
-        cur = parent
-    return lefts, rights
 
 
 def expected_counts(n_data: int, n_features: int, depth: int, n_basis: int):
@@ -244,10 +233,10 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
     point_nodes = [(i, n) for i in points for n in nn]
     func_nodes = [(k, n) for k in funcs for n in nn]
     path = [(n, m) for n in nn for m in ancestors(n)]
-    route = [(n, m, right) for n in nn
-             for right, ms in enumerate(left_right_ancestors(n)) for m in ms]
+    routing = [(n, m, right) for n in nn for right in (0, 1) for m in ancestors(n)
+               if child_toward(m, n) % 2 == right]
     pn, pm = np.array(path).T - 1
-    rn, rm, right = np.array(route).T - [[1], [1], [0]]
+    rn, rm, right = np.array(routing).T - [[1], [1], [0]]
     families = [
         # Tree structure: children branch only under a branching parent; the
         # root branches; maximal-depth nodes never branch.
@@ -266,7 +255,7 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
         _rows([f"one_feature[{n}]" for n in internal], EQ, 0.0,
               [*a, d[:n_int]], [1.0] * len(features) + [-1.0]),
         # Big-M routing along the path of the assigned node.
-        _rows([f"route_{('left', 'right')[r]}[{i},{n},{m}]" for i in points for n, m, r in route],
+        _rows([f"route_{('left', 'right')[r]}[{i},{n},{m}]" for i in points for n, m, r in routing],
               np.where(right, GE, LE), np.where(right, -M, M - eps),
               [*a[:, rm], b[rm], z[:, rn]],
               [*data.X.T[:, :, None], -1.0, np.where(right, -M, M)]),
@@ -426,8 +415,9 @@ def parse_mps_counts(text: str) -> dict:
 
 
 def parse_solution_text(text: str) -> dict:
-    """'name value' per line; '#' starts a comment; returns name -> float."""
-    out = {}
+    """'name value' per line; '#' starts a comment; returns name -> float.
+    A name given twice is refused."""
+    out, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -435,6 +425,10 @@ def parse_solution_text(text: str) -> dict:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'name value'")
+        if parts[0] in first_line:
+            raise ParseError(f"line {lineno}: {parts[0]!r} already given on "
+                             f"line {first_line[parts[0]]}")
+        first_line[parts[0]] = lineno
         try:
             out[parts[0]] = float(parts[1])
         except ValueError as exc:
@@ -463,45 +457,43 @@ def _binary(art: MilpArtifact, assign: dict, name: str) -> int:
 def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
     """Decode an external assignment into a TreeModel and re-score it.
 
-    Thresholds come from the routing z, not from b, which a solver meets only
-    to its feasibility tolerance: a b on a data value would send that point
-    the other way. Missing leaf coefficients are refitted."""
+    Branches are the nodes with d = 1, leaves their children that do not
+    branch, and each point's z selects one leaf. Thresholds come from the
+    routing z, not from b, which a solver meets only to its feasibility
+    tolerance: a b on a data value would send that point the other way.
+    Missing leaf coefficients are refitted. The decoded tree must route
+    every point to its z leaf."""
     cfg, data = art.cfg, art.data
-    nn, terminal, internal = node_sets(cfg.depth)
-    dval = {n: _binary(art, assignments, f"d[{n}]") for n in nn}
-    if dval[1] != 1:
-        raise StructureError("root is not a branching node")
-    for n in internal:
-        for ch in (2 * n, 2 * n + 1):
-            if dval[ch] > dval[n]:
-                raise StructureError(f"node {ch} branches under non-branching parent {n}")
-    for n in terminal:
-        if dval[n] != 0:
-            raise StructureError(f"maximal-depth node {n} marked as branching")
-    # The checks above leave every branching node under a branching parent.
-    branch_ids = [n for n in nn if dval[n]]
-    leaf_ids = [n for n in nn[1:] if dval[n // 2] and not dval[n]]
+    nn = range(1, 2 ** (cfg.depth + 1))
+    branch_ids = {n for n in nn if _binary(art, assignments, f"d[{n}]")}
+    leaf_ids = {n for n in nn[1:] if n // 2 in branch_ids and n not in branch_ids}
+    shape = _shape_violations(cfg.depth, branch_ids, leaf_ids)
+    if shape:
+        raise StructureError("; ".join(shape))
 
-    # Leaf assignment of each data point from z.
-    assigned = {}
+    # Leaf of each data point from z, and the points on each side of a branch.
+    assigned, sides = {}, {m: ([], []) for m in branch_ids}
     for i in range(1, data.n_points + 1):
-        hits = [n for n in nn if _binary(art, assignments, f"z[{i},{n}]") == 1]
-        if len(hits) != 1:
-            raise StructureError(f"data point {i} assigned to {len(hits)} nodes")
-        assigned[i] = hits[0]
+        hits = [n for n in nn if _binary(art, assignments, f"z[{i},{n}]")]
+        if len(hits) != 1 or hits[0] not in leaf_ids:
+            raise StructureError(f"data point {i} selects nodes {hits}, not one leaf")
+        assigned[i] = n = hits[0]
+        for m in ancestors(n):
+            sides[m][child_toward(m, n) % 2].append(i - 1)
 
     rules = {}
-    for n in branch_ids:
+    for m in sorted(branch_ids):
         hot = [f for f in range(1, data.n_features + 1)
-               if _binary(art, assignments, f"a[{f},{n}]") == 1]
+               if _binary(art, assignments, f"a[{f},{m}]")]
         if len(hot) != 1:
-            raise StructureError(f"branch node {n} selects {len(hot)} features")
-        rules[n] = BranchRule(feature=hot[0] - 1,
-                              threshold=_threshold(data, assigned, n, hot[0] - 1))
+            raise StructureError(f"branch node {m} selects {len(hot)} features")
+        f = hot[0] - 1
+        rules[m] = BranchRule(feature=f, threshold=_threshold(
+            *(data.X[side, f].tolist() for side in sides[m])))
 
     Phi = evaluate_basis_matrix(art.basis, data.X)
     leaves = {}
-    for n in leaf_ids:
+    for n in sorted(leaf_ids):
         coeffs = [art.var_value(assignments, art.index[f"c[{k},{n}]"], default=None)
                   for k in range(1, art.basis.size + 1)]
         if any(v is None for v in coeffs):
@@ -515,22 +507,20 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
         depth=cfg.depth, rules=rules, leaves=leaves, basis=art.basis,
         bounds=Bounds(cfg.c_lb, cfg.c_ub, art.y_bounds[0], art.y_bounds[1]),
     )
+    for i, n in assigned.items():
+        reached = route(model, data.X[i - 1])
+        if reached != n:
+            raise StructureError(f"data point {i} is assigned to leaf {n}, but no "
+                                 f"threshold sends it there (it reaches node {reached})")
     recomputed, _ = objective_of(model, data, cfg)
     claimed = assignments.get("objective", assignments.get("OBJ"))
     return DecodedSolution(model=model, objective=recomputed, claimed_objective=claimed)
 
 
-def _threshold(data: Dataset, assigned: dict, node: int, feature: int) -> float:
-    """A threshold that routes the points below node as the assignment does
-    (if any can), placed as ``fit_tree`` places it: midway between the two
-    sides, or EMPTY_SIDE_OFFSET beyond the points when one side is empty."""
-    lefts, rights = [], []
-    for i, leaf in assigned.items():
-        left_of, right_of = left_right_ancestors(leaf)
-        if node in left_of:
-            lefts.append(data.X[i - 1, feature])
-        elif node in right_of:
-            rights.append(data.X[i - 1, feature])
+def _threshold(lefts: list, rights: list) -> float:
+    """A threshold between the values sent left and those sent right, placed
+    as ``fit_tree`` places it: midway between the two sides, or
+    EMPTY_SIDE_OFFSET beyond the values when one side is empty."""
     if lefts and rights:
         return float(max(lefts) + min(rights)) / 2.0
     if rights:

@@ -44,6 +44,11 @@ def ancestors(n: int) -> list:
     return out
 
 
+def child_toward(m: int, n: int) -> int:
+    """The child of ancestor m on the path from m down to node n."""
+    return n >> (node_depth(n) - node_depth(m) - 1)
+
+
 @dataclass(frozen=True)
 class BranchRule:
     feature: int
@@ -104,25 +109,25 @@ def predict(model: TreeModel, x) -> float:
     return float(model.leaves[leaf].as_array().dot(phi))
 
 
-def _shape_violations(model: TreeModel) -> list:
-    """Where the active nodes do not form a tree rooted at node 1: a branch
-    sits above the depth cap with two active children, and every other
-    active node hangs under a branch."""
+def _shape_violations(depth: int, branches, leaves) -> list:
+    """Where the branch and leaf ids do not form a tree of depth cap ``depth``
+    rooted at node 1: a branch sits above the cap with two active children,
+    and every other active node hangs under a branch."""
     v = []
-    last = 2 ** (model.depth + 1) - 1
-    active = model.rules.keys() | model.leaves.keys()
+    last = 2 ** (depth + 1) - 1
+    active = {*branches, *leaves}
     for n in sorted(active):
         if not 1 <= n <= last:
             v.append(f"node {n}: id outside 1..{last}")
             continue
-        if n in model.rules and n in model.leaves:
+        if n in branches and n in leaves:
             v.append(f"node {n}: both a branch and a leaf")
-        if n in model.rules:
-            if node_depth(n) == model.depth:
+        if n in branches:
+            if node_depth(n) == depth:
                 v.append(f"node {n}: branch at maximal depth")
             elif 2 * n not in active or 2 * n + 1 not in active:
                 v.append(f"node {n}: branch node with inactive child")
-        if n > 1 and n // 2 not in model.rules:
+        if n > 1 and n // 2 not in branches:
             v.append(f"node {n // 2}: non-branch node with active child {n}")
     if 1 not in active:
         v.append("node 1 is inactive")
@@ -133,7 +138,7 @@ def validate(model: TreeModel) -> list:
     """Check every structural invariant; returns violation strings (empty = valid)."""
     if model.depth < 0:
         return [f"depth cap {model.depth} is negative"]
-    v = _shape_violations(model)
+    v = _shape_violations(model.depth, model.rules, model.leaves)
     for n, rule in model.rules.items():
         if not np.isfinite(rule.threshold):
             v.append(f"node {n}: non-finite threshold")
@@ -253,11 +258,10 @@ def deserialize(text: str) -> TreeModel:
         missing = (sorted(set(range(1, last + 1)) - ids) if last <= 2 * len(nodes) + 1
                    else f"{n_missing} of 1..{last}")
         raise ParseError(f"nodes: missing ids {missing}, unexpected ids {extra}")
-    model = TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis, bounds=bounds)
-    shape = _shape_violations(model)
+    shape = _shape_violations(depth, rules, leaves)
     if shape:
         raise ParseError("nodes: " + "; ".join(shape))
-    return model
+    return TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis, bounds=bounds)
 
 
 def single_leaf_model(coefficients, basis: BasisSet, bounds: Bounds) -> TreeModel:

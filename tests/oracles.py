@@ -25,8 +25,7 @@ from symtree import milp, mpc
 from symtree.basis import X_GUARD, BasisSet, evaluate_basis_matrix
 from symtree.errors import ConfigError, DimensionError, DomainError
 from symtree.learner import EMPTY_SIDE_OFFSET, Dataset, LearnConfig, candidate_thresholds
-from symtree.milp import (BINARY, CONTINUOUS, EPS_ROUTING, EQ, GE, LE, MilpArtifact,
-                          left_right_ancestors, node_sets)
+from symtree.milp import BINARY, CONTINUOUS, EPS_ROUTING, EQ, GE, LE, MilpArtifact, node_sets
 from symtree.mpc import KKT_TOL
 from symtree.tree import BRANCH, LEAF, ancestors, node_depth, route
 
@@ -291,6 +290,18 @@ def read_mps_arrays(text):
         else:
             raise ValueError(f"unknown bound type {kind!r}")
     return out
+
+
+def left_right_ancestors(n: int):
+    """Ancestors split by branch direction on the path from the root to n,
+    walked one parent at a time (``build_milp`` uses ``tree.child_toward``)."""
+    lefts, rights = [], []
+    cur = n
+    while cur > 1:
+        parent = cur // 2
+        (lefts if cur % 2 == 0 else rights).append(parent)
+        cur = parent
+    return lefts, rights
 
 
 def loop_build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact:

@@ -220,10 +220,12 @@ def _labels(n, mode):
 _CANONICAL_MODELS = {
     2: ("8d6ec6bd296884a394b5b54116d39e5c11122f520c26912ba530fc603e8f8367", 205),
     3: ("6579fa8c3ac415317bfd500471efee49ed1d0c4950845095bd0e21223f9016e5", 217),
+    # At depth 4 the (set, depth) memo matters: 582 LPs without it.
+    4: ("3398511e01923cfa605d04c80357d9cc316ed1915b21bb8ac981cad9c8e66264", 330),
 }
 
 
-@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("depth", [2, 3, 4])
 def test_canonical_models_are_pinned(depth):
     cfg = load_config().learn_config()
     cfg.depth = depth

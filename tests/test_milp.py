@@ -322,6 +322,34 @@ def test_read_solution_missing_binary():
         read_solution(art, {"d[1]": 1.0})
 
 
+def _three_point_split(leaf_of):
+    """Depth 1, basis {"1"}, x = 0.3, 0.7, 0.5, node 1 split on the one
+    feature, and point i's z set on node leaf_of[i - 1]."""
+    data = Dataset(X=[[0.3], [0.7], [0.5]], y=[0.0, 1.0, 1.0])
+    art = build_milp(data, basis_from_forms(["1"]), LearnConfig(depth=1))
+    assign = {"d[1]": 1.0, "d[2]": 0.0, "d[3]": 0.0, "a[1,1]": 1.0}
+    for i, leaf in enumerate(leaf_of, start=1):
+        assign.update({f"z[{i},{n}]": float(n == leaf) for n in (1, 2, 3)})
+    return art, assign
+
+
+def test_read_solution_refuses_point_on_branch():
+    """A point whose z selects the branch node would drop out of every leaf fit."""
+    art, assign = _three_point_split([2, 3, 1])
+    with pytest.raises(StructureError, match=r"data point 3 selects nodes \[1\]"):
+        read_solution(art, assign)
+
+
+def test_read_solution_refuses_unroutable_assignment():
+    """0.7 and 0.5 sent left and 0.3 right: no threshold on x does that, so the
+    decoded tree would route the points otherwise than z."""
+    art, assign = _three_point_split([3, 2, 2])
+    with pytest.raises(StructureError, match="data point 1 is assigned to leaf 3"):
+        read_solution(art, assign)
+    art, assign = _three_point_split([2, 3, 2])
+    assert read_solution(art, assign).model.rules[1].threshold == pytest.approx(0.6)
+
+
 def test_all_zero_solution_objective():
     data = Dataset(X=[[0.3], [0.7]], y=[0.0, 0.0])
     basis = basis_from_forms(["1"])
@@ -341,6 +369,11 @@ def test_solution_text_parsing():
     text = "# comment\nd[1] 1\nZ1_2 0.0  # trailing\n\nb[1] 0.55\n"
     parsed = parse_solution_text(text)
     assert parsed == {"d[1]": 1.0, "Z1_2": 0.0, "b[1]": 0.55}
+
+
+def test_solution_text_refuses_repeated_name():
+    with pytest.raises(ParseError, match="line 3: 'd\\[1\\]' already given on line 1"):
+        parse_solution_text("d[1] 1\nb[1] 0.5\nd[1] 0\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
@@ -462,7 +495,8 @@ def test_highs_solves_exported_arrays():
     the enumerator's. The routing constant is small enough that a z within
     HiGHS's integrality tolerance cannot carry a point across EPS_ROUTING, and
     the decoded tree, whose thresholds come from z, re-scores to the same
-    value."""
+    value. Keyed by the machine names, as a solver reading prob.mps reports
+    it, the solution decodes to the same tree."""
     for data, basis, cfg in highs_instances():
         art = build_milp(data, basis, cfg)
         res = scipy_milp(art.cost, integrality=art.integrality,
@@ -474,6 +508,8 @@ def test_highs_solves_exported_arrays():
         decoded = read_solution(art, dict(zip(art.var_names, res.x)))
         assert validate(decoded.model) == []
         assert decoded.objective == pytest.approx(rep.objective, abs=1e-9)
+        by_mps = read_solution(art, dict(zip(art.var_mps, res.x)))
+        assert (by_mps.model, by_mps.objective) == (decoded.model, decoded.objective)
 
 
 @pytest.mark.parametrize("gap", [0.5 * milp.EPS_ROUTING, milp.EPS_ROUTING,

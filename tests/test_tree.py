@@ -8,7 +8,7 @@ from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis
 from symtree.errors import DimensionError, ModelInvalidError, ParseError
 from symtree.reference import reference_model
 from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
-                          LeafExpression, TreeModel, ancestors,
+                          LeafExpression, TreeModel, ancestors, child_toward,
                           deserialize, node_depth, predict, route, serialize,
                           single_leaf_model, validate)
 
@@ -31,6 +31,14 @@ def test_node_indexing():
     assert [node_depth(n) for n in range(1, 8)] == [0, 1, 1, 2, 2, 2, 2]
     assert ancestors(7) == [3, 1]
     assert ancestors(1) == []
+
+
+def test_child_toward_walks_the_path():
+    """The child of each ancestor on the way down is the node one parent
+    step below it, for every node of a depth-6 tree."""
+    for n in range(2, 2 ** 7):
+        below = [n, *ancestors(n)]
+        assert [child_toward(m, n) for m in ancestors(n)] == below[:-1]
 
 
 def test_node_depth_exact_below_powers_of_two():
