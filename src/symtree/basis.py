@@ -72,6 +72,8 @@ _FORM_RE = re.compile(
 
 def parse_form(text: str) -> BasisFunction:
     """Parse a textual form like 'x^2*exp(x)' back into a BasisFunction."""
+    if not isinstance(text, str):
+        raise ParseError(f"basis form {text!r} is not a string")
     m = _FORM_RE.match(text.strip())
     if not m or (m.group("poly") is None and m.group("arg") is None):
         raise ParseError(f"unrecognized basis form {text!r}")
@@ -97,10 +99,11 @@ def _compile(functions: tuple) -> Callable[[list], list]:
     distinct x ** p, then every value as power times exponential (an exp-free
     form returns its power: * 1.0 is exact). So each value is bitwise what its
     form gives on its own, and coordinates are read, guards checked and
-    overflows met in the order a per-term evaluation meets them. The source
-    holds only integer indices and powers and the literals +-1.0. Raises
-    DomainError inside the guard and on overflow, naming the form, and
-    DimensionError when v has fewer coordinates than a form reads.
+    overflows met in the order a per-term evaluation meets them. Each
+    exponential and power statement names, on overflow, the first form that
+    uses it. The source holds only integer indices and powers and the literals
+    +-1.0. Raises DomainError inside the guard and on overflow, naming the
+    form, and DimensionError when v has fewer coordinates than a form reads.
     """
     body, xs, exps, powers = [], {}, {}, {}
 
@@ -109,6 +112,10 @@ def _compile(functions: tuple) -> Callable[[list], list]:
             xs[c] = f"x{c:d}"
             body.append(f"x{c:d} = v[{c:d}]")
         return xs[c]
+
+    def guarded(statement, k, x):
+        return ["try:", f"    {statement}", "except OverflowError:",
+                f"    raise overflow(F[{k:d}], {x}) from None"]
 
     for k, f in enumerate(functions):
         if f.exp_arg and (f.coordinate, f.exp_arg) not in exps:
@@ -120,13 +127,13 @@ def _compile(functions: tuple) -> Callable[[list], list]:
             else:
                 arg = f"{sign} * {x}"
             exps[f.coordinate, f.exp_arg] = e = f"e{len(exps):d}"
-            body.append(f"{e} = exp({arg})")
+            body += guarded(f"{e} = exp({arg})", k, x)
     terms = []
-    for f in functions:
+    for k, f in enumerate(functions):
         if (f.coordinate, f.power) not in powers:
             x = read(f.coordinate)
             powers[f.coordinate, f.power] = p = f"p{len(powers):d}"
-            body.append(f"{p} = {x} ** {f.power:d}")
+            body += guarded(f"{p} = {x} ** {f.power:d}", k, x)
         term = powers[f.coordinate, f.power]
         terms.append(f"{term} * {exps[f.coordinate, f.exp_arg]}" if f.exp_arg else term)
     body.append(f"out = [{', '.join(terms)}]")
@@ -134,8 +141,6 @@ def _compile(functions: tuple) -> Callable[[list], list]:
         "def program(v):",
         "    try:",
         *(f"        {line}" for line in body),
-        "    except OverflowError:",
-        "        raise overflowed(F, v) from None",
         "    except IndexError:",
         "        raise missing(F, v) from None",
         # A sum of finite values is finite unless it overflows itself, so
@@ -146,7 +151,7 @@ def _compile(functions: tuple) -> Callable[[list], list]:
     ])
     namespace = {"F": functions, "X_GUARD": X_GUARD, "exp": math.exp,
                  "isfinite": math.isfinite, "undefined": _undefined,
-                 "overflowed": _overflowed, "missing": _missing,
+                 "overflow": _overflow, "missing": _missing,
                  "check_finite": _check_finite}
     exec(source, namespace)
     return namespace["program"]
@@ -154,23 +159,6 @@ def _compile(functions: tuple) -> Callable[[list], list]:
 
 def _undefined(f: BasisFunction, x: float) -> DomainError:
     return DomainError(f"basis form {f.form!r} undefined for |x| < {X_GUARD:g} (got {x!r})")
-
-
-def _overflowed(functions: tuple, v: list) -> DomainError:
-    """The error for an OverflowError at v, naming the first function whose
-    exponential overflows, else the first whose power does. Exponentials run
-    in the order of their first functions, and each before the one that
-    raised passed its guard, so this loop divides by no zero."""
-    for f in functions:
-        if f.exp_arg:
-            x = v[f.coordinate]
-            sign = -1.0 if f.exp_arg.startswith("-") else 1.0
-            try:
-                math.exp(sign / x if "/" in f.exp_arg else sign * x)
-            except OverflowError:
-                return _overflow(f, x)
-    f = next(f for f in functions if _power_overflows(v[f.coordinate], f.power))
-    return _overflow(f, v[f.coordinate])
 
 
 def _missing(functions: tuple, v: list) -> DimensionError:
@@ -183,14 +171,6 @@ def _check_finite(functions: tuple, v: list, out: list) -> None:
     for f, value in zip(functions, out):
         if not math.isfinite(value):
             raise _overflow(f, v[f.coordinate])
-
-
-def _power_overflows(x: float, p: int) -> bool:
-    try:
-        x**p
-    except OverflowError:
-        return True
-    return False
 
 
 def _overflow(f: BasisFunction, x: float) -> DomainError:

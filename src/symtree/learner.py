@@ -69,6 +69,8 @@ class Dataset:
             raise ConfigError(f"{self.X.shape[0]} feature rows for {self.y.shape[0]} labels")
         if self.n_points < 1:
             raise ConfigError("dataset must contain at least one point")
+        if self.n_features < 1:
+            raise ConfigError("dataset must have at least one feature column")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
             raise ConfigError("dataset contains non-finite entries")
 

@@ -217,8 +217,12 @@ def deserialize(text: str) -> TreeModel:
     if depth < 0:
         raise ParseError(f"root: depth {depth} is negative")
     bdoc = _require(doc, "bounds", dict, "root")
-    bounds = Bounds(*(_require(bdoc, k, float, "bounds")
-                      for k in ("c_lb", "c_ub", "y_lb", "y_ub")))
+    bounds = Bounds(*(_require(bdoc, k, float, "bounds") for k in Bounds._fields))
+    # +-Infinity is a box a config may ask for; NaN would turn validate's
+    # coefficient-box check off, since every comparison with it is false.
+    for k, value in bounds._asdict().items():
+        if math.isnan(value):
+            raise ParseError(f"bounds: field {k!r} is NaN")
     basis = basis_from_forms(_require(doc, "basis", list, "root"))
     nodes = _require(doc, "nodes", list, "root")
     ids, rules, leaves = set(), {}, {}

@@ -177,8 +177,16 @@ def test_compiled_program_matches_loop_oracle():
     cases += [(["x*exp(1/x)", "x@1"], [0.0]), (["x^5", "x@1"], [1e100])]
     for forms in (["x^2*exp(-1/x)"], ["1"], ["x*exp(x)", "exp(x)", "x*exp(x)", "x", "x"], []):
         cases += [(forms, [x]) for x in [0.5, -2.0, *special]]
+    # an exponential and an earlier form's power both overflow, and a power
+    # whose first user is not the first function overflows
+    blame = [(["x^200", "exp(x)"], [800.0]), (["exp(x)", "x^400", "x^400*exp(-x)"], [10.0])]
+    cases += blame
     outcomes = [_outcome(compiled, forms, v) for forms, v in cases]
     assert outcomes == [_outcome(loop, forms, v) for forms, v in cases]
+    assert outcomes[-len(blame):] == [
+        (DomainError, "basis form 'exp(x)' overflowed at x=800.0"),
+        (DomainError, "basis form 'x^400' overflowed at x=10.0"),
+    ]
     # every path is taken: the guard, overflow and a missing coordinate
     errors = [o for o in outcomes if isinstance(o, tuple)]
     assert any("undefined for" in message for _, message in errors)

@@ -177,6 +177,18 @@ def test_export_milp_non_finite_constant_exit_code(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["export-milp", "train"])
+def test_label_only_csv_exit_code(tmp_path, capsys, command):
+    # export-milp ended in a numpy traceback (exit 1) and train blamed the
+    # basis form '1' for reading coordinate 0.
+    data = tmp_path / "train.csv"
+    data.write_text("y\n1\n2\n3\n")
+    out = tmp_path / ("prob.mps" if command == "export-milp" else "model.tree.json")
+    assert run([command, "--data", str(data), "--out", str(out)]) == 2
+    assert "at least one feature column" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_import_solution_round_trip(workspace):
     ws, cfg = workspace
     model = deserialize((ws / "model.tree.json").read_text())
@@ -375,14 +387,18 @@ def test_defaults_document_shape():
     ({"coeffs": [6.241]}, "node 4: 1 coefficients for 19 basis functions"),
     ({"coeffs": [float("inf")] * 19}, "node 4: coefficients must be finite"),
     ({"threshold": float("nan")}, "node 1: threshold nan is not finite"),
-    ({"leaf": 2}, "node 2: non-branch node with active child 4")],
+    ({"leaf": 2}, "node 2: non-branch node with active child 4"),
+    ({"basis": [1] * 19}, "basis form 1 is not a string"),
+    ({"bounds": {"c_lb": float("nan")}}, "bounds: field 'c_lb' is NaN")],
     ids=["depth-60", "depth-negative", "coeff-string", "coeff-count", "coeff-inf",
-         "threshold-nan", "leaf-over-leaves"])
+         "threshold-nan", "leaf-over-leaves", "basis-non-string", "bound-nan"])
 def test_malformed_model_file_exit_code(workspace, tmp_path, capsys, change, match):
     """A depth the nodes do not fill, a non-numeric or infinite coefficient, a
     leaf shorter than the basis, a NaN threshold (which sent every point
-    right) and a leaf with active children (which predict served) are refused
-    on load, by predict and simulate alike."""
+    right), a leaf with active children (which predict served), a basis form
+    that is not a string (an AttributeError traceback) and a NaN bound (which
+    turned validate's box check off) are refused on load, by predict and
+    simulate alike."""
     ws, cfg = workspace
     doc = json.loads(serialize(reference_model()))
     if "depth" in change:
@@ -392,6 +408,10 @@ def test_malformed_model_file_exit_code(workspace, tmp_path, capsys, change, mat
     elif "leaf" in change:
         n = change["leaf"]
         doc["nodes"][n - 1] = {"id": n, "kind": "leaf", "coeffs": [0.0] * 19}
+    elif "basis" in change:
+        doc["basis"] = change["basis"]
+    elif "bounds" in change:
+        doc["bounds"].update(change["bounds"])
     else:
         doc["nodes"][0]["threshold"] = change["threshold"]
     mpath = tmp_path / "m.json"

@@ -393,6 +393,12 @@ def test_dataset_rejects_bad_input():
         Dataset(X=[[1.0], [2.0]], y=[1.0])
     with pytest.raises(ConfigError):
         Dataset(X=[[np.nan]], y=[1.0])
+    # A label-only CSV once loaded as X of shape (3, 0), and every basis
+    # form then failed to read coordinate 0.
+    with pytest.raises(ConfigError, match="at least one feature column"):
+        Dataset.from_csv("y\n1\n2\n3\n")
+    with pytest.raises(ConfigError, match="at least one feature column"):
+        Dataset(X=np.zeros((3, 0)), y=[1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n", "x,y\n0.5,one\n",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -400,6 +401,34 @@ def test_deserialize_keeps_coefficients_outside_bounds():
     model = deserialize(json.dumps(doc))
     assert predict(model, 1.0) == 100.0 + 1e-9
     assert any("outside" in v for v in validate(model))
+
+
+@pytest.mark.parametrize("key", ["c_lb", "c_ub", "y_lb", "y_ub"])
+def test_deserialize_rejects_nan_bound(key):
+    # Every comparison with NaN is false, so validate's box check would pass
+    # any coefficient.
+    doc = json.loads(serialize(depth1_model()))
+    doc["bounds"][key] = float("nan")
+    with pytest.raises(ParseError, match=f"bounds: field '{key}' is NaN"):
+        deserialize(json.dumps(doc))
+
+
+def test_deserialize_keeps_infinite_bounds():
+    # train accepts c_bounds of [-Infinity, Infinity] from a config, so a
+    # trained model may carry them.
+    doc = json.loads(serialize(depth1_model()))
+    doc["bounds"].update(c_lb=-float("inf"), c_ub=float("inf"))
+    model = deserialize(json.dumps(doc))
+    assert model.bounds.c_lb == -float("inf") and model.bounds.c_ub == float("inf")
+    assert validate(model) == []
+
+
+@pytest.mark.parametrize("form", [1, None, ["x"]])
+def test_deserialize_rejects_non_string_basis_form(form):
+    doc = json.loads(serialize(depth1_model()))
+    doc["basis"] = [form]
+    with pytest.raises(ParseError, match=re.escape(f"basis form {form!r} is not a string")):
+        deserialize(json.dumps(doc))
 
 
 def test_deserialize_rejects_bad_json():
