@@ -35,6 +35,7 @@ INT_TOL = 1e-5
 #: Dunn's epsilon), so the MILP splits no two values closer than this.
 EPS_ROUTING = 1e-4
 LE, EQ, GE = "<=", "=", ">="   # row senses
+_SPACE = ord(" ")
 
 
 @dataclass
@@ -72,9 +73,22 @@ class MilpArtifact:
         return len(self.row_names)
 
     @cached_property
+    def row_labels(self) -> np.ndarray:
+        """Row names R0000001, R0000002, ... as rows of 10 ASCII bytes (the
+        last two blank), built once per artifact. Refuses the 10 millionth
+        row, whose name would pass fixed-format MPS's 8 characters."""
+        if self.n_rows > 9_999_999:
+            raise ConfigError(f"{self.n_rows} rows exceed fixed-format row names")
+        labels = np.full((self.n_rows, 10), _SPACE, dtype=np.uint8)
+        labels[:, 0] = ord("R")
+        j = np.arange(1, self.n_rows + 1, dtype=np.int32)[:, None]
+        labels[:, 1:8] = j // 10 ** np.arange(6, -1, -1, dtype=np.int32) % 10 + ord("0")
+        return labels
+
+    @cached_property
     def row_mps(self) -> list:
         """Fixed-format row names, built once per artifact."""
-        return ["R%07d" % j for j in range(1, self.n_rows + 1)]
+        return self.row_labels.tobytes().decode("ascii").split()
 
     def var_value(self, assign: dict, i: int, default=0.0):
         if self.var_names[i] in assign:
@@ -82,20 +96,6 @@ class MilpArtifact:
         if self.var_mps[i] in assign:
             return assign[self.var_mps[i]]
         return default
-
-    def vector(self, assign: dict) -> np.ndarray:
-        """The assignment as a point x, with 0 for every variable it omits."""
-        return np.array([float(self.var_value(assign, i)) for i in range(self.n_vars)])
-
-    def objective_value(self, assign: dict) -> float:
-        return float(self.cost @ self.vector(assign))
-
-    def max_violation(self, assign: dict) -> float:
-        """Largest constraint violation of a full assignment (bounds included)."""
-        x = self.vector(assign)
-        act = self.A @ x
-        return float(max(0.0, np.max(act - self.row_hi), np.max(self.row_lo - act),
-                         np.max(self.lo - x), np.max(x - self.hi)))
 
 
 def node_sets(depth: int):
@@ -304,66 +304,105 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
                         data=data, basis=basis, cfg=cfg, y_bounds=(y_lb, y_ub), index=index)
 
 
-def _fmt12(v: float) -> str:
-    """v in at most 12 characters, to as many significant digits as fit. Three
-    always do: the longest such form of a float is -1.23e-308, at 10."""
-    for prec in range(12, 3, -1):
-        s = f"{float(v):.{prec}g}"
-        if len(s) <= 12:
-            return s
-    return f"{float(v):.3g}"
+def _fmt12(values: list) -> list:
+    """Each value in at most 12 characters, to as many significant digits as
+    fit. Three always do: the longest such form of a float is -1.23e-308, at
+    10. Each precision, from 12 down, is one %-format over the values that
+    are still too wide at the precision above it."""
+    out, todo = list(values), range(len(values))
+    for prec in range(12, 2, -1):
+        strs = (f"%.{prec}g\0" * len(todo) % tuple([values[i] for i in todo])).split("\0")
+        for i, s in zip(todo, strs):
+            out[i] = s
+        todo = [i for i, s in zip(todo, strs) if len(s) > 12]
+    return out
 
 
-def _pair_lines(label: str, cells: list) -> list:
-    """Data lines holding ready-made (row name, value) cells two to a line."""
-    head = f"    {label:<10}"
-    lines = [f"{head}{a}   {b}".rstrip() for a, b in zip(cells[0::2], cells[1::2])]
-    if len(cells) % 2:
-        lines.append(f"{head}{cells[-1]}".rstrip())
-    return lines
+def _field(names: list, width: int) -> np.ndarray:
+    """ASCII names left-justified in ``width`` bytes, one row each."""
+    a = np.array(names, dtype=f"S{width}").view(np.uint8).reshape(len(names), width)
+    a[a == 0] = _SPACE
+    return a
+
+
+def _repeat(text: bytes, n: int) -> np.ndarray:
+    """The same bytes in each of n rows."""
+    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (n, len(text)))
+
+
+def _lines(block: np.ndarray) -> str:
+    """The rows of a block, each ending in a newline, as text lines cut after
+    their last non-blank byte (as ``str.rstrip`` cuts them)."""
+    width = block.shape[1] - 1
+    end = (width - np.argmax(block[:, width - 1::-1] != _SPACE, axis=1)).astype(np.uint8)
+    col = np.arange(width + 1, dtype=np.uint8)
+    return block[(col < end[:, None]) | (col == width)].tobytes().decode("ascii")
+
+
+def _pair_block(heads: np.ndarray, counts: np.ndarray, row_ids: np.ndarray,
+                value_ids: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Data lines holding (row, value) cells two to a line: heads[j] heads
+    ceil(counts[j] / 2) lines, which hold the next counts[j] cells. Cell k is
+    rows[row_ids[k]] then values[value_ids[k]], at column 14 or 39; the blank
+    last row of each table fills the second cell of a line holding one."""
+    per, odd = (counts + 1) // 2, counts % 2
+    # Cell k's place once a blank cell follows each odd count.
+    place = np.arange(len(row_ids)) + np.repeat(np.cumsum(odd) - odd, counts)
+    n = int(per.sum())
+    r, v = np.full(2 * n, -1), np.full(2 * n, -1)
+    r[place], v[place] = row_ids, value_ids
+    return np.hstack([_repeat(b"    ", n), heads.repeat(per, axis=0),
+                      rows[r[0::2]], values[v[0::2]], _repeat(b"   ", n),
+                      rows[r[1::2]], values[v[1::2]], _repeat(b"\n", n)])
 
 
 def mps_text(art: MilpArtifact) -> str:
-    """Fixed-format MPS document (NAME/ROWS/COLUMNS/RHS/BOUNDS/ENDATA)."""
+    """Fixed-format MPS document (NAME/ROWS/COLUMNS/RHS/BOUNDS/ENDATA).
+
+    Each section is one block of fixed-width byte lines, gathered from tables
+    of padded names and values and cut line by line after its last non-blank
+    byte."""
     if not art.n_rows:
         raise ConfigError("refusing to export an artifact with no constraint rows")
-    row_mps, le = art.row_mps, np.isinf(art.row_lo)
-    sense = np.where(art.row_lo == art.row_hi, "E", np.where(le, "L", "G")).tolist()
-    lines = ["NAME          SYMTREE", "ROWS", " N  OBJ"]
-    lines += [f" {t}  {name}" for t, name in zip(sense, row_mps)]
+    le, lo, hi, n = np.isinf(art.row_lo), art.lo, art.hi, art.n_vars
+    rhs = np.where(le, art.row_hi, art.row_lo)
     # Column-major entries of [cost; A]: variable order, then row order.
     cols = sparse.vstack([sparse.csc_array(art.cost[None, :]), art.A], format="csc")
-    vals = cols.data.tolist()
-    rhs = np.where(le, art.row_hi, art.row_lo).tolist()
-    lo, hi = art.lo.tolist(), art.hi.tolist()
-    # Each distinct nonzero value formatted once. Zeros stay out: 0.0 and -0.0
-    # are one key but print apart, and only an UP bound writes a zero.
-    fmt = {v: f"{_fmt12(v):<12}" for v in {*vals, *rhs, *lo, *hi} if v}
-    labels = [f"{name:<10}" for name in ["OBJ"] + row_mps]
-    cells = [labels[r] + fmt[v] for r, v in zip(cols.indices.tolist(), vals)]
-    ptr = cols.indptr.tolist()
-    lines.append("COLUMNS")
-    for j, mps in enumerate(art.var_mps):
-        lines += _pair_lines(mps, cells[ptr[j]:ptr[j + 1]])
-    lines.append("RHS")
-    lines += _pair_lines("RHS", [labels[r] + fmt[v]
-                                 for r, v in enumerate(rhs, start=1) if v != 0.0])
-    lines.append("BOUNDS")
-    for mps, kind, v_lo, v_hi in zip(art.var_mps, art.integrality.tolist(), lo, hi):
-        if kind == BINARY:
-            lines.append(f" BV {'BND':<10}{mps}")
-        elif v_lo == -np.inf and v_hi == np.inf:
-            lines.append(f" FR {'BND':<10}{mps}")
-        else:
-            if v_lo == -np.inf:
-                lines.append(f" MI {'BND':<10}{mps}")
-            elif v_lo != 0.0:
-                lines.append(f" LO {'BND':<10}{mps:<10}{fmt[v_lo]}".rstrip())
-            if v_hi != np.inf:
-                lines.append(f" UP {'BND':<10}{mps:<10}"
-                             f"{fmt[v_hi] if v_hi else _fmt12(v_hi)}".rstrip())
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    # Bound lines: one of kind BV, FR, MI or LO, then one UP, per variable.
+    kind = np.select([art.integrality == BINARY, (lo == -np.inf) & (hi == np.inf),
+                      lo == -np.inf], [0, 1, 2], 3)
+    lo_line, up = (kind == 3) & (lo != 0.0), (kind >= 2) & (hi != np.inf)
+    written = [cols.data, rhs[rhs != 0.0], lo[lo_line], hi[up]]
+    # Each distinct value formatted once. Its bits are the key, so 0.0 and
+    # -0.0 (written only as UP bounds) print apart.
+    bits, inverse = np.unique(np.concatenate(written).view(np.int64), return_inverse=True)
+    at_cols, at_rhs, at_lo, at_hi = np.split(inverse.reshape(-1),
+                                             np.cumsum([len(w) for w in written[:-1]]))
+    values = _field(_fmt12(bits.view(float).tolist()) + [""], 12)
+    labels = np.vstack([_field(["OBJ"], 10), art.row_labels, _field([""], 10)])
+    var_labels = _field(art.var_mps, 10)
+
+    sense = np.where(art.row_lo == art.row_hi, ord("E"), np.where(le, ord("L"), ord("G")))
+    rows = np.hstack([_repeat(b" ", art.n_rows), sense.astype(np.uint8)[:, None],
+                      _repeat(b"  ", art.n_rows), labels[1:-1], _repeat(b"\n", art.n_rows)])
+    columns = _pair_block(var_labels, np.diff(cols.indptr), cols.indices, at_cols,
+                          labels, values)
+    rhs_rows = np.flatnonzero(rhs) + 1
+    rhs_block = _pair_block(_field(["RHS"], 10), np.array([len(rhs_rows)]), rhs_rows,
+                            at_rhs, labels, values)
+    lo_at, hi_at = np.full(n, -1), np.full(n, -1)
+    lo_at[lo_line], hi_at[up] = at_lo, at_hi
+
+    def bound_lines(codes, at):
+        return np.hstack([_repeat(b" ", n), codes, _repeat(b" BND       ", n), var_labels,
+                          values[at], _repeat(b"\n", n)])
+
+    bounds = np.stack([bound_lines(_field(["BV", "FR", "MI", "LO"], 2)[kind], lo_at),
+                       bound_lines(_repeat(b"UP", n), hi_at)], axis=1)
+    return "".join(["NAME          SYMTREE\nROWS\n N  OBJ\n", _lines(rows),
+                    "COLUMNS\n", _lines(columns), "RHS\n", _lines(rhs_block),
+                    "BOUNDS\n", _lines(bounds[np.stack([(kind < 3) | lo_line, up], axis=1)]),
+                    "ENDATA\n"])
 
 
 def name_map(art: MilpArtifact) -> dict:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import BasisSet, _floats, basis_from_forms, evaluate_basis
-from .errors import DimensionError, ModelInvalidError, ParseError
+from .errors import DimensionError, DomainError, ModelInvalidError, ParseError
 
 BRANCH = "branch"
 LEAF = "leaf"
@@ -88,8 +88,16 @@ class TreeModel:
 
 
 def route(model: TreeModel, x) -> int:
-    """Walk the tree from the root; ties at a threshold go right."""
+    """Walk the tree from the root; ties at a threshold go right. A point with
+    a coordinate that is not finite is refused: every threshold would send
+    NaN right, and a leaf of constants would answer it."""
     v = _floats(x)
+    # One sum checks every coordinate; finite ones can overflow it, so only a
+    # failed sum is scanned. A float start keeps sum on its float path.
+    if not math.isfinite(sum(v, 0.0)):
+        for k, c in enumerate(v):
+            if not math.isfinite(c):
+                raise DomainError(f"input coordinate {k} is {c!r}, not a finite number")
     n = 1
     while (rule := model.rules.get(n)) is not None:
         try:
@@ -219,10 +227,15 @@ def deserialize(text: str) -> TreeModel:
     bdoc = _require(doc, "bounds", dict, "root")
     bounds = Bounds(*(_require(bdoc, k, float, "bounds") for k in Bounds._fields))
     # +-Infinity is a box a config may ask for; NaN would turn validate's
-    # coefficient-box check off, since every comparison with it is false.
-    for k, value in bounds._asdict().items():
+    # coefficient-box check off, since every comparison with it is false, and
+    # a crossed box holds no value at all.
+    ends = bounds._asdict()
+    for k, value in ends.items():
         if math.isnan(value):
             raise ParseError(f"bounds: field {k!r} is NaN")
+    for lb, ub in (("c_lb", "c_ub"), ("y_lb", "y_ub")):
+        if ends[lb] > ends[ub]:
+            raise ParseError(f"bounds: {lb} {ends[lb]!r} exceeds {ub} {ends[ub]!r}")
     basis = basis_from_forms(_require(doc, "basis", list, "root"))
     nodes = _require(doc, "nodes", list, "root")
     ids, rules, leaves = set(), {}, {}

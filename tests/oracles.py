@@ -7,8 +7,9 @@ function's closed form on its own, with no sharing between functions, and
 the compiled basis program is held to the per-term loop it replaced. MPC
 solves, warm or cold, are held to the best of every distinct start at their
 state, with no early stop.
-The exported MPS text is read back by a fixed-format reader of its own, and
-the MILP arrays are checked against a builder that emits one row at a time.
+The exported MPS text is read back by a fixed-format reader of its own and
+held byte for byte to the one-string-per-line writer it replaced, and the
+MILP arrays are checked against a builder that emits one row at a time.
 The closed loop's held-control integration is checked against one RK4 step
 per substep over mpc.plant_rhs.
 """
@@ -215,6 +216,23 @@ def exhaustive_fit_tree(data, basis, cfg):
 
     cost, n_branch, _, rules, kinds = search(1, tuple(range(data.n_points)), True)
     return cost, n_branch, rules, kinds
+
+
+def assignment_vector(art, assign):
+    """The assignment as a point x, with 0 for every variable it omits."""
+    return np.array([float(art.var_value(assign, i)) for i in range(art.n_vars)])
+
+
+def objective_value(art, assign):
+    return float(art.cost @ assignment_vector(art, assign))
+
+
+def max_violation(art, assign):
+    """Largest constraint violation of a full assignment (bounds included)."""
+    x = assignment_vector(art, assign)
+    act = art.A @ x
+    return float(max(0.0, np.max(act - art.row_hi), np.max(art.row_lo - act),
+                     np.max(art.lo - x), np.max(x - art.hi)))
 
 
 def lp_with_fixed_binaries(art, fixed):
@@ -626,3 +644,64 @@ def loop_integrate_hold(plant, x, u, dt, h_int):
     for _ in range(n_sub):
         x = _rk4_step(plant, x, u, h)
     return x
+
+
+def _loop_pair_lines(label: str, cells: list) -> list:
+    """Data lines holding ready-made (row name, value) cells two to a line."""
+    head = f"    {label:<10}"
+    lines = [f"{head}{a}   {b}".rstrip() for a, b in zip(cells[0::2], cells[1::2])]
+    if len(cells) % 2:
+        lines.append(f"{head}{cells[-1]}".rstrip())
+    return lines
+
+
+def loop_fmt12(v: float) -> str:
+    """v in at most 12 characters, to as many significant digits as fit: the
+    first precision from 12 down whose 'g' form is short enough."""
+    for prec in range(12, 3, -1):
+        s = f"{float(v):.{prec}g}"
+        if len(s) <= 12:
+            return s
+    return f"{float(v):.3g}"
+
+
+def loop_mps_text(art):
+    """The fixed-format MPS document written one Python string per line and
+    per nonzero, the writer ``milp.mps_text`` must match byte for byte."""
+    row_mps, le = ["R%07d" % j for j in range(1, art.n_rows + 1)], np.isinf(art.row_lo)
+    sense = np.where(art.row_lo == art.row_hi, "E", np.where(le, "L", "G")).tolist()
+    lines = ["NAME          SYMTREE", "ROWS", " N  OBJ"]
+    lines += [f" {t}  {name}" for t, name in zip(sense, row_mps)]
+    # Column-major entries of [cost; A]: variable order, then row order.
+    cols = sparse.vstack([sparse.csc_array(art.cost[None, :]), art.A], format="csc")
+    vals = cols.data.tolist()
+    rhs = np.where(le, art.row_hi, art.row_lo).tolist()
+    lo, hi = art.lo.tolist(), art.hi.tolist()
+    # Zeros stay out: 0.0 and -0.0 are one key but print apart, and only an
+    # UP bound writes a zero.
+    fmt = {v: f"{loop_fmt12(v):<12}" for v in {*vals, *rhs, *lo, *hi} if v}
+    labels = [f"{name:<10}" for name in ["OBJ"] + row_mps]
+    cells = [labels[r] + fmt[v] for r, v in zip(cols.indices.tolist(), vals)]
+    ptr = cols.indptr.tolist()
+    lines.append("COLUMNS")
+    for j, mps in enumerate(art.var_mps):
+        lines += _loop_pair_lines(mps, cells[ptr[j]:ptr[j + 1]])
+    lines.append("RHS")
+    lines += _loop_pair_lines("RHS", [labels[r] + fmt[v]
+                                      for r, v in enumerate(rhs, start=1) if v != 0.0])
+    lines.append("BOUNDS")
+    for mps, kind, v_lo, v_hi in zip(art.var_mps, art.integrality.tolist(), lo, hi):
+        if kind == BINARY:
+            lines.append(f" BV {'BND':<10}{mps}")
+        elif v_lo == -np.inf and v_hi == np.inf:
+            lines.append(f" FR {'BND':<10}{mps}")
+        else:
+            if v_lo == -np.inf:
+                lines.append(f" MI {'BND':<10}{mps}")
+            elif v_lo != 0.0:
+                lines.append(f" LO {'BND':<10}{mps:<10}{fmt[v_lo]}".rstrip())
+            if v_hi != np.inf:
+                lines.append(f" UP {'BND':<10}{mps:<10}"
+                             f"{fmt[v_hi] if v_hi else loop_fmt12(v_hi)}".rstrip())
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"

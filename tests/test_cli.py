@@ -300,6 +300,25 @@ def test_predict_outside_basis_domain_exit_code(tmp_path, capsys):
     assert "overflowed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["model", "cart"])
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_predict_non_finite_input_exit_code(workspace, tmp_path, capsys, kind, x):
+    """The input is refused by name: the reference model blamed basis form
+    'x' for an overflow, and the CART baseline (basis 1) answered NaN with
+    its right leaf, exit 0."""
+    ws, cfg = workspace
+    mpath = tmp_path / "m.json"
+    if kind == "model":
+        mpath.write_text(serialize(reference_model()))
+    else:
+        assert run(["baseline", "--kind", "cart", "--config", str(cfg),
+                    "--data", str(ws / "train.csv"), "--out", str(mpath)]) == 0
+        capsys.readouterr()
+    assert run(["predict", "--model", str(mpath), f"--x={x}"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: input coordinate 0 is {float(x)!r}, not a finite number\n"
+
+
 @pytest.mark.parametrize("sim", ['{"t_final": NaN}', '{"t_final": Infinity}',
                                  '{"x0": NaN}', '{"x0": 50}'])
 def test_simulate_bad_sim_section_exit_code(tmp_path, capsys, sim):
@@ -389,16 +408,18 @@ def test_defaults_document_shape():
     ({"threshold": float("nan")}, "node 1: threshold nan is not finite"),
     ({"leaf": 2}, "node 2: non-branch node with active child 4"),
     ({"basis": [1] * 19}, "basis form 1 is not a string"),
-    ({"bounds": {"c_lb": float("nan")}}, "bounds: field 'c_lb' is NaN")],
+    ({"bounds": {"c_lb": float("nan")}}, "bounds: field 'c_lb' is NaN"),
+    ({"bounds": {"c_lb": 5.0, "c_ub": -5.0}}, "bounds: c_lb 5.0 exceeds c_ub -5.0")],
     ids=["depth-60", "depth-negative", "coeff-string", "coeff-count", "coeff-inf",
-         "threshold-nan", "leaf-over-leaves", "basis-non-string", "bound-nan"])
+         "threshold-nan", "leaf-over-leaves", "basis-non-string", "bound-nan",
+         "bound-crossed"])
 def test_malformed_model_file_exit_code(workspace, tmp_path, capsys, change, match):
     """A depth the nodes do not fill, a non-numeric or infinite coefficient, a
     leaf shorter than the basis, a NaN threshold (which sent every point
     right), a leaf with active children (which predict served), a basis form
-    that is not a string (an AttributeError traceback) and a NaN bound (which
-    turned validate's box check off) are refused on load, by predict and
-    simulate alike."""
+    that is not a string (an AttributeError traceback), a NaN bound (which
+    turned validate's box check off) and a crossed bound (which both commands
+    served) are refused on load, by predict and simulate alike."""
     ws, cfg = workspace
     doc = json.loads(serialize(reference_model()))
     if "depth" in change:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
-from oracles import embed_model, loop_build_milp, milp_optimum_depth1, read_mps_arrays
+from oracles import (embed_model, loop_build_milp, loop_fmt12, loop_mps_text, max_violation,
+                     milp_optimum_depth1, objective_value, read_mps_arrays)
 from symtree import milp
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis_matrix
 from symtree.config import load_config
@@ -250,18 +252,18 @@ def test_fitted_tree_embeds_feasibly():
         art = build_milp(data, basis, cfg)
         rep = fit_tree(data, basis, cfg)
         assign = embed_model(art, rep.model)
-        assert art.max_violation(assign) <= 1e-9, (lo, hi, depth)
-        assert art.objective_value(assign) == pytest.approx(rep.objective, abs=1e-8)
+        assert max_violation(art, assign) <= 1e-9, (lo, hi, depth)
+        assert objective_value(art, assign) == pytest.approx(rep.objective, abs=1e-8)
 
 
 def test_max_violation_reads_both_row_bounds():
     data, basis, cfg = tiny_instance()
     art = build_milp(data, basis, cfg)
     # All zeros: struct_root (d[1] = 1) and assign_once fall short by 1.
-    assert art.max_violation({}) == 1.0
+    assert max_violation(art, {}) == 1.0
     # d[2] = 3 overshoots coef_ub[1,2] (c + c_ub*d <= c_ub) by 2*c_ub.
-    assert art.max_violation({"d[1]": 1.0, "z[1,2]": 1.0, "d[2]": 3.0}) == 2 * cfg.c_ub
-    assert art.objective_value({"EP1": 0.5, "d[1]": 1.0}) == \
+    assert max_violation(art, {"d[1]": 1.0, "z[1,2]": 1.0, "d[2]": 3.0}) == 2 * cfg.c_ub
+    assert objective_value(art, {"EP1": 0.5, "d[1]": 1.0}) == \
         pytest.approx(0.5 + cfg.lambda_c, abs=1e-15)
 
 
@@ -402,7 +404,7 @@ def test_mps_values_read_back():
                    y=rng.uniform(40, 80, 12))
     art = build_milp(data, canonical_basis(), load_config(None).learn_config())
     got = read_mps_arrays(mps_text(art))
-    rounded = np.vectorize(lambda v: float(milp._fmt12(v)), otypes=[float])
+    rounded = np.vectorize(lambda v: float(milp._fmt12([v])[0]), otypes=[float])
     assert got["var_mps"] == art.var_mps and got["row_mps"] == art.row_mps
     for key in ("cost", "row_lo", "row_hi", "lo", "hi"):
         assert np.array_equal(got[key], rounded(getattr(art, key))), key
@@ -421,7 +423,7 @@ def test_mps_values_read_back():
 def test_fmt12_fits_and_rounds(v):
     """At most 12 characters, reading back as v rounded to 12 or fewer
     significant digits: at 3 digits even -1.23e-308 takes only 10."""
-    s = milp._fmt12(v)
+    s = milp._fmt12([v])[0]
     assert len(s) <= 12
     assert any(float(s) == float(f"{v:.{p}g}") for p in range(3, 13)), s
 
@@ -458,6 +460,61 @@ def test_mps_text_is_pinned():
             kinds = {line[:4] for line in text.splitlines()}
             assert {" LO ", " UP ", " MI ", " FR ", " BV "} <= kinds
         assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_MPS[name], name
+
+
+def test_mps_text_matches_loop_oracle():
+    """The fixed-width writer against the one-string-per-line loop, byte for
+    byte, on random artifacts (1-2 features, depths 1-3, negative X). Each
+    has one bound opened, two UP bounds set to 0.0 and -0.0 and a few values
+    that _fmt12 writes in exponent form, so every kind of line and value is
+    met; the sets below check that they were."""
+    rng = np.random.default_rng(113)
+    kinds, parities, forms = set(), set(), set()
+    for data, basis, cfg in random_milp_instances(40, 109):
+        art = build_milp(data, basis, cfg)
+        cont = rng.permutation(np.flatnonzero(art.integrality == CONTINUOUS))
+        art.lo[cont[0]] = -np.inf
+        art.hi[cont[1]], art.hi[cont[2]] = 0.0, -0.0
+        art.lo[cont[3]], art.hi[cont[3]] = -1.23e-308, 1e15
+        art.cost[cont[4]] = 1e-5
+        art.A.data[rng.integers(art.A.nnz)] = -1.23e-308
+        eq = np.flatnonzero(art.row_lo == art.row_hi)
+        art.row_lo[eq[-1]] = art.row_hi[eq[-1]] = 1e15
+        text = mps_text(art)
+        assert text == loop_mps_text(art)
+        kinds |= {line[:4] for line in text.splitlines()}
+        forms |= {f for f in ("e-05", "e+15", "e-308", " -0\n", " 0\n") if f in text}
+        parities |= set((np.diff(art.A.indptr) + (art.cost != 0)) % 2)
+    assert {" LO ", " UP ", " MI ", " FR ", " BV ", " E  ", " L  ", " G  "} <= kinds
+    assert forms == {"e-05", "e+15", "e-308", " -0\n", " 0\n"}
+    assert parities == {0, 1}
+
+
+def test_fmt12_matches_descending_precision_loop():
+    """_fmt12 formats a batch one precision at a time; each string must be
+    the one the per-value loop picks. The doubles cover every binary
+    exponent (random bit patterns, subnormals, inf and NaN included), short
+    decimals whose trailing zeros are dropped, and values just below a power
+    of ten that round up to it."""
+    rng = np.random.default_rng(131)
+    exps = rng.integers(-310, 309, 20_000)
+    values = np.concatenate([
+        rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(float),
+        rng.integers(-10**6, 10**6, 20_000) * 10.0 ** rng.integers(-24, 20, 20_000),
+        (1 - 10.0 ** -rng.integers(5, 17, 20_000)) * 10.0 ** exps * rng.choice([-1, 1], 20_000),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-5, 1e15, -1.23e-308]]).tolist()
+    assert len(values) >= 100_000
+    assert milp._fmt12(values) == [loop_fmt12(v) for v in values]
+
+
+def test_row_labels_are_fixed_format_names():
+    """R and seven digits, computed column by column, read as "R%07d"; the
+    10 millionth row would need a ninth character and is refused."""
+    labels = milp.MilpArtifact.row_labels.func(SimpleNamespace(n_rows=1_000_000))
+    for j in (1, 9, 10, 99_999, 100_000, 999_999, 1_000_000):
+        assert labels[j - 1].tobytes() == b"R%07d  " % j
+    with pytest.raises(ConfigError, match="10000000 rows exceed fixed-format row names"):
+        milp.MilpArtifact.row_labels.func(SimpleNamespace(n_rows=10_000_000))
 
 
 @pytest.mark.parametrize("X, bounds, constant", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis
-from symtree.errors import DimensionError, ModelInvalidError, ParseError
+from symtree.errors import DimensionError, DomainError, ModelInvalidError, ParseError
 from symtree.reference import reference_model
 from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
                           LeafExpression, TreeModel, ancestors, child_toward,
@@ -54,6 +54,33 @@ def test_route_tie_goes_right():
     assert route(m, 1.4999) == 2
     assert route(m, 1.5) == 3
     assert route(m, 1.5001) == 3
+
+
+@pytest.mark.parametrize("x, k, text", [
+    (float("nan"), 0, "nan"), (float("inf"), 0, "inf"), (-float("inf"), 0, "-inf"),
+    ([0.5, float("nan")], 1, "nan"), (np.array([-float("inf"), float("inf")]), 0, "-inf")],
+    ids=["nan", "inf", "-inf", "second-nan", "opposite-infs"])
+def test_route_refuses_non_finite_coordinate(x, k, text):
+    """Every threshold test is false for NaN, so it used to route right; the
+    coordinate is named on entry, on either model and before any split."""
+    for model in (depth1_model(), two_feature_model()):
+        with pytest.raises(DomainError, match=f"^input coordinate {k} is {text}, not a finite"):
+            route(model, x)
+
+
+def test_route_keeps_finite_point_whose_sum_overflows():
+    # 1e308 + 1e308 is inf: the failed sum is scanned, and no coordinate is.
+    assert route(two_feature_model(), [1e308, 1e308]) == 3
+    assert route(two_feature_model(), [-1e308, -1e308]) == 4
+
+
+def test_predict_refuses_nan_on_constant_basis():
+    """A model whose basis is only 1 (the CART baseline's) evaluates at NaN
+    without error, since nan ** 0 == 1.0: the right leaf's value came back."""
+    model = depth1_model()
+    assert predict(model, 2.0) == 5.0
+    with pytest.raises(DomainError, match="^input coordinate 0 is nan"):
+        predict(model, float("nan"))
 
 
 def test_route_is_total_on_grid():
@@ -411,6 +438,18 @@ def test_deserialize_rejects_nan_bound(key):
     doc["bounds"][key] = float("nan")
     with pytest.raises(ParseError, match=f"bounds: field '{key}' is NaN"):
         deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize("lb, ub", [("c_lb", "c_ub"), ("y_lb", "y_ub")])
+def test_deserialize_rejects_crossed_bounds(lb, ub):
+    # No coefficient or prediction lies in a box whose lower end passes its
+    # upper one; equal ends are a box of one value and load.
+    doc = json.loads(serialize(depth1_model()))
+    doc["bounds"].update({lb: 5.0, ub: -5.0})
+    with pytest.raises(ParseError, match=f"bounds: {lb} 5.0 exceeds {ub} -5.0"):
+        deserialize(json.dumps(doc))
+    doc["bounds"].update({lb: -5.0, ub: -5.0})
+    assert getattr(deserialize(json.dumps(doc)).bounds, lb) == -5.0
 
 
 def test_deserialize_keeps_infinite_bounds():
