@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import BasisFunction, BasisSet, evaluate_basis_matrix
 from .errors import ConfigError
-from .learner import Dataset, candidate_thresholds
+from .learner import Dataset
 from .lp import fit_l1
 from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, node_depth,
                    single_leaf_model)
@@ -27,77 +27,71 @@ def fit_sparse(data: Dataset, basis: BasisSet, lambda_m: float, c_bounds) -> Tre
     return single_leaf_model(c, basis, Bounds(c_bounds[0], c_bounds[1], y_lo, _WIDE))
 
 
-def _constant_basis() -> BasisSet:
-    return BasisSet(functions=(BasisFunction(power=0),))
+def _fit_mean(A, y):
+    """Constant leaf: (coefficient vector, SSE)."""
+    c = float(np.mean(y))
+    d = y - c
+    return np.array([c]), float(d @ d)
 
 
-def _linear_basis(n_features: int) -> BasisSet:
-    funcs = [BasisFunction(power=0)]
-    funcs += [BasisFunction(power=1, coordinate=f) for f in range(n_features)]
-    return BasisSet(functions=tuple(funcs))
-
-
-def _sse(y: np.ndarray, pred: np.ndarray) -> float:
-    d = y - pred
-    return float(d @ d)
-
-
-def _fit_mean(X, y):
-    """Constant leaf: (coeff vector, SSE)."""
-    c = np.array([float(np.mean(y))])
-    return c, _sse(y, np.full(len(y), c[0]))
-
-
-def _fit_line(X, y):
-    """Least-squares affine leaf; constant fallback below two distinct points."""
-    n_f = X.shape[1]
-    if len(y) >= 2 and any(len(np.unique(X[:, f])) >= 2 for f in range(n_f)):
-        A = np.hstack([np.ones((len(y), 1)), X])
+def _fit_line(A, y):
+    """Least-squares affine leaf over the rows [1, x] of A; the mean when no
+    column takes two values (column 0, all ones, never does)."""
+    if len(y) >= 2 and (A.min(0) < A.max(0)).any():
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return coef, _sse(y, A @ coef)
-    c = np.zeros(n_f + 1)
+        d = y - A @ coef
+        return coef, float(d @ d)
+    c = np.zeros(A.shape[1])
     c[0] = float(np.mean(y)) if len(y) else 0.0
-    return c, _sse(y, np.full(len(y), c[0]))
+    d = y - c[0]
+    return c, float(d @ d)
 
 
 def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> TreeModel:
+    """Grow on the rows of one [1, X] matrix: a node holds its own rows and
+    labels, each midpoint threshold is one mask over them, and a split's two
+    side fits become its children's fits."""
     if depth < 1:
         raise ConfigError("depth must be >= 1")
     rules, leaves = {}, {}
 
-    def grow(node: int, idx: np.ndarray):
-        c, sse_here = leaf_fitter(data.X[idx], data.y[idx])
+    def grow(node: int, A: np.ndarray, y: np.ndarray, fit: tuple):
         best = None
-        if node_depth(node) < depth and len(idx) >= 2:
-            sub = Dataset(X=data.X[idx], y=data.y[idx])
-            for f in range(data.n_features):
-                for thr in candidate_thresholds(sub, f):
-                    mask = data.X[idx, f] < thr
-                    li, ri = idx[mask], idx[~mask]
-                    _, sse_l = leaf_fitter(data.X[li], data.y[li])
-                    _, sse_r = leaf_fitter(data.X[ri], data.y[ri])
-                    total = sse_l + sse_r
+        if node_depth(node) < depth and len(y) >= 2:
+            for f in range(1, A.shape[1]):
+                col = A[:, f]
+                vals = np.unique(col)
+                for thr in (vals[:-1] + vals[1:]) / 2.0:
+                    mask = col < thr
+                    left = leaf_fitter(A[mask], y[mask])
+                    right = leaf_fitter(A[~mask], y[~mask])
+                    total = left[1] + right[1]
                     if best is None or total < best[0]:
-                        best = (total, f, float(thr), li, ri)
+                        best = (total, f, thr, mask, left, right)
         # Split only on strict SSE reduction; degenerate splits become leaves.
-        if best is not None and best[0] < sse_here - 1e-12:
-            _, f, thr, li, ri = best
-            rules[node] = BranchRule(feature=f, threshold=thr)
-            grow(2 * node, li)
-            grow(2 * node + 1, ri)
+        if best is not None and best[0] < fit[1] - 1e-12:
+            _, f, thr, mask, left, right = best
+            rules[node] = BranchRule(feature=f - 1, threshold=float(thr))
+            grow(2 * node, A[mask], y[mask], left)
+            grow(2 * node + 1, A[~mask], y[~mask], right)
         else:
-            leaves[node] = LeafExpression(coefficients=tuple(float(v) for v in c))
+            leaves[node] = LeafExpression(coefficients=tuple(float(v) for v in fit[0]))
 
-    grow(1, np.arange(data.n_points))
+    A, y = np.hstack([np.ones((data.n_points, 1)), data.X]), np.ascontiguousarray(data.y)
+    grow(1, A, y, leaf_fitter(A, y))
+    # Nominal bounds, widened to hold every leaf so the tree passes validate.
+    coefs = [v for leaf in leaves.values() for v in leaf.coefficients]
     return TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis,
-                     bounds=Bounds(-_WIDE, _WIDE, -_WIDE, _WIDE))
+                     bounds=Bounds(min(-_WIDE, *coefs), max(_WIDE, *coefs), -_WIDE, _WIDE))
 
 
 def fit_cart_constant(data: Dataset, depth: int) -> TreeModel:
     """Greedy SSE tree with mean-valued leaves."""
-    return _greedy_tree(data, depth, _fit_mean, _constant_basis())
+    return _greedy_tree(data, depth, _fit_mean, BasisSet(functions=(BasisFunction(power=0),)))
 
 
 def fit_cart_linear(data: Dataset, depth: int) -> TreeModel:
     """Greedy SSE tree with least-squares affine leaves."""
-    return _greedy_tree(data, depth, _fit_line, _linear_basis(data.n_features))
+    funcs = [BasisFunction(power=0)]
+    funcs += [BasisFunction(power=1, coordinate=f) for f in range(data.n_features)]
+    return _greedy_tree(data, depth, _fit_line, BasisSet(functions=tuple(funcs)))

@@ -287,18 +287,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_x_values(argv: list) -> list:
+    """'--x V' as '--x=V' where V parses as a float: argparse reads a dash-led
+    token as a value only when it looks like -1 or -.5, not -1e-3 or -inf."""
+    out = []
+    for token in argv:
+        out.append(token)
+        if out[-2:-1] == ["--x"]:
+            try:
+                float(token)
+            except ValueError:
+                continue
+            out[-2:] = [f"--x={token}"]
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_x_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except SymtreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
-    except OSError as exc:
+    except (SymtreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

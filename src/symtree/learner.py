@@ -156,14 +156,6 @@ class FitReport:
     wall_time: float
 
 
-def candidate_thresholds(data: Dataset, feature: int) -> np.ndarray:
-    """Midpoints between consecutive distinct sorted values of one feature."""
-    if not 0 <= feature < data.n_features:
-        raise IndexError(f"feature {feature} out of range for {data.n_features} features")
-    vals = np.unique(data.X[:, feature])
-    return (vals[:-1] + vals[1:]) / 2.0
-
-
 EMPTY_SIDE_OFFSET = 1.0  # how far beyond the data the empty-side thresholds sit
 
 

@@ -11,7 +11,8 @@ The exported MPS text is read back by a fixed-format reader of its own and
 held byte for byte to the one-string-per-line writer it replaced, and the
 MILP arrays are checked against a builder that emits one row at a time.
 The closed loop's held-control integration is checked against one RK4 step
-per substep over mpc.plant_rhs.
+per substep over mpc.plant_rhs. The greedy CART baselines are held to the
+grower that built a Dataset per node and refitted every winning side.
 """
 
 import itertools
@@ -25,10 +26,12 @@ from scipy.optimize import milp as scipy_milp
 from symtree import milp, mpc
 from symtree.basis import X_GUARD, BasisSet, evaluate_basis_matrix
 from symtree.errors import ConfigError, DimensionError, DomainError
-from symtree.learner import EMPTY_SIDE_OFFSET, Dataset, LearnConfig, candidate_thresholds
+from symtree.learner import EMPTY_SIDE_OFFSET, Dataset, LearnConfig
 from symtree.milp import BINARY, CONTINUOUS, EPS_ROUTING, EQ, GE, LE, MilpArtifact, node_sets
 from symtree.mpc import KKT_TOL
-from symtree.tree import BRANCH, LEAF, ancestors, node_depth, route
+from symtree.tree import (BRANCH, LEAF, BranchRule, LeafExpression, TreeModel, ancestors,
+                          node_depth, route)
+from symtree.tree import Bounds as TreeBounds
 
 _EXP_ARGUMENT = {
     "x": lambda v: v,
@@ -146,6 +149,14 @@ def scipy_leaf_fit(Phi, y, w, lam, c_bounds, y_bounds):
                            "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return res.fun * scale
+
+
+def candidate_thresholds(data: Dataset, feature: int) -> np.ndarray:
+    """Midpoints between consecutive distinct sorted values of one feature."""
+    if not 0 <= feature < data.n_features:
+        raise IndexError(f"feature {feature} out of range for {data.n_features} features")
+    vals = np.unique(data.X[:, feature])
+    return (vals[:-1] + vals[1:]) / 2.0
 
 
 def brute_force_depth1(data, basis, cfg):
@@ -705,3 +716,65 @@ def loop_mps_text(art):
                              f"{fmt[v_hi] if v_hi else loop_fmt12(v_hi)}".rstrip())
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
+
+
+_WIDE = 1e6
+
+
+def _loop_sse(y: np.ndarray, pred: np.ndarray) -> float:
+    d = y - pred
+    return float(d @ d)
+
+
+def loop_fit_mean(X, y):
+    """Constant leaf: (coeff vector, SSE)."""
+    c = np.array([float(np.mean(y))])
+    return c, _loop_sse(y, np.full(len(y), c[0]))
+
+
+def loop_fit_line(X, y):
+    """Least-squares affine leaf; constant fallback below two distinct points."""
+    n_f = X.shape[1]
+    if len(y) >= 2 and any(len(np.unique(X[:, f])) >= 2 for f in range(n_f)):
+        A = np.hstack([np.ones((len(y), 1)), X])
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        return coef, _loop_sse(y, A @ coef)
+    c = np.zeros(n_f + 1)
+    c[0] = float(np.mean(y)) if len(y) else 0.0
+    return c, _loop_sse(y, np.full(len(y), c[0]))
+
+
+def loop_greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> TreeModel:
+    """The greedy SSE tree grown from index arrays: a Dataset per node, each
+    side fitted from a fresh gather, and every winning side fitted again as
+    its child. ``baselines.fit_cart_*`` must match its rules and leaves."""
+    if depth < 1:
+        raise ConfigError("depth must be >= 1")
+    rules, leaves = {}, {}
+
+    def grow(node: int, idx: np.ndarray):
+        c, sse_here = leaf_fitter(data.X[idx], data.y[idx])
+        best = None
+        if node_depth(node) < depth and len(idx) >= 2:
+            sub = Dataset(X=data.X[idx], y=data.y[idx])
+            for f in range(data.n_features):
+                for thr in candidate_thresholds(sub, f):
+                    mask = data.X[idx, f] < thr
+                    li, ri = idx[mask], idx[~mask]
+                    _, sse_l = leaf_fitter(data.X[li], data.y[li])
+                    _, sse_r = leaf_fitter(data.X[ri], data.y[ri])
+                    total = sse_l + sse_r
+                    if best is None or total < best[0]:
+                        best = (total, f, float(thr), li, ri)
+        # Split only on strict SSE reduction; degenerate splits become leaves.
+        if best is not None and best[0] < sse_here - 1e-12:
+            _, f, thr, li, ri = best
+            rules[node] = BranchRule(feature=f, threshold=thr)
+            grow(2 * node, li)
+            grow(2 * node + 1, ri)
+        else:
+            leaves[node] = LeafExpression(coefficients=tuple(float(v) for v in c))
+
+    grow(1, np.arange(data.n_points))
+    return TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis,
+                     bounds=TreeBounds(-_WIDE, _WIDE, -_WIDE, _WIDE))

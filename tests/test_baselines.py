@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from oracles import loop_fit_line, loop_fit_mean, loop_greedy_tree
 from symtree.baselines import fit_cart_constant, fit_cart_linear, fit_sparse
 from symtree.basis import basis_from_forms, canonical_basis
+from symtree.config import load_config
 from symtree.errors import ConfigError
 from symtree.learner import Dataset
-from symtree.tree import predict, validate
+from symtree.mpc import generate_dataset
+from symtree.tree import predict, serialize, validate
 
 
 def step_data():
@@ -82,3 +87,71 @@ def test_sparse_lambda_shrinks_coefficients():
 def test_depth_must_be_positive():
     with pytest.raises(ConfigError, match="depth must be >= 1"):
         fit_cart_constant(step_data(), depth=0)
+
+
+def _random_instance(rng):
+    """One seeded greedy-tree instance: N in 1..60, 1-3 features, X on a 0.1
+    grid half the time, sometimes a constant column, labels at scale 1e-3, 1
+    or 1e3 with offset 0 or 60, depth 1-4."""
+    n, n_f = int(rng.integers(1, 61)), int(rng.integers(1, 4))
+    X = rng.uniform(0.1, 0.9, (n, n_f))
+    if rng.random() < 0.5:
+        X = np.round(X, 1)
+    if n_f > 1 and rng.random() < 0.3:
+        X[:, int(rng.integers(n_f))] = 0.5
+    y = rng.choice([1e-3, 1.0, 1e3]) * rng.normal(size=n) + rng.choice([0.0, 60.0])
+    return Dataset(X=X, y=y), int(rng.integers(1, 5))
+
+
+def test_greedy_trees_match_loop_oracle():
+    """Same rules and bitwise the same leaves as the grower that gathered a
+    Dataset per node and refitted each winning side; every tree validates."""
+    rng = np.random.default_rng(2027)
+    for case in range(200):
+        data, depth = _random_instance(rng)
+        for fit, fitter in ((fit_cart_constant, loop_fit_mean),
+                            (fit_cart_linear, loop_fit_line)):
+            model = fit(data, depth)
+            ref = loop_greedy_tree(data, depth, fitter, model.basis)
+            assert model.rules == ref.rules, (case, fit.__name__)
+            assert {n: l.coefficients for n, l in model.leaves.items()} == \
+                {n: l.coefficients for n, l in ref.leaves.items()}, (case, fit.__name__)
+            assert validate(model) == [], (case, fit.__name__)
+
+
+# sha256 of serialize() for each baseline on the canonical 50-point
+# uniform-grid labels at depth 2.
+_PINNED_BASELINES = {
+    "sparse": "4173287bd10ed00265a658655370d7bcaae7bc33bdc23408df135d71a4480ee6",
+    "cart": "aa91efdf16f6ff25accf89c8dec89dcbb9281229438f1dc946042e09ec8616dd",
+    "lintree": "f19c61e984d466dbb2a284a0c7a700b7886694e01b27cd4bd52608989ea12ae4",
+}
+
+
+def test_canonical_baselines_are_pinned():
+    cfg = load_config()
+    lcfg = cfg.learn_config()
+    data = generate_dataset(cfg.mpc_spec(), 50, 0.1, 0.9, "uniform-grid", 0)
+    models = {"sparse": fit_sparse(data, canonical_basis(), lcfg.lambda_m,
+                                   (lcfg.c_lb, lcfg.c_ub)),
+              "cart": fit_cart_constant(data, 2),
+              "lintree": fit_cart_linear(data, 2)}
+    for kind, model in models.items():
+        assert hashlib.sha256(serialize(model).encode()).hexdigest() == \
+            _PINNED_BASELINES[kind], kind
+
+
+@pytest.mark.parametrize("fit, X, y", [
+    # near-duplicate x: the left leaf's slope is about 1e9
+    (fit_cart_linear, [0.5, 0.5 + 1e-9, 0.9, 0.91], [0.0, 1.0, 0.0, 0.0]),
+    (fit_cart_constant, [0.2, 0.4, 0.6], [2e7, 2e7, 3e7]),
+])
+def test_greedy_tree_bounds_hold_its_leaves(fit, X, y):
+    """Leaves beyond the nominal +-1e6 widen the coefficient bounds, so the
+    tree passes its own validate; both used to fail it."""
+    model = fit(Dataset(X=np.reshape(X, (-1, 1)), y=y), depth=1)
+    coefs = [v for leaf in model.leaves.values() for v in leaf.coefficients]
+    assert max(abs(v) for v in coefs) > 1e6
+    assert validate(model) == []
+    assert (model.bounds.c_lb, model.bounds.c_ub) == \
+        (min(-1e6, *coefs), max(1e6, *coefs))

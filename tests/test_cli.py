@@ -300,6 +300,23 @@ def test_predict_outside_basis_domain_exit_code(tmp_path, capsys):
     assert "overflowed" in capsys.readouterr().err
 
 
+def test_predict_takes_dash_led_floats(tmp_path, capsys):
+    """A dash-led --x is a value, not an option: '--x -1e-3' and '--x -inf'
+    were usage errors (exit 1) where '--x=-1e-3' and '--x -0.5' worked."""
+    mpath = tmp_path / "m.json"
+    mpath.write_text(serialize(reference_model()))
+    assert run(["predict", "--model", str(mpath), "--x=-5e-2"]) == 0
+    joined = capsys.readouterr()
+    assert run(["predict", "--model", str(mpath), "--x", "-5e-2"]) == 0
+    assert capsys.readouterr() == joined
+    assert run(["predict", "--model", str(mpath), "--x", "-inf"]) == 2
+    assert capsys.readouterr().err == \
+        "error: input coordinate 0 is -inf, not a finite number\n"
+    assert run(["predict", "--model", str(mpath), "--x", "-1e-3"]) == 2
+    assert capsys.readouterr().err == \
+        "error: basis form 'exp(-1/x)' overflowed at x=-0.001\n"
+
+
 @pytest.mark.parametrize("kind", ["model", "cart"])
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
 def test_predict_non_finite_input_exit_code(workspace, tmp_path, capsys, kind, x):

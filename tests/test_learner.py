@@ -4,13 +4,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import brute_force_depth1, exhaustive_fit_tree
+from oracles import brute_force_depth1, candidate_thresholds, exhaustive_fit_tree
 from symtree import learner, lp
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis_matrix
 from symtree.config import load_config
 from symtree.errors import ConfigError, ParseError
-from symtree.learner import (Dataset, LearnConfig, candidate_thresholds,
-                             default_y_bounds, fit_tree, mean_abs_error, objective_of)
+from symtree.learner import (Dataset, LearnConfig, default_y_bounds, fit_tree,
+                             mean_abs_error, objective_of)
 from symtree.mpc import generate_dataset
 from symtree.reference import reference_model
 from symtree.tree import (Bounds, BranchRule, LeafExpression, TreeModel, predict,
