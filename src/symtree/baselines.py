@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import BasisFunction, BasisSet, evaluate_basis_matrix
 from .errors import ConfigError
-from .learner import Dataset
+from .learner import Dataset, split_thresholds
 from .lp import fit_l1
 from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, node_depth,
                    single_leaf_model)
@@ -49,8 +49,8 @@ def _fit_line(A, y):
 
 def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> TreeModel:
     """Grow on the rows of one [1, X] matrix: a node holds its own rows and
-    labels, each midpoint threshold is one mask over them, and a split's two
-    side fits become its children's fits."""
+    labels, each threshold between two distinct values is one mask over
+    them, and a split's two side fits become its children's fits."""
     if depth < 1:
         raise ConfigError("depth must be >= 1")
     rules, leaves = {}, {}
@@ -61,7 +61,7 @@ def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> Tre
             for f in range(1, A.shape[1]):
                 col = A[:, f]
                 vals = np.unique(col)
-                for thr in (vals[:-1] + vals[1:]) / 2.0:
+                for thr in split_thresholds(vals[:-1], vals[1:]):
                     mask = col < thr
                     left = leaf_fitter(A[mask], y[mask])
                     right = leaf_fitter(A[~mask], y[~mask])

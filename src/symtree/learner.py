@@ -159,6 +159,14 @@ class FitReport:
 EMPTY_SIDE_OFFSET = 1.0  # how far beyond the data the empty-side thresholds sit
 
 
+def split_thresholds(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Thresholds between neighbouring sorted values lo < hi: the midpoint,
+    or hi where the midpoint rounds onto lo (adjacent floats), so that
+    x < threshold always sends lo left and hi right."""
+    mid = (lo + hi) / 2.0
+    return np.where(mid > lo, mid, hi)
+
+
 _TIE = 1e-12  # costs closer than this tie; fewer branches, then split order, decide
 
 
@@ -282,12 +290,12 @@ class _PointSets:
         """Every split of set s as four arrays, built on first use: feature,
         threshold, left id and right id. The empty set has none.
 
-        Per feature: the midpoints between its distinct values in s plus the
-        two empty-side splits, middle-out. A threshold outside the data range
-        routes everything one way, which can be optimal (one leaf pays the
-        coefficient penalty instead of two). Balanced splits come first
-        because they tend to be cheap, and a cheap incumbent early lets the
-        bounds skip more of the rest.
+        Per feature: the thresholds between its distinct values in s
+        (``split_thresholds``) plus the two empty-side splits, middle-out. A
+        threshold outside the data range routes everything one way, which can
+        be optimal (one leaf pays the coefficient penalty instead of two).
+        Balanced splits come first because they tend to be cheap, and a cheap
+        incumbent early lets the bounds skip more of the rest.
         """
         if self.split_arrays[s] is not None:
             return self.split_arrays[s]
@@ -297,7 +305,8 @@ class _PointSets:
             keep = mask[order]
             v, corners = xs[keep], cs[keep]          # the points of s, sorted on feature f
             step = np.nonzero(v[1:] != v[:-1])[0] + 1
-            thrs = np.concatenate([[v[0] - EMPTY_SIDE_OFFSET], (v[step - 1] + v[step]) / 2.0,
+            thrs = np.concatenate([[v[0] - EMPTY_SIDE_OFFSET],
+                                   split_thresholds(v[step - 1], v[step]),
                                    [v[-1] + EMPTY_SIDE_OFFSET]])[_middle_out(len(step) + 2)]
             cuts = np.searchsorted(v, thrs)          # points left of each threshold
             # The empty box is the identity of the corner-wise minimum, so

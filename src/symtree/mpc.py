@@ -98,18 +98,20 @@ def rollout(spec: MpcSpec, x0: float, u_seq):
     u = np.asarray(u_seq, dtype=float)
     if u.shape != (spec.T - 1,):
         raise ConfigError(f"expected {spec.T - 1} controls, got {u.shape}")
-    x, objective, grad, _ = _sweep(spec, x0, u)
+    x, objective, grad, _ = _sweeper(spec, x0)(u, full=True)
     return np.array(x), objective, grad
 
 
-def _sweep(spec: MpcSpec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
-    """One forward Euler pass and one adjoint pass, on Python floats.
+def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
+    """One subproblem's forward Euler pass and adjoint pass, on Python floats,
+    with its constants bound once: sweep(u) returns the value and its
+    gradient w.r.t. the T - 1 controls u (array); sweep(u, full=True) returns
+    the states (list), the value, the gradient and the constraint values g
+    (list, or None without ``mu``).
 
-    Returns the states (list), the value, its gradient w.r.t. u (array) and
-    the constraint values g (list, or None without ``mu``). Without ``mu``
-    the value is the tracking objective. With multipliers ``mu`` and penalty
-    ``rho`` it is the augmented Lagrangian of the rate and state constraints
-    g <= 0 (box bounds excluded), laid out as the rate pairs
+    Without ``mu`` the value is the tracking objective. With multipliers ``mu``
+    and penalty ``rho`` it is the augmented Lagrangian of the rate and state
+    constraints g <= 0 (box bounds excluded), laid out as the rate pairs
     u_{t+1} - u_t - lim, then u_t - u_{t+1} - lim, then the state bound pairs
     x - x_hi, then x_lo - x for x_2..x_T (x_1 is pinned to x0). The returned
     g is in these native units; the penalty term and ``mu`` take each row
@@ -117,54 +119,84 @@ def _sweep(spec: MpcSpec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
     """
     plant = spec.plant
     h, V, x_f, k = spec.h, plant.V, plant.x_f, plant.k_rate
-    us = u.tolist()
-    x = float(x0)
-    xs = [x]
-    for ut in us:
-        x = x + h * plant_rhs(plant, x, ut)
-        xs.append(x)
-    dev = [xt - spec.x_sp for xt in xs]
-    value = sum([d * d for d in dev]) + spec.P * dev[-1] ** 2
-    dldx = [2.0 * d for d in dev]
-    dldx[-1] += 2.0 * spec.P * dev[-1]
-    g = coef = None
-    n_rate = len(us) - 1
+    x_sp, P = spec.x_sp, spec.P
+    # Each constant bound here is a product or quotient the sweep's
+    # expressions form first (2.0 * P * d is (2.0 * P) * d), so binding it
+    # once changes no value; plant_rhs is inlined in its operation order.
+    P2, k3 = 2.0 * P, 3.0 * k
+    x_init = float(x0)
+    n = spec.T - 1
+    n_rate = n - 1
     if mu is not None:
         lim = h * spec.u_rate_max
         x_lo, x_hi = spec.x_bounds
-        du = [b - a for a, b in zip(us, us[1:])]
-        g = ([d - lim for d in du] + [-d - lim for d in du]
-             + [xt - x_hi for xt in xs[1:]] + [x_lo - xt for xt in xs[1:]])
-        # d(penalty)/dg, zero for inactive terms.
-        coef = []
-        for gi, mi, si in zip(g, mu.tolist(), _con_scale(spec, len(us))):
-            s = gi / si + mi / rho
-            if s > 0.0:
-                value += 0.5 * rho * s * s
-                coef.append(rho * s / si)
+        half_rho = 0.5 * rho
+        scale = _con_scale(spec, n)
+        mu_rho = [mi / rho for mi in mu.tolist()]
+        # A row's penalty argument is s = g / unit + mu / rho, with a positive
+        # unit. With no mu / rho above zero, s > 0 needs g > 0: a rate step
+        # beyond lim or a state outside its bounds, which the sweep reads off
+        # the steps and states without forming g.
+        quiet = not any(m > 0.0 for m in mu_rho)
+        zeros = [0.0] * len(mu_rho)
+
+    def sweep(u, full=False):
+        us = u.tolist()
+        x = x_init
+        xs = [x]
+        for ut in us:
+            x = x + h * ((ut / V) * (x_f - x) - k * x**3)
+            xs.append(x)
+        dev = [xt - x_sp for xt in xs]
+        value = sum([d * d for d in dev]) + P * dev[-1] ** 2
+        dldx = [2.0 * d for d in dev]
+        dldx[-1] += P2 * dev[-1]
+        g = coef = None
+        if mu is not None:
+            du = [b - a for a, b in zip(us, us[1:])]
+            xs1 = xs[1:]
+            if (full or not quiet or (du and (max(du) > lim or min(du) < -lim))
+                    or max(xs1) > x_hi or min(xs1) < x_lo):
+                g = ([d - lim for d in du] + [-d - lim for d in du]
+                     + [xt - x_hi for xt in xs1] + [x_lo - xt for xt in xs1])
+                # d(penalty)/dg, zero for inactive terms.
+                coef = []
+                for gi, si, mr in zip(g, scale, mu_rho):
+                    s = gi / si + mr
+                    if s > 0.0:
+                        value += half_rho * s * s
+                        coef.append(rho * s / si)
+                    else:
+                        coef.append(0.0)
             else:
-                coef.append(0.0)
-        c_hi = coef[2 * n_rate : 2 * n_rate + len(us)]
-        c_lo = coef[2 * n_rate + len(us) :]
-        for t, (ch, cl) in enumerate(zip(c_hi, c_lo), start=1):
-            dldx[t] += ch - cl
-    grad = [0.0] * len(us)
-    lam = dldx[-1]
-    for t in range(len(us) - 1, -1, -1):
-        xt = xs[t]
-        grad[t] = lam * h * ((x_f - xt) / V)
-        lam = dldx[t] + lam * (1.0 + h * (-us[t] / V - 3.0 * k * xt**2))
-    if coef is not None:
-        # Rate-constraint terms act directly on u.
-        for t in range(n_rate):
-            c = coef[t] - coef[n_rate + t]
-            grad[t + 1] += c
-            grad[t] -= c
-    return xs, value, np.array(grad), g
+                # Every row inactive, as the loop above would find: each
+                # coefficient is 0.0 and the value takes no penalty term.
+                coef = zeros
+            c_hi = coef[2 * n_rate : 2 * n_rate + n]
+            c_lo = coef[2 * n_rate + n :]
+            for t, (ch, cl) in enumerate(zip(c_hi, c_lo), start=1):
+                dldx[t] += ch - cl
+        grad = [0.0] * n
+        lam = dldx[-1]
+        for t in range(n - 1, -1, -1):
+            xt = xs[t]
+            grad[t] = lam * h * ((x_f - xt) / V)
+            lam = dldx[t] + lam * (1.0 + h * (-us[t] / V - k3 * xt**2))
+        if coef is not None:
+            # Rate-constraint terms act directly on u.
+            for t in range(n_rate):
+                c = coef[t] - coef[n_rate + t]
+                grad[t + 1] += c
+                grad[t] -= c
+        if full:
+            return xs, value, np.array(grad), g
+        return value, np.array(grad)
+
+    return sweep
 
 
 def _con_scale(spec: MpcSpec, n: int) -> list:
-    """Unit of each constraint row in _sweep's layout, for n controls: the
+    """Unit of each constraint row in _sweeper's layout, for n controls: the
     rate limit h * u_rate_max for the rate rows, x_hi - x_lo for the state
     rows. A zero rate limit (constant flow) has no unit of its own, so its
     rows stay in flow units."""
@@ -232,14 +264,15 @@ def _inner_minimize(spec: MpcSpec, x0: float, u: np.ndarray, mu: np.ndarray,
     """Box-bounded minimization of the augmented Lagrangian subproblem.
 
     L-BFGS-B keeps the flow bounds exact by projection; the gradient is the
-    exact adjoint from _sweep. The returned gradient and constraints come from
-    a sweep at the returned x: after a failed line search L-BFGS-B returns
-    the previous iterate, not the last point it evaluated.
+    exact adjoint of the subproblem's sweep. The returned gradient and
+    constraints come from that sweep at the returned x: after a failed line
+    search L-BFGS-B returns the previous iterate, not the last point it
+    evaluated.
     """
-    res = minimize(lambda uu: _sweep(spec, x0, uu, mu, rho)[1:3], u,
-                   spec.u_bounds, maxiter=_MAX_INNER, ftol=1e-16,
+    sweep = _sweeper(spec, x0, mu, rho)
+    res = minimize(sweep, u, spec.u_bounds, maxiter=_MAX_INNER, ftol=1e-16,
                    gtol=0.01 * KKT_TOL)
-    _, _, grad, g = _sweep(spec, x0, res.x, mu, rho)
+    _, _, grad, g = sweep(res.x, full=True)
     return res.x, grad, np.array(g)
 
 
@@ -291,7 +324,7 @@ def solve_mpc(spec: MpcSpec, x0: float, warm=None) -> MpcSolution:
     flows = [u_hi, u_lo]
     if x0 < spec.plant.x_f:
         flows.append(np.clip(steady_state_flow(spec.plant, x0), u_lo, u_hi))
-    # The first term of the objective, computed as _sweep computes it; the
+    # The first term of the objective, computed as the sweep computes it; the
     # rest of its sum is nonnegative, so no start can go below it.
     d = float(x0) - spec.x_sp
     floor = d * d

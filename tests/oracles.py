@@ -11,8 +11,10 @@ The exported MPS text is read back by a fixed-format reader of its own and
 held byte for byte to the one-string-per-line writer it replaced, and the
 MILP arrays are checked against a builder that emits one row at a time.
 The closed loop's held-control integration is checked against one RK4 step
-per substep over mpc.plant_rhs. The greedy CART baselines are held to the
-grower that built a Dataset per node and refitted every winning side.
+per substep over mpc.plant_rhs, and the MPC's rollout/adjoint closures against
+the sweep that read the spec and called mpc.plant_rhs on every evaluation.
+The greedy CART baselines are held to the grower that built a Dataset per
+node and refitted every winning side.
 """
 
 import itertools
@@ -655,6 +657,80 @@ def loop_integrate_hold(plant, x, u, dt, h_int):
     for _ in range(n_sub):
         x = _rk4_step(plant, x, u, h)
     return x
+
+
+def loop_sweep(spec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
+    """One forward Euler pass and one adjoint pass, on Python floats, reading
+    the spec and calling plant_rhs on every call: the sweep ``mpc._sweeper``'s
+    closures must match bitwise.
+
+    Returns the states (list), the value, its gradient w.r.t. u (array) and
+    the constraint values g (list, or None without ``mu``). Without ``mu``
+    the value is the tracking objective. With multipliers ``mu`` and penalty
+    ``rho`` it is the augmented Lagrangian of the rate and state constraints
+    g <= 0 (box bounds excluded), laid out as the rate pairs
+    u_{t+1} - u_t - lim, then u_t - u_{t+1} - lim, then the state bound pairs
+    x - x_hi, then x_lo - x for x_2..x_T (x_1 is pinned to x0). The returned
+    g is in these native units; the penalty term and ``mu`` take each row
+    divided by its _con_scale unit.
+    """
+    plant = spec.plant
+    h, V, x_f, k = spec.h, plant.V, plant.x_f, plant.k_rate
+    us = u.tolist()
+    x = float(x0)
+    xs = [x]
+    for ut in us:
+        x = x + h * mpc.plant_rhs(plant, x, ut)
+        xs.append(x)
+    dev = [xt - spec.x_sp for xt in xs]
+    value = sum([d * d for d in dev]) + spec.P * dev[-1] ** 2
+    dldx = [2.0 * d for d in dev]
+    dldx[-1] += 2.0 * spec.P * dev[-1]
+    g = coef = None
+    n_rate = len(us) - 1
+    if mu is not None:
+        lim = h * spec.u_rate_max
+        x_lo, x_hi = spec.x_bounds
+        du = [b - a for a, b in zip(us, us[1:])]
+        g = ([d - lim for d in du] + [-d - lim for d in du]
+             + [xt - x_hi for xt in xs[1:]] + [x_lo - xt for xt in xs[1:]])
+        # d(penalty)/dg, zero for inactive terms.
+        coef = []
+        for gi, mi, si in zip(g, mu.tolist(), mpc._con_scale(spec, len(us))):
+            s = gi / si + mi / rho
+            if s > 0.0:
+                value += 0.5 * rho * s * s
+                coef.append(rho * s / si)
+            else:
+                coef.append(0.0)
+        c_hi = coef[2 * n_rate : 2 * n_rate + len(us)]
+        c_lo = coef[2 * n_rate + len(us) :]
+        for t, (ch, cl) in enumerate(zip(c_hi, c_lo), start=1):
+            dldx[t] += ch - cl
+    grad = [0.0] * len(us)
+    lam = dldx[-1]
+    for t in range(len(us) - 1, -1, -1):
+        xt = xs[t]
+        grad[t] = lam * h * ((x_f - xt) / V)
+        lam = dldx[t] + lam * (1.0 + h * (-us[t] / V - 3.0 * k * xt**2))
+    if coef is not None:
+        # Rate-constraint terms act directly on u.
+        for t in range(n_rate):
+            c = coef[t] - coef[n_rate + t]
+            grad[t + 1] += c
+            grad[t] -= c
+    return xs, value, np.array(grad), g
+
+
+def loop_sweeper(spec, x0: float, mu=None, rho: float = 0.0):
+    """``mpc._sweeper``'s calling convention answered by ``loop_sweep``, so it
+    can stand in for the closure factory (monkeypatch ``mpc._sweeper``)."""
+
+    def sweep(u, full=False):
+        out = loop_sweep(spec, x0, u, mu, rho)
+        return out if full else out[1:3]
+
+    return sweep
 
 
 def _loop_pair_lines(label: str, cells: list) -> list:

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from symtree.config import load_config
 from symtree.errors import ConfigError
 from symtree.learner import Dataset
 from symtree.mpc import generate_dataset
-from symtree.tree import predict, serialize, validate
+from symtree.tree import BranchRule, LeafExpression, predict, serialize, validate
 
 
 def step_data():
@@ -31,6 +32,19 @@ def test_cart_constant_leaf_is_mean():
     # the singleton split {0.7} vs {0.5, 0.6} minimizes SSE
     means = sorted(l.coefficients[0] for l in leaves.values())
     assert means == pytest.approx([1.5, 6.0])
+
+
+def test_cart_constant_splits_adjacent_floats():
+    # (1.0 + nextafter(1.0, 2)) / 2 rounds onto 1.0: a midpoint threshold
+    # would leave one side empty (numpy's "Mean of empty slice") and the node
+    # a leaf. The split sits at the upper value.
+    hi = float(np.nextafter(1.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_cart_constant(Dataset(X=[[1.0], [hi]], y=[0.0, 1.0]), depth=1)
+    assert model.rules == {1: BranchRule(feature=0, threshold=hi)}
+    assert model.leaves == {2: LeafExpression(coefficients=(0.0,)),
+                            3: LeafExpression(coefficients=(1.0,))}
 
 
 def test_cart_linear_fits_line_without_splitting():

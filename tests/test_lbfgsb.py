@@ -39,7 +39,7 @@ def subproblem(i):
     u0 = {0: np.full(n, u_lo), 1: np.full(n, u_hi),
           2: np.full(n, mpc.steady_state_flow(spec.plant, x0)),
           3: rng.uniform(u_lo - 30.0, u_hi + 30.0, n)}[i % 4]
-    return spec, (lambda u: mpc._sweep(spec, x0, u, mu, rho)[1:3]), u0
+    return spec, mpc._sweeper(spec, x0, mu, rho), u0
 
 
 @pytest.mark.parametrize("i", range(20))

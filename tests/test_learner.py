@@ -14,7 +14,7 @@ from symtree.learner import (Dataset, LearnConfig, default_y_bounds, fit_tree,
 from symtree.mpc import generate_dataset
 from symtree.reference import reference_model
 from symtree.tree import (Bounds, BranchRule, LeafExpression, TreeModel, predict,
-                          serialize, validate)
+                          route, serialize, validate)
 
 
 def random_instance(rng):
@@ -263,6 +263,25 @@ def test_step_function_recovered_exactly():
     assert rep.model.rules[1].threshold == pytest.approx(1.5)
     assert predict(rep.model, 0.5) == pytest.approx(0.0, abs=1e-9)
     assert predict(rep.model, 2.5) == pytest.approx(5.0, abs=1e-9)
+
+
+def test_adjacent_floats_are_split_apart():
+    # (1.0 + nextafter(1.0, 2)) / 2 rounds onto 1.0, so that midpoint would
+    # send both points right; the threshold is the upper value instead.
+    hi = float(np.nextafter(1.0, 2.0))
+    data = Dataset(X=[[1.0], [hi]], y=[0.0, 1.0])
+    basis = basis_from_forms(["1"])
+    cfg = LearnConfig(depth=1, lambda_c=0.0)
+    split = TreeModel(depth=1, rules={1: BranchRule(feature=0, threshold=hi)},
+                      leaves={2: LeafExpression(coefficients=(0.0,)),
+                              3: LeafExpression(coefficients=(1.0,))},
+                      basis=basis, bounds=Bounds(-100, 100, -1, 2))
+    expected, _ = objective_of(split, data, cfg)
+    assert expected == pytest.approx(0.01)
+    rep = fit_tree(data, basis, cfg)
+    assert rep.model.rules == split.rules
+    assert [route(rep.model, x) for x in data.X] == [2, 3]
+    assert rep.objective == pytest.approx(expected, abs=1e-9)
 
 
 def test_line_is_in_model_class():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from oracles import (all_starts_best, assert_warm_chain_matches_cold,
-                     distinct_starts, record_mpc_solves, within_objective_gate)
+                     distinct_starts, loop_sweep, loop_sweeper, record_mpc_solves,
+                     within_objective_gate)
 
 from symtree import mpc
+from symtree.closed_loop import mpc_controller, simulate
 from symtree.errors import ConfigError
 from symtree.mpc import (CON_TOL, KKT_TOL, MpcSpec, PlantSpec, generate_dataset,
                          plant_rhs, rollout, solve_mpc, steady_state_flow)
@@ -63,7 +65,8 @@ def test_augmented_lagrangian_gradient_matches_finite_differences():
             x0 = float(rng.uniform(0.45, 0.7))
             u = rng.uniform(0.0, 75.0, spec.T - 1)
             mu = rng.uniform(0.0, 5.0, n_con)
-            _, _, grad, g = mpc._sweep(spec, x0, u, mu, rho)
+            sweep = mpc._sweeper(spec, x0, mu, rho)
+            _, _, grad, g = sweep(u, full=True)
             # The penalty argument is g in units of each row's scale.
             active = np.asarray(g) / scale + mu / rho > 0.0
             active_rate += int(active[:n_rate].sum())
@@ -76,11 +79,72 @@ def test_augmented_lagrangian_gradient_matches_finite_differences():
                 up, um = u.copy(), u.copy()
                 up[t] += h
                 um[t] -= h
-                fd = (mpc._sweep(spec, x0, up, mu, rho)[1]
-                      - mpc._sweep(spec, x0, um, mu, rho)[1]) / (2 * h)
+                fd = (sweep(up)[0] - sweep(um)[0]) / (2 * h)
                 worst = max(worst, abs(grad[t] - fd) / scale)
     assert active_rate > 0 and active_state > 0
     assert worst <= 1e-5
+
+
+def test_sweep_matches_loop_oracle():
+    # 2400 subproblems over the canonical spec, a zero rate limit (rate rows
+    # in flow units) and tight state bounds (state rows active), three
+    # controls each: flows at the bounds, inside them, and a constant flow
+    # that varies by a fraction of the rate limit, so that with zero
+    # multipliers some sweeps have no row active and some do.
+    specs = [MpcSpec(), MpcSpec(u_rate_max=0.0), MpcSpec(x_bounds=(0.45, 0.7))]
+    rng = np.random.default_rng(28)
+    n = MpcSpec().T - 1
+    active = quiet = 0
+    for i in range(2400):
+        spec = specs[i % 3]
+        u_lo, u_hi = spec.u_bounds
+        x0 = float(rng.uniform(*spec.x_bounds))
+        mu = [None, np.zeros(4 * n - 2), np.zeros(4 * n - 2),
+              rng.exponential(1.0, 4 * n - 2) * (rng.random(4 * n - 2) < 0.3),
+              rng.exponential(1.0, 4 * n - 2)][i % 5]
+        rho = float(10.0 ** rng.uniform(1.0, 10.0))
+        sweep = mpc._sweeper(spec, x0, mu, rho)
+        for u in (rng.choice([u_lo, u_hi], n), rng.uniform(u_lo, u_hi, n),
+                  rng.uniform(u_lo, u_hi) + rng.uniform(-1.0, 1.0, n)
+                  * 0.1 * spec.h * spec.u_rate_max):
+            u = np.clip(u, u_lo, u_hi)
+            xs, value, grad, g = loop_sweep(spec, x0, u, mu, rho)
+            full = sweep(u, full=True)
+            assert (full[0], full[1], full[3]) == (xs, value, g)
+            assert np.array_equal(full[2], grad)
+            inner_value, inner_grad = sweep(u)
+            assert inner_value == value and np.array_equal(inner_grad, grad)
+            if mu is not None and not mu.any():
+                if max(g) > 0.0:
+                    active += 1
+                else:
+                    quiet += 1
+    assert active > 100 and quiet > 100
+
+
+def solves_labels_and_loop():
+    """161 cold solves, the canonical train set's hash and an MPC closed loop
+    from the configured x0 = 0.75, as ``symtree simulate --controller mpc``
+    runs it."""
+    spec = MpcSpec()
+    sols = [solve_mpc(spec, x0) for x0 in np.linspace(0.1, 0.9, 161).tolist()]
+    data = generate_dataset(spec, 50, 0.1, 0.9)
+    trace = simulate(spec.plant, mpc_controller(spec), 0.75, 10.0, 0.1)
+    return sols, data.sha256(), trace
+
+
+def test_solves_labels_and_mpc_loop_match_loop_sweep(monkeypatch):
+    sols, sha, trace = solves_labels_and_loop()
+    monkeypatch.setattr(mpc, "_sweeper", loop_sweeper)
+    ref_sols, ref_sha, ref_trace = solves_labels_and_loop()
+    for sol, ref in zip(sols, ref_sols, strict=True):
+        assert np.array_equal(sol.controls, ref.controls)
+        assert np.array_equal(sol.states, ref.states)
+        assert (sol.objective, sol.kkt_residual, sol.first_action) == (
+            ref.objective, ref.kkt_residual, ref.first_action)
+    assert sha == ref_sha
+    assert np.array_equal(trace.states, ref_trace.states)
+    assert np.array_equal(trace.controls, ref_trace.controls)
 
 
 def native_violation(spec, sol):
@@ -135,18 +199,25 @@ def test_rate_limited_cold_solves_sweep_budget(monkeypatch):
     # Deterministic cost guard: the objective floor cannot certify these
     # states, so they run every distinct start against binding rate limits.
     # Rate rows penalised in flow units take 3550 sweeps here, in units of
-    # the rate limit 1286.
+    # the rate limit 1286. Every sweep, inner, final or rollout, is a call of
+    # a closure _sweeper returns; the exact count holds the iterates.
     calls = []
-    real_sweep = mpc._sweep
+    real_sweeper = mpc._sweeper
 
-    def counting_sweep(*args, **kwargs):
-        calls.append(1)
-        return real_sweep(*args, **kwargs)
+    def counting_sweeper(*args, **kwargs):
+        sweep = real_sweeper(*args, **kwargs)
 
-    monkeypatch.setattr(mpc, "_sweep", counting_sweep)
+        def counting_sweep(*a, **kw):
+            calls.append(1)
+            return sweep(*a, **kw)
+
+        return counting_sweep
+
+    monkeypatch.setattr(mpc, "_sweeper", counting_sweeper)
     for x0 in (0.75, 0.80, 0.85, 0.90):
         solve_mpc(canonical_spec(), x0)
     assert len(calls) <= 2000
+    assert len(calls) == 1286
 
 
 def test_first_action_at_setpoint():
