@@ -82,10 +82,10 @@ class SimTrace:
 def integrate_hold(plant: PlantSpec, x: float, u: float, dt: float,
                    h_int: float = H_INT_DEFAULT) -> float:
     """Advance the plant by dt with the control held constant: classical RK4
-    in n = max(1, round(dt / h_int)) substeps of h = dt / n, its stages
-    inlined in plant_rhs's operation order. round() halves to even, so h
-    nears 1.5 * h_int as dt / h_int nears 1.5 from below and is 1.25 * h_int
-    at dt / h_int = 2.5."""
+    in n = max(1, round(dt / h_int)) substeps of h = dt / n, each stage
+    written out as (u / V)(x_f - x) - k x^3 in that operation order.
+    round() halves to even, so h nears 1.5 * h_int as dt / h_int nears 1.5
+    from below and is 1.25 * h_int at dt / h_int = 2.5."""
     n_sub = max(1, round(dt / h_int))
     h = dt / n_sub
     a, x_f, k_rate = u / plant.V, plant.x_f, plant.k_rate

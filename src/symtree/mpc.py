@@ -79,11 +79,6 @@ class MpcSolution:
     first_action: float
 
 
-def plant_rhs(plant: PlantSpec, x: float, u: float) -> float:
-    """dx/dt = (u/V)(x_f - x) - k x^3."""
-    return (u / plant.V) * (plant.x_f - x) - plant.k_rate * x**3
-
-
 def steady_state_flow(plant: PlantSpec, x: float) -> float:
     """Flow that holds concentration x: F = V k x^3 / (x_f - x)."""
     return plant.V * plant.k_rate * x**3 / (plant.x_f - x)
@@ -105,9 +100,9 @@ def rollout(spec: MpcSpec, x0: float, u_seq):
 def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
     """One subproblem's forward Euler pass and adjoint pass, on Python floats,
     with its constants bound once: sweep(u) returns the value and its
-    gradient w.r.t. the T - 1 controls u (array); sweep(u, full=True) returns
-    the states (list), the value, the gradient and the constraint values g
-    (list, or None without ``mu``).
+    gradient w.r.t. the T - 1 controls u (list); sweep(u, full=True) returns
+    the states (list), the value, the gradient (array) and the constraint
+    values g (list, or None without ``mu``).
 
     Without ``mu`` the value is the tracking objective. With multipliers ``mu``
     and penalty ``rho`` it is the augmented Lagrangian of the rate and state
@@ -122,7 +117,8 @@ def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
     x_sp, P = spec.x_sp, spec.P
     # Each constant bound here is a product or quotient the sweep's
     # expressions form first (2.0 * P * d is (2.0 * P) * d), so binding it
-    # once changes no value; plant_rhs is inlined in its operation order.
+    # once changes no value; the plant's right-hand side
+    # (u / V)(x_f - x) - k x^3 is written out in that operation order.
     P2, k3 = 2.0 * P, 3.0 * k
     x_init = float(x0)
     n = spec.T - 1
@@ -133,12 +129,34 @@ def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
         half_rho = 0.5 * rho
         scale = _con_scale(spec, n)
         mu_rho = [mi / rho for mi in mu.tolist()]
+        rate_rows = (scale[: 2 * n_rate], mu_rho[: 2 * n_rate])
+        state_rows = (scale[2 * n_rate :], mu_rho[2 * n_rate :])
         # A row's penalty argument is s = g / unit + mu / rho, with a positive
-        # unit. With no mu / rho above zero, s > 0 needs g > 0: a rate step
-        # beyond lim or a state outside its bounds, which the sweep reads off
-        # the steps and states without forming g.
-        quiet = not any(m > 0.0 for m in mu_rho)
-        zeros = [0.0] * len(mu_rho)
+        # unit. In a group with no mu / rho above zero, s > 0 needs g > 0: a
+        # rate step beyond lim or a state outside its bounds, which the sweep
+        # reads off the steps and states without forming g. A group with no
+        # such row is skipped: each of its coefficients would be 0.0 and the
+        # value would take none of its terms.
+        rate_quiet = not any(m > 0.0 for m in rate_rows[1])
+        state_quiet = not any(m > 0.0 for m in state_rows[1])
+        # The zero coefficients of a skipped state group would turn a -0.0
+        # in dldx into +0.0. A deviation x - x_sp, and so its dldx entry, is
+        # -0.0 only where x is -0.0 and x_sp is +0.0; with a zero x_sp the
+        # skip still adds them.
+        signed_dev = x_sp == 0.0
+
+    def rows(value, g, units, mu_rho):
+        """The coefficients d(penalty)/dg of one row group, zero for inactive
+        rows, and the value with the group's penalty terms added."""
+        coef = []
+        for gi, si, mr in zip(g, units, mu_rho):
+            s = gi / si + mr
+            if s > 0.0:
+                value += half_rho * s * s
+                coef.append(rho * s / si)
+            else:
+                coef.append(0.0)
+        return coef, value
 
     def sweep(u, full=False):
         us = u.tolist()
@@ -148,49 +166,53 @@ def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
             x = x + h * ((ut / V) * (x_f - x) - k * x**3)
             xs.append(x)
         dev = [xt - x_sp for xt in xs]
-        value = sum([d * d for d in dev]) + P * dev[-1] ** 2
+        # Left to right, as sum() adds floats before Python 3.12; from 3.12
+        # on sum() rounds differently, and the labels were pinned before.
+        value = 0.0
+        for d in dev:
+            value += d * d
+        value += P * dev[-1] ** 2
         dldx = [2.0 * d for d in dev]
         dldx[-1] += P2 * dev[-1]
-        g = coef = None
+        g = c_rate = None
         if mu is not None:
             du = [b - a for a, b in zip(us, us[1:])]
             xs1 = xs[1:]
-            if (full or not quiet or (du and (max(du) > lim or min(du) < -lim))
-                    or max(xs1) > x_hi or min(xs1) < x_lo):
-                g = ([d - lim for d in du] + [-d - lim for d in du]
-                     + [xt - x_hi for xt in xs1] + [x_lo - xt for xt in xs1])
-                # d(penalty)/dg, zero for inactive terms.
-                coef = []
-                for gi, si, mr in zip(g, scale, mu_rho):
-                    s = gi / si + mr
-                    if s > 0.0:
-                        value += half_rho * s * s
-                        coef.append(rho * s / si)
-                    else:
-                        coef.append(0.0)
-            else:
-                # Every row inactive, as the loop above would find: each
-                # coefficient is 0.0 and the value takes no penalty term.
-                coef = zeros
-            c_hi = coef[2 * n_rate : 2 * n_rate + n]
-            c_lo = coef[2 * n_rate + n :]
-            for t, (ch, cl) in enumerate(zip(c_hi, c_lo), start=1):
-                dldx[t] += ch - cl
-        grad = [0.0] * n
+            if full or not rate_quiet or (du and (max(du) > lim or min(du) < -lim)):
+                g = [d - lim for d in du] + [-d - lim for d in du]
+                c_rate, value = rows(value, g, *rate_rows)
+            if full or not state_quiet or max(xs1) > x_hi or min(xs1) < x_lo:
+                g_state = [xt - x_hi for xt in xs1] + [x_lo - xt for xt in xs1]
+                c_state, value = rows(value, g_state, *state_rows)
+                for t, (ch, cl) in enumerate(zip(c_state, c_state[n:]), start=1):
+                    dldx[t] += ch - cl
+                if full:
+                    g += g_state
+            elif signed_dev:
+                for t in range(1, n + 1):
+                    dldx[t] += 0.0
+        grad = []
         lam = dldx[-1]
         for t in range(n - 1, -1, -1):
             xt = xs[t]
-            grad[t] = lam * h * ((x_f - xt) / V)
+            grad.append(lam * h * ((x_f - xt) / V))
             lam = dldx[t] + lam * (1.0 + h * (-us[t] / V - k3 * xt**2))
-        if coef is not None:
+        grad.reverse()
+        if c_rate is not None:
             # Rate-constraint terms act directly on u.
             for t in range(n_rate):
-                c = coef[t] - coef[n_rate + t]
+                c = c_rate[t] - c_rate[n_rate + t]
                 grad[t + 1] += c
                 grad[t] -= c
+        elif mu is not None:
+            # The zero coefficients of a skipped rate group, as the loop above
+            # applies them: grad[t] -= 0.0 changes nothing, grad[t + 1] += 0.0
+            # turns a -0.0 into +0.0.
+            for t in range(1, n):
+                grad[t] += 0.0
         if full:
             return xs, value, np.array(grad), g
-        return value, np.array(grad)
+        return value, grad
 
     return sweep
 
@@ -222,7 +244,8 @@ def minimize(fun, x0, bounds, maxiter: int, ftol: float, gtol: float) -> LbfgsbR
     Runs scipy's reverse-communication loop over ``_lbfgsb.setulb`` as
     ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` does (memory 10,
     at most 20 line-search steps, at most 15000 evaluations), so it takes the
-    same iterates; fun(x) returns the value and its gradient.
+    same iterates; fun(x) returns the value and its gradient (a sequence of
+    floats), from which each request builds the one array setulb reads.
     """
     m, n = 10, len(x0)
     x = np.clip(np.asarray(x0, dtype=float), bounds[0], bounds[1])
@@ -240,16 +263,17 @@ def minimize(fun, x0, bounds, maxiter: int, ftol: float, gtol: float) -> LbfgsbR
     while True:
         _lbfgsb.setulb(m, x, lo, hi, nbd, f, g, factr, gtol, wa, iwa, task,
                        lsave, isave, dsave, 20, ln_task)
-        if task[0] == 3:      # f and g at x
+        code = task.item(0)
+        if code == 3:      # f and g at x
             # Like scipy's memo, a repeat of the last point evaluated is
-            # answered from a copy and not counted; setulb may since have
-            # overwritten g with a restored gradient.
+            # answered from a new array and not counted; setulb may since
+            # have overwritten g with a restored gradient.
             xs = x.tolist()
             if xs != last_x:
                 last_x, (last_f, last_g) = xs, fun(x)
                 nfev += 1
-            f, g = last_f, last_g.copy()
-        elif task[0] == 1:    # a new iterate; stop as scipy does
+            f, g = last_f, np.array(last_g, dtype=float)
+        elif code == 1:    # a new iterate; stop as scipy does
             nit += 1
             if nit >= maxiter:
                 task[:] = 5, 504

@@ -11,8 +11,9 @@ The exported MPS text is read back by a fixed-format reader of its own and
 held byte for byte to the one-string-per-line writer it replaced, and the
 MILP arrays are checked against a builder that emits one row at a time.
 The closed loop's held-control integration is checked against one RK4 step
-per substep over mpc.plant_rhs, and the MPC's rollout/adjoint closures against
-the sweep that read the spec and called mpc.plant_rhs on every evaluation.
+per substep over plant_rhs, the plant's right-hand side written as a function
+of its own, and the MPC's rollout/adjoint closures against the sweep that read
+the spec and called plant_rhs on every evaluation.
 The greedy CART baselines are held to the grower that built a Dataset per
 node and refitted every winning side.
 """
@@ -642,11 +643,16 @@ def assert_warm_chain_matches_cold(spec, solves):
         assert abs(sol.first_action - cold.first_action) <= 1e-3
 
 
+def plant_rhs(plant, x: float, u: float) -> float:
+    """dx/dt = (u/V)(x_f - x) - k x^3."""
+    return (u / plant.V) * (plant.x_f - x) - plant.k_rate * x**3
+
+
 def _rk4_step(plant, x, u, h):
-    k1 = mpc.plant_rhs(plant, x, u)
-    k2 = mpc.plant_rhs(plant, x + 0.5 * h * k1, u)
-    k3 = mpc.plant_rhs(plant, x + 0.5 * h * k2, u)
-    k4 = mpc.plant_rhs(plant, x + h * k3, u)
+    k1 = plant_rhs(plant, x, u)
+    k2 = plant_rhs(plant, x + 0.5 * h * k1, u)
+    k3 = plant_rhs(plant, x + 0.5 * h * k2, u)
+    k4 = plant_rhs(plant, x + h * k3, u)
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -680,10 +686,15 @@ def loop_sweep(spec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
     x = float(x0)
     xs = [x]
     for ut in us:
-        x = x + h * mpc.plant_rhs(plant, x, ut)
+        x = x + h * plant_rhs(plant, x, ut)
         xs.append(x)
     dev = [xt - spec.x_sp for xt in xs]
-    value = sum([d * d for d in dev]) + spec.P * dev[-1] ** 2
+    # Left to right, as sum() adds floats before Python 3.12; from 3.12 on
+    # sum() rounds differently.
+    value = 0.0
+    for d in dev:
+        value += d * d
+    value += spec.P * dev[-1] ** 2
     dldx = [2.0 * d for d in dev]
     dldx[-1] += 2.0 * spec.P * dev[-1]
     g = coef = None

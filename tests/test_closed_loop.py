@@ -64,7 +64,7 @@ def test_integrate_hold_overflow_matches_per_substep_loop(dt, h_int, n_sub):
 
 
 # sha256 of states.tobytes() + controls.tobytes() over 10 min at 0.1-min
-# samples, as one RK4 step call per substep over mpc.plant_rhs produced them.
+# samples, as one RK4 step call per substep over oracles.plant_rhs produced them.
 TRACE_PINS = {
     ("model", 0.1): "db78e8708cd089af78f31123edfb6a3c30ebb8cfb6a9c90cc61a0495ee765541",
     ("model", 0.45): "81180294c9409b40f219e418eee1914179af79e339cfe35648d78acc11f0e0f5",

@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import (all_starts_best, assert_warm_chain_matches_cold,
-                     distinct_starts, loop_sweep, loop_sweeper, record_mpc_solves,
-                     within_objective_gate)
+                     distinct_starts, loop_sweep, loop_sweeper, plant_rhs,
+                     record_mpc_solves, within_objective_gate)
 
 from symtree import mpc
 from symtree.closed_loop import mpc_controller, simulate
 from symtree.errors import ConfigError
 from symtree.mpc import (CON_TOL, KKT_TOL, MpcSpec, PlantSpec, generate_dataset,
-                         plant_rhs, rollout, solve_mpc, steady_state_flow)
+                         rollout, solve_mpc, steady_state_flow)
 
 
 def canonical_spec():
@@ -89,19 +91,28 @@ def test_sweep_matches_loop_oracle():
     # 2400 subproblems over the canonical spec, a zero rate limit (rate rows
     # in flow units) and tight state bounds (state rows active), three
     # controls each: flows at the bounds, inside them, and a constant flow
-    # that varies by a fraction of the rate limit, so that with zero
-    # multipliers some sweeps have no row active and some do.
+    # that varies by a fraction of the rate limit. The sweep skips a row
+    # group unless a multiplier in it is positive or one of its rows lies
+    # beyond its limit, so with zero multipliers the sweeps cover each of the
+    # four cases (no group, only the rate rows, only the state rows, both
+    # with a row beyond its limit), and some multipliers are positive in one
+    # group only.
     specs = [MpcSpec(), MpcSpec(u_rate_max=0.0), MpcSpec(x_bounds=(0.45, 0.7))]
     rng = np.random.default_rng(28)
     n = MpcSpec().T - 1
-    active = quiet = 0
+    n_rate_rows = 2 * (n - 1)
+    rate_only = np.arange(4 * n - 2) < n_rate_rows
+    beyond = dict.fromkeys([(False, False), (True, False), (False, True), (True, True)], 0)
+    one_group = {"rate": 0, "state": 0}
     for i in range(2400):
         spec = specs[i % 3]
         u_lo, u_hi = spec.u_bounds
         x0 = float(rng.uniform(*spec.x_bounds))
         mu = [None, np.zeros(4 * n - 2), np.zeros(4 * n - 2),
               rng.exponential(1.0, 4 * n - 2) * (rng.random(4 * n - 2) < 0.3),
-              rng.exponential(1.0, 4 * n - 2)][i % 5]
+              rng.exponential(1.0, 4 * n - 2),
+              rng.exponential(1.0, 4 * n - 2) * rate_only,
+              rng.exponential(1.0, 4 * n - 2) * ~rate_only][i % 7]
         rho = float(10.0 ** rng.uniform(1.0, 10.0))
         sweep = mpc._sweeper(spec, x0, mu, rho)
         for u in (rng.choice([u_lo, u_hi], n), rng.uniform(u_lo, u_hi, n),
@@ -115,11 +126,54 @@ def test_sweep_matches_loop_oracle():
             inner_value, inner_grad = sweep(u)
             assert inner_value == value and np.array_equal(inner_grad, grad)
             if mu is not None and not mu.any():
-                if max(g) > 0.0:
-                    active += 1
-                else:
-                    quiet += 1
-    assert active > 100 and quiet > 100
+                beyond[max(g[:n_rate_rows]) > 0.0, max(g[n_rate_rows:]) > 0.0] += 1
+            elif mu is not None and mu[:n_rate_rows].any() != mu[n_rate_rows:].any():
+                one_group["rate" if mu[:n_rate_rows].any() else "state"] += 1
+    assert min(beyond.values()) >= 50 and min(one_group.values()) >= 50, (beyond, one_group)
+
+
+def test_sweep_keeps_signed_zeros():
+    # Adding a zero coefficient turns -0.0 into +0.0, so a skipped row group
+    # must still leave the zeros the loop oracle leaves. Two constructed
+    # cases whose tracking gradient holds -0.0: x_sp set to x_T exactly
+    # starts the adjoint at zero, and above x_f the gradient then ends in
+    # -0.0; a flow that underflows keeps the state at x0 = -0.0, a -0.0
+    # deviation from x_sp = 0.0.
+    spec = MpcSpec(x_bounds=(0.0, 2.0), h=0.01)
+    u = np.full(spec.T - 1, 30.0)
+    u[::2] = 30.2
+    spec = MpcSpec(x_bounds=(0.0, 2.0), h=0.01, x_sp=float(rollout(spec, 1.5, u)[0][-1]))
+    tiny = MpcSpec(x_sp=0.0, u_bounds=(-2.5e-322, 75.0))
+    cases = [(spec, 1.5, u), (tiny, -0.0, np.full(tiny.T - 1, -2.5e-322))]
+    for spec, x0, u in cases:
+        assert np.signbit(loop_sweep(spec, x0, u)[2]).any()
+        mu = np.zeros(4 * spec.T - 6)
+        _, value, grad, _ = loop_sweep(spec, x0, u, mu, 10.0)
+        inner_value, inner_grad = mpc._sweeper(spec, x0, mu, 10.0)(u)
+        assert np.array_equal(np.signbit(inner_grad), np.signbit(grad))
+        assert inner_value == value and np.array_equal(inner_grad, grad)
+
+
+def test_tracking_sum_is_a_left_fold():
+    # sum() of floats rounds differently from Python 3.12 on; the value adds
+    # the squared deviations left to right, as every pinned result was taken.
+    # Only sweeps where the left fold and the correctly rounded sum differ
+    # tell the two apart.
+    spec = MpcSpec()
+    rng = np.random.default_rng(30)
+    differ = 0
+    for _ in range(2000):
+        x0 = float(rng.uniform(*spec.x_bounds))
+        xs, value, _, _ = mpc._sweeper(spec, x0)(rng.uniform(*spec.u_bounds, spec.T - 1),
+                                                 full=True)
+        dev = [xt - spec.x_sp for xt in xs]
+        fold = 0.0
+        for d in dev:
+            fold += d * d
+        if fold != math.fsum(d * d for d in dev):
+            differ += 1
+            assert value == fold + spec.P * dev[-1] ** 2
+    assert differ >= 500
 
 
 def solves_labels_and_loop():
