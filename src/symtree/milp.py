@@ -22,7 +22,8 @@ from scipy import sparse
 
 from .basis import BasisSet, evaluate_basis_matrix
 from .errors import ConfigError, IntegralityError, ParseError, StructureError
-from .learner import EMPTY_SIDE_OFFSET, Dataset, LearnConfig, objective_of
+from .learner import (EMPTY_SIDE_OFFSET, Dataset, LearnConfig, objective_of,
+                      split_thresholds)
 from .lp import fit_l1
 from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, _shape_violations,
                    ancestors, child_toward, node_depth, route)
@@ -558,10 +559,12 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
 
 def _threshold(lefts: list, rights: list) -> float:
     """A threshold between the values sent left and those sent right, placed
-    as ``fit_tree`` places it: midway between the two sides, or
-    EMPTY_SIDE_OFFSET beyond the values when one side is empty."""
+    as ``fit_tree`` places it: by ``split_thresholds`` between the two sides,
+    or EMPTY_SIDE_OFFSET beyond the values when one side is empty. Sides
+    that no threshold separates get the midpoint."""
     if lefts and rights:
-        return float(max(lefts) + min(rights)) / 2.0
+        lo, hi = max(lefts), min(rights)
+        return float(split_thresholds(lo, hi) if lo < hi else (lo + hi) / 2.0)
     if rights:
         return float(min(rights)) - EMPTY_SIDE_OFFSET
     if lefts:

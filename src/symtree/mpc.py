@@ -101,8 +101,8 @@ def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
     """One subproblem's forward Euler pass and adjoint pass, on Python floats,
     with its constants bound once: sweep(u) returns the value and its
     gradient w.r.t. the T - 1 controls u (list); sweep(u, full=True) returns
-    the states (list), the value, the gradient (array) and the constraint
-    values g (list, or None without ``mu``).
+    the states (list), the tracking objective, the value's gradient (array)
+    and the constraint values g (list, or None without ``mu``).
 
     Without ``mu`` the value is the tracking objective. With multipliers ``mu``
     and penalty ``rho`` it is the augmented Lagrangian of the rate and state
@@ -172,6 +172,7 @@ def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
         for d in dev:
             value += d * d
         value += P * dev[-1] ** 2
+        objective = value
         dldx = [2.0 * d for d in dev]
         dldx[-1] += P2 * dev[-1]
         g = c_rate = None
@@ -211,7 +212,7 @@ def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
             for t in range(1, n):
                 grad[t] += 0.0
         if full:
-            return xs, value, np.array(grad), g
+            return xs, objective, np.array(grad), g
         return value, grad
 
     return sweep
@@ -225,10 +226,6 @@ def _con_scale(spec: MpcSpec, n: int) -> list:
     lim = spec.h * spec.u_rate_max
     return ([lim if lim > 0 else 1.0] * (2 * (n - 1))
             + [spec.x_bounds[1] - spec.x_bounds[0]] * (2 * n))
-
-
-def _project(spec: MpcSpec, u: np.ndarray) -> np.ndarray:
-    return np.clip(u, spec.u_bounds[0], spec.u_bounds[1])
 
 
 @dataclass(frozen=True)
@@ -283,36 +280,25 @@ def minimize(fun, x0, bounds, maxiter: int, ftol: float, gtol: float) -> LbfgsbR
             return LbfgsbResult(x=x, nit=nit, nfev=nfev)
 
 
-def _inner_minimize(spec: MpcSpec, x0: float, u: np.ndarray, mu: np.ndarray,
-                    rho: float):
-    """Box-bounded minimization of the augmented Lagrangian subproblem.
-
-    L-BFGS-B keeps the flow bounds exact by projection; the gradient is the
-    exact adjoint of the subproblem's sweep. The returned gradient and
-    constraints come from that sweep at the returned x: after a failed line
-    search L-BFGS-B returns the previous iterate, not the last point it
-    evaluated.
-    """
-    sweep = _sweeper(spec, x0, mu, rho)
-    res = minimize(sweep, u, spec.u_bounds, maxiter=_MAX_INNER, ftol=1e-16,
-                   gtol=0.01 * KKT_TOL)
-    _, _, grad, g = sweep(res.x, full=True)
-    return res.x, grad, np.array(g)
-
-
-def _solve_from(spec: MpcSpec, x0: float, u0: np.ndarray):
-    u = _project(spec, u0.astype(float))
+def _solve_from(spec: MpcSpec, x0: float, u: np.ndarray):
+    """Augmented-Lagrangian outer loop from the controls u. Each subproblem
+    ends with one full sweep at its L-BFGS-B result, which accepts it or
+    updates the multipliers: after a failed line search L-BFGS-B returns the
+    previous iterate, not the last point it evaluated."""
     scale = np.array(_con_scale(spec, spec.T - 1))
     mu = np.zeros(len(scale))
     rho = 10.0
     prev_viol = np.inf
     for _ in range(_MAX_OUTER):
-        u, grad, g = _inner_minimize(spec, x0, u, mu, rho)
+        sweep = _sweeper(spec, x0, mu, rho)
+        u = minimize(sweep, u, spec.u_bounds, maxiter=_MAX_INNER, ftol=1e-16,
+                     gtol=0.01 * KKT_TOL).x
+        x, obj, grad, g = sweep(u, full=True)
+        g = np.array(g)
         viol = float(np.max(np.maximum(g, 0.0), initial=0.0))
-        pg = np.linalg.norm(u - _project(spec, u - grad))
+        pg = np.linalg.norm(u - np.clip(u - grad, *spec.u_bounds))
         if viol <= CON_TOL and pg <= KKT_TOL:
-            x, obj, _ = rollout(spec, x0, u)
-            return MpcSolution(controls=u, states=x, objective=obj,
+            return MpcSolution(controls=u, states=np.array(x), objective=obj,
                                kkt_residual=float(pg), first_action=float(u[0]))
         mu = np.maximum(0.0, mu + rho * g / scale)
         if viol > 0.25 * prev_viol:
@@ -382,6 +368,8 @@ def generate_dataset(spec: MpcSpec, n: int, lo: float, hi: float,
     if mode == "uniform-grid":
         xs = np.linspace(lo, hi, n)
     elif mode == "seeded-random":
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
         rng = np.random.default_rng(seed)
         xs = np.sort(rng.uniform(lo, hi, size=n))
     else:

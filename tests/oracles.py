@@ -735,11 +735,15 @@ def loop_sweep(spec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
 
 def loop_sweeper(spec, x0: float, mu=None, rho: float = 0.0):
     """``mpc._sweeper``'s calling convention answered by ``loop_sweep``, so it
-    can stand in for the closure factory (monkeypatch ``mpc._sweeper``)."""
+    can stand in for the closure factory (monkeypatch ``mpc._sweeper``). A
+    full sweep holds the tracking objective, ``loop_sweep``'s value without
+    ``mu``, in place of the value."""
 
     def sweep(u, full=False):
-        out = loop_sweep(spec, x0, u, mu, rho)
-        return out if full else out[1:3]
+        xs, value, grad, g = loop_sweep(spec, x0, u, mu, rho)
+        if full:
+            return xs, loop_sweep(spec, x0, u)[1], grad, g
+        return value, grad
 
     return sweep
 

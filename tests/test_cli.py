@@ -272,6 +272,17 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "u_rate_max" in capsys.readouterr().err
 
 
+def test_gen_data_negative_seed_exit_code(tmp_path, capsys):
+    # The test set is drawn with seed + 1, so seed -2 reaches the seeded draw
+    # as -1; the uniform-grid train set reads no seed.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"seed": -2}}))
+    out = tmp_path / "data"
+    assert run(["gen-data", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["x,y\n", "x,y\n0.5,1.0\n0.6,abc\n",
                                   "x,y\n0.5,1.0\n0.6\n", "x,y\n0.5,1.0,2.0\n"])
 def test_malformed_dataset_exit_code(tmp_path, capsys, text):

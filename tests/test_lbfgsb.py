@@ -10,7 +10,7 @@ from symtree import mpc
 from symtree.closed_loop import mpc_controller, simulate
 from symtree.mpc import KKT_TOL, MpcSpec, generate_dataset
 
-# The options mpc._inner_minimize passes.
+# The options mpc._solve_from passes.
 _OPTIONS = dict(maxiter=mpc._MAX_INNER, ftol=1e-16, gtol=0.01 * KKT_TOL)
 
 

@@ -352,6 +352,19 @@ def test_read_solution_refuses_unroutable_assignment():
     assert read_solution(art, assign).model.rules[1].threshold == pytest.approx(0.6)
 
 
+def test_read_solution_decodes_split_between_adjacent_floats():
+    """The midpoint of two adjacent floats rounds onto the lower one, which
+    x < threshold would then send right; the decoder places the threshold as
+    fit_tree does, on the upper one."""
+    data = Dataset(X=[[1.0], [np.nextafter(1.0, 2.0)]], y=[0.0, 1.0])
+    basis, cfg = basis_from_forms(["1"]), LearnConfig(depth=1, lambda_c=0.0)
+    model = fit_tree(data, basis, cfg).model
+    art = build_milp(data, basis, cfg)
+    decoded = read_solution(art, embed_model(art, model)).model
+    assert decoded.rules == model.rules
+    assert [route(decoded, x) for x in data.X] == [2, 3]
+
+
 def test_all_zero_solution_objective():
     data = Dataset(X=[[0.3], [0.7]], y=[0.0, 0.0])
     basis = basis_from_forms(["1"])

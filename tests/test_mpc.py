@@ -121,7 +121,8 @@ def test_sweep_matches_loop_oracle():
             u = np.clip(u, u_lo, u_hi)
             xs, value, grad, g = loop_sweep(spec, x0, u, mu, rho)
             full = sweep(u, full=True)
-            assert (full[0], full[1], full[3]) == (xs, value, g)
+            # A full sweep holds the tracking objective, not the value.
+            assert (full[0], full[1], full[3]) == (xs, loop_sweep(spec, x0, u)[1], g)
             assert np.array_equal(full[2], grad)
             inner_value, inner_grad = sweep(u)
             assert inner_value == value and np.array_equal(inner_grad, grad)
@@ -189,6 +190,12 @@ def solves_labels_and_loop():
 
 def test_solves_labels_and_mpc_loop_match_loop_sweep(monkeypatch):
     sols, sha, trace = solves_labels_and_loop()
+    # Each solution is read from its subproblem's last full sweep; rollout
+    # at its controls gives the same states and objective, bit for bit.
+    spec = MpcSpec()
+    for x0, sol in zip(np.linspace(0.1, 0.9, 161).tolist(), sols, strict=True):
+        x, obj, _ = rollout(spec, x0, sol.controls)
+        assert x.tobytes() == sol.states.tobytes() and obj == sol.objective
     monkeypatch.setattr(mpc, "_sweeper", loop_sweeper)
     ref_sols, ref_sha, ref_trace = solves_labels_and_loop()
     for sol, ref in zip(sols, ref_sols, strict=True):
@@ -252,9 +259,10 @@ def test_zero_rate_limit_holds_the_flow_constant():
 def test_rate_limited_cold_solves_sweep_budget(monkeypatch):
     # Deterministic cost guard: the objective floor cannot certify these
     # states, so they run every distinct start against binding rate limits.
-    # Rate rows penalised in flow units take 3550 sweeps here, in units of
-    # the rate limit 1286. Every sweep, inner, final or rollout, is a call of
-    # a closure _sweeper returns; the exact count holds the iterates.
+    # Rate rows penalised in flow units take 3542 sweeps here, in units of
+    # the rate limit 1278. Every sweep, inner or the full one that ends each
+    # subproblem, is a call of a closure _sweeper returns; the exact count
+    # holds the iterates.
     calls = []
     real_sweeper = mpc._sweeper
 
@@ -271,7 +279,7 @@ def test_rate_limited_cold_solves_sweep_budget(monkeypatch):
     for x0 in (0.75, 0.80, 0.85, 0.90):
         solve_mpc(canonical_spec(), x0)
     assert len(calls) <= 2000
-    assert len(calls) == 1286
+    assert len(calls) == 1278
 
 
 def test_first_action_at_setpoint():
@@ -466,6 +474,15 @@ def test_generate_dataset_bad_mode():
 def test_generate_dataset_bad_count(n):
     with pytest.raises(ConfigError):
         generate_dataset(canonical_spec(), n, 0.2, 0.4)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_generate_dataset_bad_seed(seed):
+    # numpy refuses a negative seed with a ValueError; the grid reads no seed.
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+        generate_dataset(canonical_spec(), 2, 0.2, 0.4, mode="seeded-random", seed=seed)
+    grid = generate_dataset(canonical_spec(), 2, 0.2, 0.4, seed=seed)
+    assert np.array_equal(grid.X[:, 0], [0.2, 0.4])
 
 
 def test_spec_validation():
