@@ -28,7 +28,7 @@ from .config import load_config
 from .errors import ConfigError, SymtreeError
 from .learner import Dataset, fit_tree, mean_abs_error, objective_of
 from .milp import build_milp, parse_solution_text, read_solution, write_mps
-from .mpc import generate_dataset
+from .mpc import label_states, sample_states
 from .tree import _json_object, _require, deserialize, predict, serialize
 
 USAGE_ERROR = 1
@@ -80,10 +80,15 @@ def cmd_gen_data(args) -> int:
     spec = cfg.mpc_spec()
     d = cfg["data"]
     lo, hi = d["range"]
-    train = generate_dataset(spec, d["n_train"], lo, hi, mode=d["mode"],
-                             seed=d["seed"])
-    test = generate_dataset(spec, d["n_test"], lo, hi, mode="seeded-random",
-                            seed=d["seed"] + 1)
+    # Both sets are drawn, and every bad draw refused, before the first MPC
+    # solve. The test set is drawn with seed + 1, so a seed is refused under
+    # the key and value the user wrote.
+    if d["seed"] < (0 if d["mode"] == "seeded-random" else -1):
+        raise ConfigError(f"data.seed must be at least 0, or -1 with a uniform-grid train "
+                          f"set (the test set is drawn with data.seed + 1), got {d['seed']!r}")
+    train_x = sample_states(spec, d["n_train"], lo, hi, d["mode"], d["seed"])
+    test_x = sample_states(spec, d["n_test"], lo, hi, "seeded-random", d["seed"] + 1)
+    train, test = label_states(spec, train_x), label_states(spec, test_x)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, ds in (("train", train), ("test", test)):
         with open(os.path.join(args.out_dir, f"{name}.csv"), "w") as fh:

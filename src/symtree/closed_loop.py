@@ -25,13 +25,16 @@ H_INT_DEFAULT = 0.01  # internal RK4 step, minutes
 
 @dataclass
 class Controller:
-    """Uniform state -> control map; output is clipped to u_bounds."""
+    """Uniform state -> control map. A finite output is clipped to u_bounds;
+    a non-finite one is returned as it is, for simulate to refuse."""
 
     u_bounds: tuple
     fn: object  # callable state -> raw control
 
     def __call__(self, x: float) -> float:
         u = float(self.fn(float(x)))
+        if not math.isfinite(u):
+            return u
         return float(min(max(u, self.u_bounds[0]), self.u_bounds[1]))
 
 

@@ -141,43 +141,36 @@ class LeafLosses:
     """fit_l1's loss on any subset of one dataset, from one kept HiGHS model.
 
     The model is fit_l1's LP over all N points. A point outside the asked-for
-    set has its row freed to (-inf, inf) and its e+/e- fixed to [0, 0] at cost
-    0, so what remains is that set's LP. Each call changes only the points
-    whose membership changed since the last one and re-solves from the kept
-    basis. Freeing the residual columns alone (costless and unbounded) is not
-    enough: HiGHS can then end a warm re-solve with status Unknown. A warm
-    re-solve that still stops short of optimal is run once more from a
-    cleared solver before it counts as a failure.
+    set has only its row freed to (-inf, inf): its e+ and e- then sit in no
+    constraint, so at cost w they rest on their lower bounds (0 unless the
+    label lies outside y_bounds), and subtracting that resting cost leaves
+    the set's own loss. Each call changes only the rows whose membership
+    changed since the last one and re-solves from the kept basis. A warm
+    re-solve that stops short of optimal is run once more from a cleared
+    solver before it counts as a failure.
 
     A loss agrees with a cold fit_l1 to HiGHS's tolerances (about 1e-10), not
     bitwise, so take coefficients from fit_l1.
     """
 
     def __init__(self, Phi, y, w: float, lambda_m: float, c_bounds, y_bounds=None):
-        self._cost, A, self._y, _, self._lo, self._hi = _l1_lp(Phi, y, w, lambda_m,
-                                                              c_bounds, y_bounds)
-        self._inside = np.ones(len(self._y), dtype=bool)
-        self._highs = _highs(self._cost, A, self._y, self._y, self._lo, self._hi)
+        cost, A, self._y, _, lo, hi = _l1_lp(Phi, y, w, lambda_m, c_bounds, y_bounds)
+        N = len(self._y)
+        self._resting = w * lo[len(lo) - 2 * N:].reshape(2, N).sum(axis=0)  # freed e+, e-
+        self._inside = np.ones(N, dtype=bool)
+        self._highs = _highs(cost, A, self._y, self._y, lo, hi)
         if self._highs is None:
             raise NumericalError("HiGHS refused the leaf LP")
 
     def loss(self, mask) -> float:
         """Optimal  w*sum|y - Phi c| + lambda_m*sum|c|  over the points in mask."""
         mask = np.asarray(mask, dtype=bool)
-        changed = np.flatnonzero(mask != self._inside)
-        if len(changed):
-            N = len(mask)
-            cols = np.concatenate([changed, changed + N]) + len(self._cost) - 2 * N  # e+, e-
-            keep = np.tile(mask[changed], 2)
-            self._highs.changeColsBounds(len(cols), cols, np.where(keep, self._lo[cols], 0.0),
-                                         np.where(keep, self._hi[cols], 0.0))
-            self._highs.changeColsCost(len(cols), cols, np.where(keep, self._cost[cols], 0.0))
-            for i in changed.tolist():
-                if mask[i]:
-                    self._highs.changeRowBounds(i, self._y[i], self._y[i])
-                else:
-                    self._highs.changeRowBounds(i, -np.inf, np.inf)
-            self._inside = mask.copy()
+        for i in np.flatnonzero(mask != self._inside).tolist():
+            if mask[i]:
+                self._highs.changeRowBounds(i, self._y[i], self._y[i])
+            else:
+                self._highs.changeRowBounds(i, -np.inf, np.inf)
+        self._inside = mask.copy()
         self._highs.run()
         status = self._highs.getModelStatus()
         if status != _MS.kOptimal:   # seen as Solve error or Unknown on valid data
@@ -187,4 +180,4 @@ class LeafLosses:
         if status != _MS.kOptimal:
             raise NumericalError(f"leaf LP over {int(mask.sum())} points stopped with "
                                  f"status {self._highs.modelStatusToString(status)}")
-        return self._highs.getObjectiveValue()
+        return self._highs.getObjectiveValue() - self._resting[~mask].sum()

@@ -354,27 +354,30 @@ def solve_mpc(spec: MpcSpec, x0: float, warm=None) -> MpcSolution:
     return best
 
 
-def generate_dataset(spec: MpcSpec, n: int, lo: float, hi: float,
-                     mode: str = "uniform-grid", seed: int = 0) -> Dataset:
-    """n initial states on [lo, hi] labeled with the first optimal control.
-
-    The states are sorted, and each solve is warm-started from the previous
-    state's optimal controls (continuation); the first one starts cold.
-    """
+def sample_states(spec: MpcSpec, n: int, lo: float, hi: float,
+                  mode: str = "uniform-grid", seed: int = 0) -> np.ndarray:
+    """The n sorted initial states on [lo, hi] that generate_dataset labels,
+    drawn without solving anything; raises ConfigError on a bad draw."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ConfigError(f"number of states must be a positive integer, got {n!r}")
     if not (spec.x_bounds[0] <= lo <= hi <= spec.x_bounds[1]):
         raise ConfigError(f"sampling range [{lo}, {hi}] invalid within {spec.x_bounds}")
     if mode == "uniform-grid":
-        xs = np.linspace(lo, hi, n)
-    elif mode == "seeded-random":
+        return np.linspace(lo, hi, n)
+    if mode == "seeded-random":
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-        rng = np.random.default_rng(seed)
-        xs = np.sort(rng.uniform(lo, hi, size=n))
-    else:
-        raise ConfigError(f"unknown sampling mode {mode!r}")
-    labels = np.empty(n)
+        return np.sort(np.random.default_rng(seed).uniform(lo, hi, size=n))
+    raise ConfigError(f"unknown sampling mode {mode!r}")
+
+
+def label_states(spec: MpcSpec, xs: np.ndarray) -> Dataset:
+    """Sorted initial states xs labeled with the first optimal control.
+
+    Each solve is warm-started from the previous state's optimal controls
+    (continuation); the first one starts cold.
+    """
+    labels = np.empty(len(xs))
     warm = None
     for i, x0 in enumerate(xs):
         try:
@@ -384,3 +387,9 @@ def generate_dataset(spec: MpcSpec, n: int, lo: float, hi: float,
         labels[i] = sol.first_action
         warm = sol.controls
     return Dataset(X=xs.reshape(-1, 1), y=labels)
+
+
+def generate_dataset(spec: MpcSpec, n: int, lo: float, hi: float,
+                     mode: str = "uniform-grid", seed: int = 0) -> Dataset:
+    """n initial states on [lo, hi] labeled with the first optimal control."""
+    return label_states(spec, sample_states(spec, n, lo, hi, mode, seed))

@@ -111,10 +111,14 @@ def route(model: TreeModel, x) -> int:
 
 
 def predict(model: TreeModel, x) -> float:
-    """Inner product of the routed leaf's coefficients with the basis values."""
+    """Inner product of the routed leaf's coefficients with the basis values.
+    Raises DomainError, naming the leaf and the point, when it is not finite."""
     leaf = route(model, x)
     phi = evaluate_basis(model.basis, x)
-    return float(model.leaves[leaf].as_array().dot(phi))
+    y = float(model.leaves[leaf].as_array().dot(phi))
+    if not math.isfinite(y):
+        raise DomainError(f"leaf {leaf} gave non-finite prediction {y!r} at x={x!r}")
+    return y
 
 
 def _shape_violations(depth: int, branches, leaves) -> list:

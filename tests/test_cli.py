@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy
 
+from symtree import mpc
 from symtree.basis import basis_from_forms
 from symtree.cli import run
 from symtree.config import DEFAULTS, load_config
@@ -272,15 +273,43 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "u_rate_max" in capsys.readouterr().err
 
 
-def test_gen_data_negative_seed_exit_code(tmp_path, capsys):
-    # The test set is drawn with seed + 1, so seed -2 reaches the seeded draw
-    # as -1; the uniform-grid train set reads no seed.
+def _gen_data_refused(tmp_path, capsys, monkeypatch, data) -> str:
+    """Runs gen-data with the data section given; checks that it exits 2 with
+    one error line, writes nothing and solves no MPC; returns that line."""
+    solves = []
+    monkeypatch.setattr(mpc, "solve_mpc", lambda *a, **k: solves.append(a))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data": {"seed": -2}}))
+    cfg.write_text(json.dumps({"data": data}))
     out = tmp_path / "data"
     assert run(["gen-data", "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() and not solves
+    return err
+
+
+def test_gen_data_negative_seed_exit_code(tmp_path, capsys, monkeypatch):
+    # The test set is drawn with seed + 1, so seed -2 would reach the seeded
+    # draw as -1; it is refused first, as the user wrote it.
+    err = _gen_data_refused(tmp_path, capsys, monkeypatch, {"seed": -2})
+    assert "data.seed" in err and err.endswith("got -2\n")
+
+
+@pytest.mark.parametrize("data, shown", [
+    ({"seed": -1, "mode": "seeded-random"}, "data.seed"), ({"n_test": 0}, "got 0")])
+def test_gen_data_refuses_a_bad_draw_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                      data, shown):
+    """A train set that cannot be drawn, and a test set that cannot, are
+    both refused before the train set is labelled."""
+    assert shown in _gen_data_refused(tmp_path, capsys, monkeypatch, data)
+
+
+def test_gen_data_seed_minus_one_draws_a_uniform_grid_train_set(tmp_path):
+    # Its test set is drawn with seed 0.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": {"seed": -1, "n_train": 3, "n_test": 2}}))
+    assert run(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert len((tmp_path / "test.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("text", ["x,y\n", "x,y\n0.5,1.0\n0.6,abc\n",

@@ -177,6 +177,13 @@ def test_controller_nan_passes_through_clip():
     assert type(constant_controller(10.0, (0, 75))(0.5)) is float
 
 
+@pytest.mark.parametrize("u", [math.inf, -math.inf])
+def test_controller_returns_infinite_output_unclipped(u):
+    # Clipped to a bound, it would reach the plant past simulate's check.
+    out = Controller((0.0, 75.0), lambda x: u)(0.3)
+    assert type(out) is float and out == u
+
+
 @pytest.mark.parametrize("x0", [0.001, -0.001, 800.0])
 def test_model_controller_overflow_wrapped(x0):
     ctrl = model_controller(reference_model(), (0.0, 75.0))

@@ -126,9 +126,10 @@ def test_memoised_subtrees_match_exhaustive_oracle():
 
 
 def _kept_model_case(name):
-    if name == "warm-retry":
-        # Here a warm re-solve of the kept model ends with status Solve error
-        # on some sets; solved again from a cleared solver, it is optimal.
+    if name == "1d-step":
+        # A +-1 step on one feature. At HiGHS's default 1e-7 tolerances some
+        # warm re-solves of the kept model ended with status Solve error here;
+        # at lp.FEASIBILITY_TOL none does.
         rng = np.random.default_rng(0)
         x = rng.uniform(-2.0, 1.5, 20)
         y = np.where(x > -0.25, 1.0, -1.0) + x + rng.normal(0, 0.1, 20)
@@ -143,7 +144,7 @@ def _kept_model_case(name):
     return Dataset(X=X, y=y), basis_from_forms(["1", "x", "x@1"])
 
 
-@pytest.mark.parametrize("name", ["50-points", "2-features", "warm-retry"])
+@pytest.mark.parametrize("name", ["50-points", "2-features", "1d-step"])
 def test_kept_leaf_model_matches_cold_fit(monkeypatch, name):
     """Every leaf loss the search takes from the kept model, which frees and
     restores rows as the sets change, equals a cold fit_l1 on that set."""

@@ -6,6 +6,7 @@ import pytest
 from symtree.errors import DimensionError, NumericalError
 from scipy.sparse import csc_array
 
+from symtree import lp
 from symtree.lp import LeafLosses, fit_l1, solve_lp
 
 # ---------------------------------------------------------------------------
@@ -332,8 +333,8 @@ def _cold(Phi, y, mask, lam, c_bounds, y_bounds):
 @pytest.mark.parametrize("y_bounds", [None, (-1.0, 1.0)])
 def test_leaf_losses_a_b_a_restores_rows(y_bounds):
     """Solving A, then B (which frees most of A's points and takes others),
-    then A again gives A's loss back: every freed row gets its equality,
-    residual bounds and cost back."""
+    then A again gives A's loss back: every freed row gets its equality
+    back."""
     Phi, y = _leaf_instance(3)
     N = len(y)
     args = (1.0 / N, 1e-2, (-5.0, 5.0), y_bounds)
@@ -368,6 +369,45 @@ def test_leaf_losses_match_cold_fit_on_random_sets(c_bounds, y_bounds):
         assert losses.loss(mask) == pytest.approx(ref, abs=1e-9)
         solved += 1
     assert solved >= 5
+
+
+class _FailsFirstWarmRun:
+    """A kept HiGHS model whose first warm run, its second run in all,
+    reports Solve error; the runs after it report the real status."""
+
+    def __init__(self, highs):
+        self._highs, self.runs, self.clears = highs, 0, 0
+
+    def run(self):
+        self.runs += 1
+        return self._highs.run()
+
+    def getModelStatus(self):
+        return lp._MS.kSolveError if self.runs == 2 else self._highs.getModelStatus()
+
+    def clearSolver(self):
+        self.clears += 1
+        return self._highs.clearSolver()
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+def test_leaf_losses_reruns_a_failed_warm_run_from_a_cleared_solver(monkeypatch):
+    """A warm re-solve that stops short of optimal is run once more from a
+    cleared solver, and that run's loss is the cold fit's."""
+    made, highs = [], lp._highs
+    monkeypatch.setattr(lp, "_highs", lambda *a: made.append(_FailsFirstWarmRun(highs(*a)))
+                        or made[-1])
+    Phi, y = _leaf_instance(3)
+    N = len(y)
+    args = (1.0 / N, 1e-2, (-5.0, 5.0), None)
+    losses = LeafLosses(Phi, y, *args)
+    A, B = np.arange(N) < 9, np.arange(N) >= 6
+    assert losses.loss(A) == pytest.approx(_cold(Phi, y, A, *args[1:]), abs=1e-9)
+    assert made[0].clears == 0
+    assert losses.loss(B) == pytest.approx(_cold(Phi, y, B, *args[1:]), abs=1e-9)
+    assert (made[0].runs, made[0].clears) == (3, 1)
 
 
 def test_leaf_losses_infeasible_set_raises_with_its_size():

@@ -83,6 +83,18 @@ def test_predict_refuses_nan_on_constant_basis():
         predict(model, float("nan"))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_predict_refuses_an_overflowing_leaf():
+    """Finite coefficients whose inner product with the basis overflows give
+    DomainError naming the leaf and the point, not inf."""
+    m = reference_model()
+    huge = TreeModel(depth=m.depth, rules=m.rules, basis=m.basis, bounds=m.bounds,
+                     leaves={n: LeafExpression(coefficients=(1e308,) * len(leaf.coefficients))
+                             for n, leaf in m.leaves.items()})
+    with pytest.raises(DomainError, match=rf"^leaf {route(huge, 0.9)} .*inf.* x=0\.9$"):
+        predict(huge, 0.9)
+
+
 def test_route_is_total_on_grid():
     m = reference_model()
     for x in np.linspace(0.1, 0.9, 401):
