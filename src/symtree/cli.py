@@ -82,10 +82,13 @@ def cmd_gen_data(args) -> int:
     lo, hi = d["range"]
     # Both sets are drawn, and every bad draw refused, before the first MPC
     # solve. The test set is drawn with seed + 1, so a seed is refused under
-    # the key and value the user wrote.
+    # the key and value the user wrote, and so is a count.
     if d["seed"] < (0 if d["mode"] == "seeded-random" else -1):
         raise ConfigError(f"data.seed must be at least 0, or -1 with a uniform-grid train "
                           f"set (the test set is drawn with data.seed + 1), got {d['seed']!r}")
+    for key in ("n_train", "n_test"):
+        if d[key] < 1:
+            raise ConfigError(f"data.{key} must be a positive integer, got {d[key]!r}")
     train_x = sample_states(spec, d["n_train"], lo, hi, d["mode"], d["seed"])
     test_x = sample_states(spec, d["n_test"], lo, hi, "seeded-random", d["seed"] + 1)
     train, test = label_states(spec, train_x), label_states(spec, test_x)
@@ -165,6 +168,12 @@ def cmd_import_sol(args) -> int:
     return 0
 
 
+# A leaf whose inner product overflows is refused with one error line (the
+# DomainError that tree.predict raises), not after numpy's RuntimeWarning.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def cmd_predict(args) -> int:
     with open(args.model) as fh:
         model = deserialize(fh.read())
@@ -190,6 +199,7 @@ def _make_controller(spec, name):
                       "(expected mpc, model:<path>, or const:<value>)")
 
 
+@_quiet_overflow
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     spec = cfg.mpc_spec()
@@ -214,6 +224,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@_quiet_overflow
 def cmd_report(args) -> int:
     test = _read_dataset(args.test)
     entries = []

@@ -106,19 +106,17 @@ def integrate_hold(plant: PlantSpec, x: float, u: float, dt: float,
 
 
 def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
-             dt_sample: float, h_int: float = H_INT_DEFAULT) -> SimTrace:
+             dt_sample: float) -> SimTrace:
     """Zero-order-hold closed loop; latency is measured around the controller call.
 
     Non-finite inputs, a non-positive step, a non-finite control and a plant
     state that diverges raise ControllerError.
     """
-    if not all(math.isfinite(v) for v in (x0, t_final, dt_sample, h_int)):
+    if not all(math.isfinite(v) for v in (x0, t_final, dt_sample)):
         raise ControllerError(f"non-finite simulation input (x0={x0}, "
-                              f"t_final={t_final}, dt_sample={dt_sample}, h_int={h_int})")
+                              f"t_final={t_final}, dt_sample={dt_sample})")
     if dt_sample <= 0 or t_final < dt_sample:
         raise ControllerError(f"invalid horizon/sampling ({t_final}, {dt_sample})")
-    if h_int <= 0:
-        raise ControllerError(f"internal step h_int must be positive, got {h_int}")
     n_steps = round(t_final / dt_sample)
     times = np.arange(n_steps + 1) * dt_sample
     x = float(x0)
@@ -137,7 +135,7 @@ def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
                 f"controller gave non-finite control u={u!r} at t={times[i]:.4g}, x={x!r}")
         controls.append(u)
         try:
-            x = integrate_hold(plant, x, u, dt_sample, h_int)
+            x = integrate_hold(plant, x, u, dt_sample)
         except OverflowError:
             x = math.inf
         if not isfinite(x):

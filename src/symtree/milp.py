@@ -91,12 +91,13 @@ class MilpArtifact:
         """Fixed-format row names, built once per artifact."""
         return self.row_labels.tobytes().decode("ascii").split()
 
-    def var_value(self, assign: dict, i: int, default=0.0):
+    def var_value(self, assign: dict, i: int):
+        """Variable i's value in assign by its name or MPS name, else None."""
         if self.var_names[i] in assign:
             return assign[self.var_names[i]]
         if self.var_mps[i] in assign:
             return assign[self.var_mps[i]]
-        return default
+        return None
 
 
 def node_sets(depth: int):
@@ -486,7 +487,7 @@ class DecodedSolution:
 
 
 def _binary(art: MilpArtifact, assign: dict, name: str) -> int:
-    v = art.var_value(assign, art.index[name], default=None)
+    v = art.var_value(assign, art.index[name])
     if v is None:
         raise StructureError(f"assignment missing binary {name}")
     if abs(v - round(v)) > INT_TOL:
@@ -534,7 +535,7 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
     Phi = evaluate_basis_matrix(art.basis, data.X)
     leaves = {}
     for n in sorted(leaf_ids):
-        coeffs = [art.var_value(assignments, art.index[f"c[{k},{n}]"], default=None)
+        coeffs = [art.var_value(assignments, art.index[f"c[{k},{n}]"])
                   for k in range(1, art.basis.size + 1)]
         if any(v is None for v in coeffs):
             idx = [i - 1 for i in range(1, data.n_points + 1) if assigned[i] == n]

@@ -84,33 +84,20 @@ def steady_state_flow(plant: PlantSpec, x: float) -> float:
     return plant.V * plant.k_rate * x**3 / (plant.x_f - x)
 
 
-def rollout(spec: MpcSpec, x0: float, u_seq):
-    """Euler states, tracking objective, and its exact gradient w.r.t. u_seq.
-
-    The gradient is the reverse-mode chain rule through the discrete rollout,
-    so it is exact for the Euler system (not an ODE approximation).
-    """
-    u = np.asarray(u_seq, dtype=float)
-    if u.shape != (spec.T - 1,):
-        raise ConfigError(f"expected {spec.T - 1} controls, got {u.shape}")
-    x, objective, grad, _ = _sweeper(spec, x0)(u, full=True)
-    return np.array(x), objective, grad
-
-
-def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
+def _sweeper(spec: MpcSpec, x0: float, mu, rho: float):
     """One subproblem's forward Euler pass and adjoint pass, on Python floats,
     with its constants bound once: sweep(u) returns the value and its
     gradient w.r.t. the T - 1 controls u (list); sweep(u, full=True) returns
     the states (list), the tracking objective, the value's gradient (array)
-    and the constraint values g (list, or None without ``mu``).
+    and the constraint values g (list).
 
-    Without ``mu`` the value is the tracking objective. With multipliers ``mu``
-    and penalty ``rho`` it is the augmented Lagrangian of the rate and state
-    constraints g <= 0 (box bounds excluded), laid out as the rate pairs
-    u_{t+1} - u_t - lim, then u_t - u_{t+1} - lim, then the state bound pairs
-    x - x_hi, then x_lo - x for x_2..x_T (x_1 is pinned to x0). The returned
-    g is in these native units; the penalty term and ``mu`` take each row
-    divided by its _con_scale unit.
+    With multipliers ``mu`` and penalty ``rho`` the value is the augmented
+    Lagrangian of the rate and state constraints g <= 0 (box bounds
+    excluded), laid out as the rate pairs u_{t+1} - u_t - lim, then
+    u_t - u_{t+1} - lim, then the state bound pairs x - x_hi, then x_lo - x
+    for x_2..x_T (x_1 is pinned to x0). The returned g is in these native
+    units; the penalty term and ``mu`` take each row divided by its
+    _con_scale unit.
     """
     plant = spec.plant
     h, V, x_f, k = spec.h, plant.V, plant.x_f, plant.k_rate
@@ -123,27 +110,26 @@ def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
     x_init = float(x0)
     n = spec.T - 1
     n_rate = n - 1
-    if mu is not None:
-        lim = h * spec.u_rate_max
-        x_lo, x_hi = spec.x_bounds
-        half_rho = 0.5 * rho
-        scale = _con_scale(spec, n)
-        mu_rho = [mi / rho for mi in mu.tolist()]
-        rate_rows = (scale[: 2 * n_rate], mu_rho[: 2 * n_rate])
-        state_rows = (scale[2 * n_rate :], mu_rho[2 * n_rate :])
-        # A row's penalty argument is s = g / unit + mu / rho, with a positive
-        # unit. In a group with no mu / rho above zero, s > 0 needs g > 0: a
-        # rate step beyond lim or a state outside its bounds, which the sweep
-        # reads off the steps and states without forming g. A group with no
-        # such row is skipped: each of its coefficients would be 0.0 and the
-        # value would take none of its terms.
-        rate_quiet = not any(m > 0.0 for m in rate_rows[1])
-        state_quiet = not any(m > 0.0 for m in state_rows[1])
-        # The zero coefficients of a skipped state group would turn a -0.0
-        # in dldx into +0.0. A deviation x - x_sp, and so its dldx entry, is
-        # -0.0 only where x is -0.0 and x_sp is +0.0; with a zero x_sp the
-        # skip still adds them.
-        signed_dev = x_sp == 0.0
+    lim = h * spec.u_rate_max
+    x_lo, x_hi = spec.x_bounds
+    half_rho = 0.5 * rho
+    scale = _con_scale(spec, n)
+    mu_rho = [mi / rho for mi in mu.tolist()]
+    rate_rows = (scale[: 2 * n_rate], mu_rho[: 2 * n_rate])
+    state_rows = (scale[2 * n_rate :], mu_rho[2 * n_rate :])
+    # A row's penalty argument is s = g / unit + mu / rho, with a positive
+    # unit. In a group with no mu / rho above zero, s > 0 needs g > 0: a rate
+    # step beyond lim or a state outside its bounds, which the sweep reads off
+    # the steps and states without forming g. A group with no such row is
+    # skipped: each of its coefficients would be 0.0 and the value would take
+    # none of its terms.
+    rate_quiet = not any(m > 0.0 for m in rate_rows[1])
+    state_quiet = not any(m > 0.0 for m in state_rows[1])
+    # The zero coefficients of a skipped state group would turn a -0.0 in
+    # dldx into +0.0. A deviation x - x_sp, and so its dldx entry, is -0.0
+    # only where x is -0.0 and x_sp is +0.0; with a zero x_sp the skip still
+    # adds them.
+    signed_dev = x_sp == 0.0
 
     def rows(value, g, units, mu_rho):
         """The coefficients d(penalty)/dg of one row group, zero for inactive
@@ -175,23 +161,22 @@ def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
         objective = value
         dldx = [2.0 * d for d in dev]
         dldx[-1] += P2 * dev[-1]
-        g = c_rate = None
-        if mu is not None:
-            du = [b - a for a, b in zip(us, us[1:])]
-            xs1 = xs[1:]
-            if full or not rate_quiet or (du and (max(du) > lim or min(du) < -lim)):
-                g = [d - lim for d in du] + [-d - lim for d in du]
-                c_rate, value = rows(value, g, *rate_rows)
-            if full or not state_quiet or max(xs1) > x_hi or min(xs1) < x_lo:
-                g_state = [xt - x_hi for xt in xs1] + [x_lo - xt for xt in xs1]
-                c_state, value = rows(value, g_state, *state_rows)
-                for t, (ch, cl) in enumerate(zip(c_state, c_state[n:]), start=1):
-                    dldx[t] += ch - cl
-                if full:
-                    g += g_state
-            elif signed_dev:
-                for t in range(1, n + 1):
-                    dldx[t] += 0.0
+        c_rate = None
+        du = [b - a for a, b in zip(us, us[1:])]
+        xs1 = xs[1:]
+        if full or not rate_quiet or (du and (max(du) > lim or min(du) < -lim)):
+            g = [d - lim for d in du] + [-d - lim for d in du]
+            c_rate, value = rows(value, g, *rate_rows)
+        if full or not state_quiet or max(xs1) > x_hi or min(xs1) < x_lo:
+            g_state = [xt - x_hi for xt in xs1] + [x_lo - xt for xt in xs1]
+            c_state, value = rows(value, g_state, *state_rows)
+            for t, (ch, cl) in enumerate(zip(c_state, c_state[n:]), start=1):
+                dldx[t] += ch - cl
+            if full:
+                g += g_state
+        elif signed_dev:
+            for t in range(1, n + 1):
+                dldx[t] += 0.0
         grad = []
         lam = dldx[-1]
         for t in range(n - 1, -1, -1):
@@ -205,7 +190,7 @@ def _sweeper(spec: MpcSpec, x0: float, mu=None, rho: float = 0.0):
                 c = c_rate[t] - c_rate[n_rate + t]
                 grad[t + 1] += c
                 grad[t] -= c
-        elif mu is not None:
+        else:
             # The zero coefficients of a skipped rate group, as the loop above
             # applies them: grad[t] -= 0.0 changes nothing, grad[t + 1] += 0.0
             # turns a -0.0 into +0.0.

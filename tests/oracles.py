@@ -234,7 +234,8 @@ def exhaustive_fit_tree(data, basis, cfg):
 
 def assignment_vector(art, assign):
     """The assignment as a point x, with 0 for every variable it omits."""
-    return np.array([float(art.var_value(assign, i)) for i in range(art.n_vars)])
+    values = (art.var_value(assign, i) for i in range(art.n_vars))
+    return np.array([0.0 if v is None else float(v) for v in values])
 
 
 def objective_value(art, assign):
@@ -733,7 +734,7 @@ def loop_sweep(spec, x0: float, u: np.ndarray, mu=None, rho: float = 0.0):
     return xs, value, np.array(grad), g
 
 
-def loop_sweeper(spec, x0: float, mu=None, rho: float = 0.0):
+def loop_sweeper(spec, x0: float, mu, rho: float):
     """``mpc._sweeper``'s calling convention answered by ``loop_sweep``, so it
     can stand in for the closure factory (monkeypatch ``mpc._sweeper``). A
     full sweep holds the tracking objective, ``loop_sweep``'s value without

@@ -13,6 +13,7 @@ import pytest
 
 from oracles import brute_force_depth1, milp_optimum_depth1
 from test_lp import oracle_solve, random_lp
+from symtree import mpc
 from symtree.baselines import fit_cart_constant, fit_cart_linear, fit_sparse
 from symtree.basis import basis_from_forms, canonical_basis
 from symtree.cli import run
@@ -22,7 +23,7 @@ from symtree.config import load_config
 from symtree.learner import Dataset, LearnConfig, fit_tree
 from symtree.lp import fit_l1, solve_lp
 from symtree.milp import build_milp, expected_counts
-from symtree.mpc import generate_dataset, rollout, solve_mpc
+from symtree.mpc import generate_dataset, solve_mpc
 from symtree.reference import reference_model
 from symtree.tree import (Bounds, BranchRule, LeafExpression, TreeModel,
                           deserialize, predict, route, serialize)
@@ -178,13 +179,15 @@ def test_criterion_5_mpc_oracle_sanity(capsys):
     for _ in range(100):
         x0 = float(rng.uniform(0.1, 0.9))
         u = rng.uniform(0.0, 75.0, spec.T - 1)
-        _, _, grad = rollout(spec, x0, u)
+        # The closure of a solve's first subproblem: zero multipliers, rho 10.
+        sweep = mpc._sweeper(spec, x0, np.zeros(4 * spec.T - 6), 10.0)
+        grad = sweep(u)[1]
         h = 1e-6
         for t in range(spec.T - 1):
             up, um = u.copy(), u.copy()
             up[t] += h
             um[t] -= h
-            fd = (rollout(spec, x0, up)[1] - rollout(spec, x0, um)[1]) / (2 * h)
+            fd = (sweep(up)[0] - sweep(um)[0]) / (2 * h)
             worst_grad = max(worst_grad,
                              abs(grad[t] - fd) / max(1.0, abs(fd)))
 

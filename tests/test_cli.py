@@ -1,5 +1,6 @@
 import json
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -296,11 +297,12 @@ def test_gen_data_negative_seed_exit_code(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("data, shown", [
-    ({"seed": -1, "mode": "seeded-random"}, "data.seed"), ({"n_test": 0}, "got 0")])
+    ({"seed": -1, "mode": "seeded-random"}, "data.seed"), ({"n_test": 0}, "got 0"),
+    ({"n_train": 0}, "data.n_train"), ({"n_test": -1}, "data.n_test")])
 def test_gen_data_refuses_a_bad_draw_before_any_solve(tmp_path, capsys, monkeypatch,
                                                       data, shown):
     """A train set that cannot be drawn, and a test set that cannot, are
-    both refused before the train set is labelled."""
+    both refused before the train set is labelled, a bad count by its key."""
     assert shown in _gen_data_refused(tmp_path, capsys, monkeypatch, data)
 
 
@@ -338,6 +340,29 @@ def test_predict_outside_basis_domain_exit_code(tmp_path, capsys):
     for x in ("0.001", "-0.001", "800", "0"):
         assert run(["predict", "--model", str(mpath), "--x", x]) == 2
     assert "overflowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model", "{d}/overflow.tree.json", "--x", "0.9"],
+    ["simulate", "--controller", "model:{d}/overflow.tree.json", "--out", "{d}/t.csv"],
+    ["report", "--test", "{d}/test.csv", "--reports", "{d}/r.json", "--out", "{d}/c.json"]],
+    ids=["predict", "simulate", "report"])
+def test_overflowing_leaf_refused_in_one_line(tmp_path, capsys, argv):
+    """Every leaf's coefficients 1e308: the inner product overflows, and the
+    refusal is the one error line, with no RuntimeWarning from numpy."""
+    doc = json.loads(serialize(reference_model()))
+    for node in doc["nodes"]:
+        if "coeffs" in node:
+            node["coeffs"] = [1e308] * len(node["coeffs"])
+    (tmp_path / "overflow.tree.json").write_text(json.dumps(doc))
+    (tmp_path / "test.csv").write_text("x,y\n0.9,75.0\n")
+    (tmp_path / "r.json").write_text(json.dumps(
+        {"provenance": {}, "kind": "symbolic", "model_file": "overflow.tree.json"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([a.format(d=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
 
 
 def test_predict_takes_dash_led_floats(tmp_path, capsys):

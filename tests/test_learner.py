@@ -217,21 +217,25 @@ def _labels(n, mode):
 
 
 # sha256 of the serialized canonical model and the leaf LPs its search solves,
-# by depth: the search's bounds may change what it solves, never what it returns.
+# by (number of uniform-grid states, depth): the search's bounds may change
+# what it solves, never what it returns.
 _CANONICAL_MODELS = {
-    2: ("8d6ec6bd296884a394b5b54116d39e5c11122f520c26912ba530fc603e8f8367", 205),
-    3: ("6579fa8c3ac415317bfd500471efee49ed1d0c4950845095bd0e21223f9016e5", 217),
+    (50, 2): ("8d6ec6bd296884a394b5b54116d39e5c11122f520c26912ba530fc603e8f8367", 205),
+    (50, 3): ("6579fa8c3ac415317bfd500471efee49ed1d0c4950845095bd0e21223f9016e5", 217),
     # At depth 4 the (set, depth) memo matters: 582 LPs without it.
-    4: ("3398511e01923cfa605d04c80357d9cc316ed1915b21bb8ac981cad9c8e66264", 330),
+    (50, 4): ("3398511e01923cfa605d04c80357d9cc316ed1915b21bb8ac981cad9c8e66264", 330),
+    (200, 2): ("eb70640d8c1cd9ca873816141193ba10ecde0088cae5b405cbd1f490efa5e0a4", 1927),
 }
 
 
-@pytest.mark.parametrize("depth", [2, 3, 4])
-def test_canonical_models_are_pinned(depth):
+# The N = 50 cases keep the ids they had when depth was the only parameter.
+@pytest.mark.parametrize("n, depth", _CANONICAL_MODELS,
+                         ids=[str(d) if n == 50 else f"n{n}-{d}" for n, d in _CANONICAL_MODELS])
+def test_canonical_models_are_pinned(n, depth):
     cfg = load_config().learn_config()
     cfg.depth = depth
-    rep = fit_tree(_labels(50, "uniform-grid"), canonical_basis(), cfg)
-    sha, lps = _CANONICAL_MODELS[depth]
+    rep = fit_tree(_labels(n, "uniform-grid"), canonical_basis(), cfg)
+    sha, lps = _CANONICAL_MODELS[n, depth]
     assert hashlib.sha256(serialize(rep.model).encode()).hexdigest() == sha
     assert rep.subproblems_solved == lps
 

@@ -10,7 +10,7 @@ from symtree import mpc
 from symtree.closed_loop import mpc_controller, simulate
 from symtree.errors import ConfigError
 from symtree.mpc import (CON_TOL, KKT_TOL, MpcSpec, PlantSpec, generate_dataset,
-                         rollout, solve_mpc, steady_state_flow)
+                         solve_mpc, steady_state_flow)
 
 
 def canonical_spec():
@@ -30,22 +30,23 @@ def test_plant_rhs_and_steady_state():
     assert plant_rhs(plant, 0.6, 54.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_rollout_gradient_matches_finite_differences():
+def test_sweep_gradient_matches_finite_differences():
+    # The first subproblem's closure (zero multipliers, rho = 10), as the
+    # solver builds it.
     spec = canonical_spec()
     rng = np.random.default_rng(97)
     worst = 0.0
     for _ in range(100):
         x0 = float(rng.uniform(0.1, 0.9))
         u = rng.uniform(0.0, 75.0, spec.T - 1)
-        _, _, grad = rollout(spec, x0, u)
+        sweep = mpc._sweeper(spec, x0, np.zeros(4 * spec.T - 6), 10.0)
+        grad = sweep(u)[1]
         h = 1e-6
         for t in rng.choice(spec.T - 1, size=3, replace=False):
             up, um = u.copy(), u.copy()
             up[t] += h
             um[t] -= h
-            _, fp, _ = rollout(spec, x0, up)
-            _, fm, _ = rollout(spec, x0, um)
-            fd = (fp - fm) / (2 * h)
+            fd = (sweep(up)[0] - sweep(um)[0]) / (2 * h)
             denom = max(1.0, abs(fd))
             worst = max(worst, abs(grad[t] - fd) / denom)
     assert worst <= 1e-5
@@ -108,11 +109,11 @@ def test_sweep_matches_loop_oracle():
         spec = specs[i % 3]
         u_lo, u_hi = spec.u_bounds
         x0 = float(rng.uniform(*spec.x_bounds))
-        mu = [None, np.zeros(4 * n - 2), np.zeros(4 * n - 2),
-              rng.exponential(1.0, 4 * n - 2) * (rng.random(4 * n - 2) < 0.3),
-              rng.exponential(1.0, 4 * n - 2),
-              rng.exponential(1.0, 4 * n - 2) * rate_only,
-              rng.exponential(1.0, 4 * n - 2) * ~rate_only][i % 7]
+        mu = ([np.zeros(4 * n - 2)] * 3
+              + [rng.exponential(1.0, 4 * n - 2) * (rng.random(4 * n - 2) < 0.3),
+                 rng.exponential(1.0, 4 * n - 2),
+                 rng.exponential(1.0, 4 * n - 2) * rate_only,
+                 rng.exponential(1.0, 4 * n - 2) * ~rate_only])[i % 7]
         rho = float(10.0 ** rng.uniform(1.0, 10.0))
         sweep = mpc._sweeper(spec, x0, mu, rho)
         for u in (rng.choice([u_lo, u_hi], n), rng.uniform(u_lo, u_hi, n),
@@ -126,9 +127,9 @@ def test_sweep_matches_loop_oracle():
             assert np.array_equal(full[2], grad)
             inner_value, inner_grad = sweep(u)
             assert inner_value == value and np.array_equal(inner_grad, grad)
-            if mu is not None and not mu.any():
+            if not mu.any():
                 beyond[max(g[:n_rate_rows]) > 0.0, max(g[n_rate_rows:]) > 0.0] += 1
-            elif mu is not None and mu[:n_rate_rows].any() != mu[n_rate_rows:].any():
+            elif mu[:n_rate_rows].any() != mu[n_rate_rows:].any():
                 one_group["rate" if mu[:n_rate_rows].any() else "state"] += 1
     assert min(beyond.values()) >= 50 and min(one_group.values()) >= 50, (beyond, one_group)
 
@@ -143,7 +144,7 @@ def test_sweep_keeps_signed_zeros():
     spec = MpcSpec(x_bounds=(0.0, 2.0), h=0.01)
     u = np.full(spec.T - 1, 30.0)
     u[::2] = 30.2
-    spec = MpcSpec(x_bounds=(0.0, 2.0), h=0.01, x_sp=float(rollout(spec, 1.5, u)[0][-1]))
+    spec = MpcSpec(x_bounds=(0.0, 2.0), h=0.01, x_sp=float(loop_sweep(spec, 1.5, u)[0][-1]))
     tiny = MpcSpec(x_sp=0.0, u_bounds=(-2.5e-322, 75.0))
     cases = [(spec, 1.5, u), (tiny, -0.0, np.full(tiny.T - 1, -2.5e-322))]
     for spec, x0, u in cases:
@@ -165,8 +166,8 @@ def test_tracking_sum_is_a_left_fold():
     differ = 0
     for _ in range(2000):
         x0 = float(rng.uniform(*spec.x_bounds))
-        xs, value, _, _ = mpc._sweeper(spec, x0)(rng.uniform(*spec.u_bounds, spec.T - 1),
-                                                 full=True)
+        sweep = mpc._sweeper(spec, x0, np.zeros(4 * spec.T - 6), 10.0)
+        xs, value, _, _ = sweep(rng.uniform(*spec.u_bounds, spec.T - 1), full=True)
         dev = [xt - spec.x_sp for xt in xs]
         fold = 0.0
         for d in dev:
@@ -190,12 +191,13 @@ def solves_labels_and_loop():
 
 def test_solves_labels_and_mpc_loop_match_loop_sweep(monkeypatch):
     sols, sha, trace = solves_labels_and_loop()
-    # Each solution is read from its subproblem's last full sweep; rollout
-    # at its controls gives the same states and objective, bit for bit.
+    # Each solution is read from its subproblem's last full sweep; the loop
+    # oracle's tracking sweep at its controls gives the same states and
+    # objective, bit for bit.
     spec = MpcSpec()
     for x0, sol in zip(np.linspace(0.1, 0.9, 161).tolist(), sols, strict=True):
-        x, obj, _ = rollout(spec, x0, sol.controls)
-        assert x.tobytes() == sol.states.tobytes() and obj == sol.objective
+        x, obj, _, _ = loop_sweep(spec, x0, sol.controls)
+        assert np.array(x).tobytes() == sol.states.tobytes() and obj == sol.objective
     monkeypatch.setattr(mpc, "_sweeper", loop_sweeper)
     ref_sols, ref_sha, ref_trace = solves_labels_and_loop()
     for sol, ref in zip(sols, ref_sols, strict=True):
