@@ -8,6 +8,7 @@ enumeration used for the symbolic tree.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .basis import BasisFunction, BasisSet, evaluate_basis_matrix
 from .errors import ConfigError
@@ -17,6 +18,7 @@ from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, node_depth,
                    single_leaf_model)
 
 _WIDE = 1e6  # nominal coefficient/prediction bounds for unconstrained fits
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def fit_sparse(data: Dataset, basis: BasisSet, lambda_m: float, c_bounds) -> TreeModel:
@@ -27,24 +29,33 @@ def fit_sparse(data: Dataset, basis: BasisSet, lambda_m: float, c_bounds) -> Tre
     return single_leaf_model(c, basis, Bounds(c_bounds[0], c_bounds[1], y_lo, _WIDE))
 
 
-def _fit_mean(A, y):
-    """Constant leaf: (coefficient vector, SSE)."""
-    c = float(np.mean(y))
+def _fit_mean(A, y, rows):
+    """Constant leaf over y[rows]: (coefficient vector, SSE). A is unread."""
+    y = y[rows]
+    c = float(y.sum()) / len(y)  # np.mean's pairwise sum and one division
     d = y - c
     return np.array([c]), float(d @ d)
 
 
-def _fit_line(A, y):
-    """Least-squares affine leaf over the rows [1, x] of A; the mean when no
-    column takes two values (column 0, all ones, never does)."""
+def _fit_line(A, y, rows):
+    """Least-squares affine leaf over the rows [1, x] of A[rows]; the mean
+    when no column takes two values (column 0, all ones, never does)."""
+    A, y = A[rows], y[rows]
     if len(y) >= 2 and (A.min(0) < A.max(0)).any():
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        # np.linalg.lstsq(A, y, rcond=None) after its argument checks; the
+        # errstate it sets per call is set once per tree by _greedy_tree.
+        coef = _umath_linalg.lstsq(A, y[:, None], _EPS * max(A.shape),
+                                   signature="ddd->ddid")[0][:, 0]
         d = y - A @ coef
         return coef, float(d @ d)
     c = np.zeros(A.shape[1])
-    c[0] = float(np.mean(y)) if len(y) else 0.0
+    c[0] = float(y.sum()) / len(y) if len(y) else 0.0
     d = y - c[0]
     return c, float(d @ d)
+
+
+def _raise_lstsq(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> TreeModel:
@@ -63,8 +74,8 @@ def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> Tre
                 vals = np.unique(col)
                 for thr in split_thresholds(vals[:-1], vals[1:]):
                     mask = col < thr
-                    left = leaf_fitter(A[mask], y[mask])
-                    right = leaf_fitter(A[~mask], y[~mask])
+                    left = leaf_fitter(A, y, mask)
+                    right = leaf_fitter(A, y, ~mask)
                     total = left[1] + right[1]
                     if best is None or total < best[0]:
                         best = (total, f, thr, mask, left, right)
@@ -78,7 +89,10 @@ def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> Tre
             leaves[node] = LeafExpression(coefficients=tuple(float(v) for v in fit[0]))
 
     A, y = np.hstack([np.ones((data.n_points, 1)), data.X]), np.ascontiguousarray(data.y)
-    grow(1, A, y, leaf_fitter(A, y))
+    # lstsq's own error state, entered once: a non-converging SVD raises.
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        grow(1, A, y, leaf_fitter(A, y, slice(None)))
     # Nominal bounds, widened to hold every leaf so the tree passes validate.
     coefs = [v for leaf in leaves.values() for v in leaf.coefficients]
     return TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis,

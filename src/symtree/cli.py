@@ -326,7 +326,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (SymtreeError, OSError) as exc:
+    # LinAlgError: a greedy baseline's least-squares leaf whose values left
+    # float range (or whose SVD did not converge).
+    except (SymtreeError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

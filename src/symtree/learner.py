@@ -137,6 +137,9 @@ class LearnConfig:
             raise ConfigError("penalty weights must be nonnegative")
         if not self.c_lb < self.c_ub:
             raise ConfigError(f"degenerate coefficient bounds [{self.c_lb}, {self.c_ub}]")
+        # A branch node's coefficients and an empty leaf's are 0.
+        if not self.c_lb <= 0.0 <= self.c_ub:
+            raise ConfigError(f"coefficient bounds [{self.c_lb}, {self.c_ub}] must contain 0")
         if (self.y_lb is None) != (self.y_ub is None):
             raise ConfigError("y bounds must be given together or both derived")
         if self.y_lb is not None and not self.y_lb < self.y_ub:

@@ -269,16 +269,20 @@ def _solve_from(spec: MpcSpec, x0: float, u: np.ndarray):
     """Augmented-Lagrangian outer loop from the controls u. Each subproblem
     ends with one full sweep at its L-BFGS-B result, which accepts it or
     updates the multipliers: after a failed line search L-BFGS-B returns the
-    previous iterate, not the last point it evaluated."""
+    previous iterate, not the last point it evaluated. None when the start
+    does not converge, a subproblem that overflows included."""
     scale = np.array(_con_scale(spec, spec.T - 1))
     mu = np.zeros(len(scale))
     rho = 10.0
     prev_viol = np.inf
     for _ in range(_MAX_OUTER):
         sweep = _sweeper(spec, x0, mu, rho)
-        u = minimize(sweep, u, spec.u_bounds, maxiter=_MAX_INNER, ftol=1e-16,
-                     gtol=0.01 * KKT_TOL).x
-        x, obj, grad, g = sweep(u, full=True)
+        try:
+            u = minimize(sweep, u, spec.u_bounds, maxiter=_MAX_INNER, ftol=1e-16,
+                         gtol=0.01 * KKT_TOL).x
+            x, obj, grad, g = sweep(u, full=True)
+        except OverflowError:  # a state past float range: this start failed
+            return None
         g = np.array(g)
         viol = float(np.max(np.maximum(g, 0.0), initial=0.0))
         pg = np.linalg.norm(u - np.clip(u - grad, *spec.u_bounds))

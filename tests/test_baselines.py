@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import loop_fit_line, loop_fit_mean, loop_greedy_tree
+from symtree import baselines
 from symtree.baselines import fit_cart_constant, fit_cart_linear, fit_sparse
 from symtree.basis import basis_from_forms, canonical_basis
 from symtree.config import load_config
@@ -101,6 +102,20 @@ def test_sparse_lambda_shrinks_coefficients():
 def test_depth_must_be_positive():
     with pytest.raises(ConfigError, match="depth must be >= 1"):
         fit_cart_constant(step_data(), depth=0)
+
+
+def test_lstsq_that_does_not_converge_raises(monkeypatch):
+    """The least-squares gufunc signals an SVD that did not converge through
+    the invalid flag; the one errstate around the growth turns that into
+    LinAlgError, as np.linalg.lstsq does per call."""
+    class NotConverging:
+        @staticmethod
+        def lstsq(*args, **kwargs):
+            np.sqrt(np.full(1, -1.0))
+
+    monkeypatch.setattr(baselines, "_umath_linalg", NotConverging)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        fit_cart_linear(step_data(), depth=1)
 
 
 def _random_instance(rng):

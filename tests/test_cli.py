@@ -179,6 +179,38 @@ def test_export_milp_non_finite_constant_exit_code(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name", [("export-milp", "prob.mps"),
+                                           ("train", "model.tree.json")])
+def test_box_without_zero_refused(workspace, tmp_path, capsys, command, name):
+    # Branch rows force c = 0, so c in [1, 2] left the MILP infeasible:
+    # export-milp wrote its MPS file with exit 0, and train blamed an
+    # infeasible leaf LP instead of the box.
+    ws, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"learn": {"c_bounds": [1.0, 2.0]}}')
+    out = tmp_path / name
+    assert run([command, "--config", str(cfg),
+                "--data", str(ws / "train.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: coefficient bounds [1.0, 2.0] must contain 0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, errors", [
+    ({"mpc": {"u_bounds": [0.0, 1e6]}}, []),
+    ({"plant": {"k": 1e200}}, ["error: x0=0.1: no start converged for x0=0.1"]),
+    ({"mpc": {"h": 1e6}}, ["error: x0=0.1: no start converged for x0=0.1"])],
+    ids=["u_bounds", "k", "h"])
+def test_gen_data_survives_an_overflowing_start(tmp_path, capsys, spec, errors):
+    # Each ended in an OverflowError traceback (exit 1) from the MPC sweep.
+    # A start that overflows has not converged: past a flow of 1e6 the other
+    # starts solve, and the other two specs converge from no start.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**spec, "data": {"n_train": 3, "n_test": 2}}))
+    code = run(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err.splitlines()) == (2 if errors else 0, errors)
+
+
 @pytest.mark.parametrize("command", ["export-milp", "train"])
 def test_label_only_csv_exit_code(tmp_path, capsys, command):
     # export-milp ended in a numpy traceback (exit 1) and train blamed the
@@ -363,6 +395,21 @@ def test_overflowing_leaf_refused_in_one_line(tmp_path, capsys, argv):
         assert run([a.format(d=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+
+
+def test_baseline_leaf_out_of_float_range_refused_in_one_line(tmp_path, capsys):
+    """Labels of +-1e308: the linear-leaf tree's residuals leave float range.
+    The refusal is one error line, not numpy's RuntimeWarnings or a
+    LinAlgError traceback."""
+    data = tmp_path / "huge.csv"
+    data.write_text("x,y\n0.1,1e308\n0.2,-1e308\n0.3,1e308\n0.4,-1e308\n")
+    out = tmp_path / "lintree.tree.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["baseline", "--kind", "lintree", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_predict_takes_dash_led_floats(tmp_path, capsys):

@@ -11,6 +11,7 @@ from symtree.config import load_config
 from symtree.errors import ConfigError, ParseError
 from symtree.learner import (Dataset, LearnConfig, default_y_bounds, fit_tree,
                              mean_abs_error, objective_of)
+from symtree.milp import build_milp
 from symtree.mpc import generate_dataset
 from symtree.reference import reference_model
 from symtree.tree import (Bounds, BranchRule, LeafExpression, TreeModel, predict,
@@ -423,6 +424,19 @@ def test_dataset_rejects_bad_input():
         Dataset.from_csv("y\n1\n2\n3\n")
     with pytest.raises(ConfigError, match="at least one feature column"):
         Dataset(X=np.zeros((3, 0)), y=[1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("fit", [fit_tree, build_milp])
+def test_coefficient_box_must_contain_zero(fit):
+    """A branch node's coefficients and an empty leaf's are 0. With c in
+    [1, 2], fit_tree's empty-side split left a leaf of zeros that failed
+    validate, and the MILP, whose branch rows force c = 0, had no feasible
+    point."""
+    x = np.linspace(0.2, 0.8, 6)
+    data = Dataset(X=x.reshape(-1, 1), y=3 + 0.5 * x)
+    cfg = LearnConfig(depth=1, lambda_c=0, lambda_m=0.5, c_lb=1, c_ub=2, y_lb=-10, y_ub=10)
+    with pytest.raises(ConfigError, match=r"coefficient bounds \[1, 2\] must contain 0"):
+        fit(data, basis_from_forms(["1", "x"]), cfg)
 
 
 @pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n", "x,y\n0.5,one\n",

@@ -8,7 +8,7 @@ from oracles import (all_starts_best, assert_warm_chain_matches_cold,
 
 from symtree import mpc
 from symtree.closed_loop import mpc_controller, simulate
-from symtree.errors import ConfigError
+from symtree.errors import ConfigError, ConvergenceError
 from symtree.mpc import (CON_TOL, KKT_TOL, MpcSpec, PlantSpec, generate_dataset,
                          solve_mpc, steady_state_flow)
 
@@ -424,6 +424,24 @@ def test_failed_warm_start_falls_back_to_cold_starts(monkeypatch, x0):
     assert sol.objective == cold.objective
     assert sol.kkt_residual == cold.kkt_residual
     assert sol.first_action == cold.first_action
+
+
+@pytest.mark.parametrize("x0", [0.1, 0.3, 0.6, 0.9])
+def test_overflowing_start_is_not_converged(x0):
+    """The high-flow start of 1e6 drives a state past float range ('x**3'
+    raised OverflowError out of solve_mpc); it now counts as a start that did
+    not converge, and the other starts solve."""
+    spec = MpcSpec(u_bounds=(0.0, 1e6))
+    sol = solve_mpc(spec, x0)
+    assert sol.kkt_residual <= KKT_TOL
+    assert native_violation(spec, sol) <= CON_TOL
+
+
+@pytest.mark.parametrize("spec", [MpcSpec(plant=PlantSpec(k_rate=1e200)), MpcSpec(h=1e6)],
+                         ids=["k_rate", "h"])
+def test_overflow_in_every_start_is_a_convergence_error(spec):
+    with pytest.raises(ConvergenceError, match="no start converged"):
+        solve_mpc(spec, 0.3)
 
 
 def test_warm_start_shape_rejected():
