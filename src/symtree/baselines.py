@@ -14,8 +14,8 @@ from .basis import BasisFunction, BasisSet, evaluate_basis_matrix
 from .errors import ConfigError
 from .learner import Dataset, split_thresholds
 from .lp import fit_l1
-from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, node_depth,
-                   single_leaf_model)
+from .tree import (MAX_DEPTH, Bounds, BranchRule, LeafExpression, TreeModel,
+                   node_depth, single_leaf_model)
 
 _WIDE = 1e6  # nominal coefficient/prediction bounds for unconstrained fits
 _EPS = float(np.finfo(np.float64).eps)
@@ -55,7 +55,8 @@ def _fit_line(A, y, rows):
 
 
 def _raise_lstsq(err, flag):
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
+    raise LinAlgError("least-squares leaf is not finite: its SVD did not converge "
+                      "or its values left float range")
 
 
 def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> TreeModel:
@@ -64,6 +65,8 @@ def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> Tre
     them, and a split's two side fits become its children's fits."""
     if depth < 1:
         raise ConfigError("depth must be >= 1")
+    if depth > MAX_DEPTH:
+        raise ConfigError(f"depth {depth} exceeds the maximum {MAX_DEPTH}")
     rules, leaves = {}, {}
 
     def grow(node: int, A: np.ndarray, y: np.ndarray, fit: tuple):
@@ -89,7 +92,8 @@ def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> Tre
             leaves[node] = LeafExpression(coefficients=tuple(float(v) for v in fit[0]))
 
     A, y = np.hstack([np.ones((data.n_points, 1)), data.X]), np.ascontiguousarray(data.y)
-    # lstsq's own error state, entered once: a non-converging SVD raises.
+    # lstsq's own error state, entered once: an invalid value raises, from a
+    # non-converging SVD or from a leaf fit that left float range.
     with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         grow(1, A, y, leaf_fitter(A, y, slice(None)))

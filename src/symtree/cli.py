@@ -155,10 +155,9 @@ def cmd_export_milp(args) -> int:
 def cmd_import_sol(args) -> int:
     cfg = load_config(args.config)
     data = _read_dataset(args.data)
-    art = build_milp(data, canonical_basis(), cfg.learn_config())
     with open(args.sol) as fh:
         assignments = parse_solution_text(fh.read())
-    decoded = read_solution(art, assignments)
+    decoded = read_solution(data, canonical_basis(), cfg.learn_config(), assignments)
     _write_model(args.out, decoded.model, "milp-import", cfg, data,
                  claimed_objective=decoded.claimed_objective,
                  recomputed_objective=decoded.objective)

@@ -133,6 +133,8 @@ class LearnConfig:
         # Each comparison is written so that NaN fails it.
         if not self.depth >= 1:
             raise ConfigError("depth must be >= 1")
+        if self.depth > treemod.MAX_DEPTH:
+            raise ConfigError(f"depth {self.depth} exceeds the maximum {treemod.MAX_DEPTH}")
         if not (self.lambda_c >= 0 and self.lambda_m >= 0):
             raise ConfigError("penalty weights must be nonnegative")
         if not self.c_lb < self.c_ub:

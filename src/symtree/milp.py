@@ -12,8 +12,7 @@ re-scored internally.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -37,6 +36,9 @@ INT_TOL = 1e-5
 EPS_ROUTING = 1e-4
 LE, EQ, GE = "<=", "=", ">="   # row senses
 _SPACE = ord(" ")
+#: Machine-name prefix of each variable block: z[17,5] is written Z17_5.
+_MPS = {"d": "D", "z": "Z", "a": "A", "b": "B", "c": "C", "yhat": "YH", "delta": "DL",
+        "epos": "EP", "eneg": "EN", "cpos": "CP", "cneg": "CN", "ypred": "YP"}
 
 
 @dataclass
@@ -55,11 +57,6 @@ class MilpArtifact:
     var_names: list              # structured, e.g. "z[17,5]"
     var_mps: list                # fixed-format machine names, <= 8 chars
     row_names: list
-    data: Dataset
-    basis: BasisSet
-    cfg: LearnConfig
-    y_bounds: tuple
-    index: dict = field(default_factory=dict)  # structured and mps name -> var idx
 
     @property
     def n_vars(self) -> int:
@@ -91,14 +88,6 @@ class MilpArtifact:
         """Fixed-format row names, built once per artifact."""
         return self.row_labels.tobytes().decode("ascii").split()
 
-    def var_value(self, assign: dict, i: int):
-        """Variable i's value in assign by its name or MPS name, else None."""
-        if self.var_names[i] in assign:
-            return assign[self.var_names[i]]
-        if self.var_mps[i] in assign:
-            return assign[self.var_mps[i]]
-        return None
-
 
 def node_sets(depth: int):
     """(all nodes, terminal nodes, internal nodes) for the complete tree."""
@@ -129,21 +118,6 @@ def expected_counts(n_data: int, n_features: int, depth: int, n_basis: int):
         + n_data + n_basis * nn              # absolute-value splits
     )
     return binaries + continuous, binaries, rows
-
-
-def _name_index(var_names: list, var_mps: list) -> dict:
-    """Structured and machine name -> variable index. Refuses a machine name
-    wider than fixed-format MPS allows and a name given twice."""
-    if max(map(len, var_mps)) > 8:
-        wide = next(mps for mps in var_mps if len(mps) > 8)
-        raise ConfigError(f"machine name {wide!r} exceeds fixed-format width")
-    keys = [None] * (2 * len(var_mps))
-    keys[::2], keys[1::2] = var_names, var_mps
-    index = dict(zip(keys, np.arange(len(var_mps)).repeat(2).tolist()))
-    if len(index) != len(keys):
-        dup = next(k for k, count in Counter(keys).items() if count > 1)
-        raise ConfigError(f"duplicate variable name {dup!r}")
-    return index
 
 
 def _rows(names, sense, rhs, cols, vals):
@@ -209,27 +183,29 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
 
     var_names, var_mps, blocks = [], [], []   # blocks: (integrality, lo, hi, size)
 
-    def block(name, mps, kind, lo, hi, *axes):
+    def block(name, kind, lo, hi, *axes):
         subs = [list(map(str, axis)) for axis in axes]
         start = len(var_names)
         var_names.extend([f"{name}[{k}]" for k in map(",".join, product(*subs))])
-        var_mps.extend([mps + k for k in map("_".join, product(*subs))])
+        var_mps.extend([_MPS[name] + k for k in map("_".join, product(*subs))])
         blocks.append((kind, lo, hi, len(var_names) - start))
         return np.arange(start, len(var_names)).reshape([len(axis) for axis in axes])
 
-    d = block("d", "D", BINARY, 0.0, 1.0, nn)
-    z = block("z", "Z", BINARY, 0.0, 1.0, points, nn)
-    a = block("a", "A", BINARY, 0.0, 1.0, features, internal)
-    b = block("b", "B", CONTINUOUS, b_lo, b_hi, internal)
-    c = block("c", "C", CONTINUOUS, cfg.c_lb, cfg.c_ub, funcs, nn)
-    yhat = block("yhat", "YH", CONTINUOUS, -np.inf, np.inf, points, nn)
-    delta = block("delta", "DL", CONTINUOUS, d_lb, d_ub, points, nn)
-    epos = block("epos", "EP", CONTINUOUS, 0.0, np.inf, points)
-    eneg = block("eneg", "EN", CONTINUOUS, 0.0, np.inf, points)
-    cpos = block("cpos", "CP", CONTINUOUS, 0.0, np.inf, funcs, nn)
-    cneg = block("cneg", "CN", CONTINUOUS, 0.0, np.inf, funcs, nn)
-    ypred = block("ypred", "YP", CONTINUOUS, y_lb, y_ub, points)
-    index = _name_index(var_names, var_mps)
+    d = block("d", BINARY, 0.0, 1.0, nn)
+    z = block("z", BINARY, 0.0, 1.0, points, nn)
+    a = block("a", BINARY, 0.0, 1.0, features, internal)
+    b = block("b", CONTINUOUS, b_lo, b_hi, internal)
+    c = block("c", CONTINUOUS, cfg.c_lb, cfg.c_ub, funcs, nn)
+    yhat = block("yhat", CONTINUOUS, -np.inf, np.inf, points, nn)
+    delta = block("delta", CONTINUOUS, d_lb, d_ub, points, nn)
+    epos = block("epos", CONTINUOUS, 0.0, np.inf, points)
+    eneg = block("eneg", CONTINUOUS, 0.0, np.inf, points)
+    cpos = block("cpos", CONTINUOUS, 0.0, np.inf, funcs, nn)
+    cneg = block("cneg", CONTINUOUS, 0.0, np.inf, funcs, nn)
+    ypred = block("ypred", CONTINUOUS, y_lb, y_ub, points)
+    if max(map(len, var_mps)) > 8:
+        wide = next(mps for mps in var_mps if len(mps) > 8)
+        raise ConfigError(f"machine name {wide!r} exceeds fixed-format width")
 
     n_int = len(internal)
     point_nodes = [(i, n) for i in points for n in nn]
@@ -302,8 +278,7 @@ def build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArtifact
     integrality, lo, hi = (np.repeat(v, sizes) for v in bounds)
     return MilpArtifact(cost=cost, A=A, row_lo=np.concatenate(row_lo),
                         row_hi=np.concatenate(row_hi), lo=lo, hi=hi, integrality=integrality,
-                        var_names=var_names, var_mps=var_mps, row_names=row_names,
-                        data=data, basis=basis, cfg=cfg, y_bounds=(y_lb, y_ub), index=index)
+                        var_names=var_names, var_mps=var_mps, row_names=row_names)
 
 
 def _fmt12(values: list) -> list:
@@ -486,17 +461,30 @@ class DecodedSolution:
     claimed_objective: float    # as provided by the solver, or None
 
 
-def _binary(art: MilpArtifact, assign: dict, name: str) -> int:
-    v = art.var_value(assign, art.index[name])
+def _value(assign: dict, name: str, *subs):
+    """Variable name[subs]'s value in assign under its structured name, else
+    under its machine name, else None."""
+    structured = f"{name}[{','.join(map(str, subs))}]"
+    if structured in assign:
+        return assign[structured]
+    return assign.get(_MPS[name] + "_".join(map(str, subs)))
+
+
+def _binary(assign: dict, name: str, *subs) -> int:
+    v = _value(assign, name, *subs)
+    label = f"{name}[{','.join(map(str, subs))}]"
     if v is None:
-        raise StructureError(f"assignment missing binary {name}")
-    if abs(v - round(v)) > INT_TOL:
-        raise IntegralityError(f"{name} = {v!r} is not within {INT_TOL:g} of binary")
+        raise StructureError(f"assignment missing binary {label}")
+    if min(abs(v), abs(v - 1.0)) > INT_TOL:
+        raise IntegralityError(f"{label} = {v!r} is not within {INT_TOL:g} of 0 or 1")
     return int(round(v))
 
 
-def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
-    """Decode an external assignment into a TreeModel and re-score it.
+def read_solution(data: Dataset, basis: BasisSet, cfg: LearnConfig,
+                  assignments: dict) -> DecodedSolution:
+    """Decode an external assignment to the MILP of (data, basis, cfg) into a
+    TreeModel and re-score it. Each variable is looked up by its structured
+    name, else by its machine name; the MILP itself is not built.
 
     Branches are the nodes with d = 1, leaves their children that do not
     branch, and each point's z selects one leaf. Thresholds come from the
@@ -504,9 +492,11 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
     tolerance: a b on a data value would send that point the other way.
     Missing leaf coefficients are refitted. The decoded tree must route
     every point to its z leaf."""
-    cfg, data = art.cfg, art.data
+    cfg.check()
+    y_bounds = cfg.resolved_y_bounds(data.y)
+    Phi = evaluate_basis_matrix(basis, data.X)
     nn = range(1, 2 ** (cfg.depth + 1))
-    branch_ids = {n for n in nn if _binary(art, assignments, f"d[{n}]")}
+    branch_ids = {n for n in nn if _binary(assignments, "d", n)}
     leaf_ids = {n for n in nn[1:] if n // 2 in branch_ids and n not in branch_ids}
     shape = _shape_violations(cfg.depth, branch_ids, leaf_ids)
     if shape:
@@ -515,7 +505,7 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
     # Leaf of each data point from z, and the points on each side of a branch.
     assigned, sides = {}, {m: ([], []) for m in branch_ids}
     for i in range(1, data.n_points + 1):
-        hits = [n for n in nn if _binary(art, assignments, f"z[{i},{n}]")]
+        hits = [n for n in nn if _binary(assignments, "z", i, n)]
         if len(hits) != 1 or hits[0] not in leaf_ids:
             raise StructureError(f"data point {i} selects nodes {hits}, not one leaf")
         assigned[i] = n = hits[0]
@@ -525,28 +515,26 @@ def read_solution(art: MilpArtifact, assignments: dict) -> DecodedSolution:
     rules = {}
     for m in sorted(branch_ids):
         hot = [f for f in range(1, data.n_features + 1)
-               if _binary(art, assignments, f"a[{f},{m}]")]
+               if _binary(assignments, "a", f, m)]
         if len(hot) != 1:
             raise StructureError(f"branch node {m} selects {len(hot)} features")
         f = hot[0] - 1
         rules[m] = BranchRule(feature=f, threshold=_threshold(
             *(data.X[side, f].tolist() for side in sides[m])))
 
-    Phi = evaluate_basis_matrix(art.basis, data.X)
     leaves = {}
     for n in sorted(leaf_ids):
-        coeffs = [art.var_value(assignments, art.index[f"c[{k},{n}]"])
-                  for k in range(1, art.basis.size + 1)]
+        coeffs = [_value(assignments, "c", k, n) for k in range(1, basis.size + 1)]
         if any(v is None for v in coeffs):
             idx = [i - 1 for i in range(1, data.n_points + 1) if assigned[i] == n]
             coeffs, _ = fit_l1(Phi[idx], data.y[idx], 1.0 / data.n_points,
                                cfg.lambda_m, (cfg.c_lb, cfg.c_ub),
-                               y_bounds=art.y_bounds)
+                               y_bounds=y_bounds)
         leaves[n] = LeafExpression(coefficients=tuple(float(v) for v in coeffs))
 
     model = TreeModel(
-        depth=cfg.depth, rules=rules, leaves=leaves, basis=art.basis,
-        bounds=Bounds(cfg.c_lb, cfg.c_ub, art.y_bounds[0], art.y_bounds[1]),
+        depth=cfg.depth, rules=rules, leaves=leaves, basis=basis,
+        bounds=Bounds(cfg.c_lb, cfg.c_ub, y_bounds[0], y_bounds[1]),
     )
     for i, n in assigned.items():
         reached = route(model, data.X[i - 1])

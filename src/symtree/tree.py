@@ -22,6 +22,9 @@ from .errors import DimensionError, DomainError, ModelInvalidError, ParseError
 BRANCH = "branch"
 LEAF = "leaf"
 INACTIVE = "inactive"
+#: Largest depth cap: a model file lists all 2^(D+1) - 1 node ids, at most
+#: 131 071 here.
+MAX_DEPTH = 16
 
 
 class Bounds(NamedTuple):
@@ -228,6 +231,8 @@ def deserialize(text: str) -> TreeModel:
     depth = _require(doc, "depth", int, "root")
     if depth < 0:
         raise ParseError(f"root: depth {depth} is negative")
+    if depth > MAX_DEPTH:
+        raise ParseError(f"root: depth {depth} exceeds the maximum {MAX_DEPTH}")
     bdoc = _require(doc, "bounds", dict, "root")
     bounds = Bounds(*(_require(bdoc, k, float, "bounds") for k in Bounds._fields))
     # +-Infinity is a box a config may ask for; NaN would turn validate's

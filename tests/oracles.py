@@ -233,8 +233,9 @@ def exhaustive_fit_tree(data, basis, cfg):
 
 
 def assignment_vector(art, assign):
-    """The assignment as a point x, with 0 for every variable it omits."""
-    values = (art.var_value(assign, i) for i in range(art.n_vars))
+    """The assignment as a point x, each variable read by its structured name,
+    else its machine name, with 0 for every variable it omits."""
+    values = (assign.get(name, assign.get(mps)) for name, mps in zip(art.var_names, art.var_mps))
     return np.array([0.0 if v is None else float(v) for v in values])
 
 
@@ -515,14 +516,13 @@ def loop_build_milp(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> MilpArt
     var_names, var_mps, integrality, lo, hi = map(list, zip(*variables))
     return MilpArtifact(cost=cost, A=A, row_lo=np.array(row_lo), row_hi=np.array(row_hi),
                         lo=np.array(lo), hi=np.array(hi), integrality=np.array(integrality),
-                        var_names=var_names, var_mps=var_mps, row_names=row_names,
-                        data=data, basis=basis, cfg=cfg, y_bounds=(y_lb, y_ub), index=index)
+                        var_names=var_names, var_mps=var_mps, row_names=row_names)
 
 
-def milp_optimum_depth1(art):
-    """Exhaustive binary enumeration + LP; depth-1, one feature only."""
-    idx = art.index
-    n_pts = art.data.n_points
+def milp_optimum_depth1(art, n_pts):
+    """Exhaustive binary enumeration + LP over n_pts points; depth-1, one
+    feature only."""
+    idx = {name: i for i, name in enumerate(art.var_names)}
     best = None
     for leaves in itertools.product([2, 3], repeat=n_pts):
         fixed = {idx["d[1]"]: 1.0, idx["d[2]"]: 0.0, idx["d[3]"]: 0.0,
@@ -536,9 +536,8 @@ def milp_optimum_depth1(art):
     return best
 
 
-def embed_model(art, model):
-    """Full MILP assignment realizing a tree model on the artifact's data."""
-    data, cfg, basis = art.data, art.cfg, art.basis
+def embed_model(data, basis, cfg, model):
+    """Full MILP assignment realizing a tree model on the data."""
     Phi = evaluate_basis_matrix(basis, data.X)
     nn, _, internal = milp.node_sets(cfg.depth)
     K = basis.size

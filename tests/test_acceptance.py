@@ -129,7 +129,7 @@ def test_criterion_2_learner_oracle_equivalence(capsys):
         rep = fit_tree(data, basis_from_forms(forms), cfg)
         bf = brute_force_depth1(data, basis_from_forms(forms), cfg)
         milp_opt = milp_optimum_depth1(
-            build_milp(data, basis_from_forms(forms), cfg))
+            build_milp(data, basis_from_forms(forms), cfg), n)
         worst_bf = max(worst_bf, abs(rep.objective - bf))
         worst_milp = max(worst_milp, abs(rep.objective - milp_opt))
     elapsed = time.perf_counter() - t0

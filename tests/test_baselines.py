@@ -104,6 +104,14 @@ def test_depth_must_be_positive():
         fit_cart_constant(step_data(), depth=0)
 
 
+@pytest.mark.parametrize("fit", [fit_cart_constant, fit_cart_linear])
+def test_depth_past_cap_refused(fit):
+    """A model file lists every node id of its depth cap, so a tree deeper
+    than MAX_DEPTH is refused before it is grown, not when it is written."""
+    with pytest.raises(ConfigError, match="depth 17 exceeds the maximum 16"):
+        fit(step_data(), depth=17)
+
+
 def test_lstsq_that_does_not_converge_raises(monkeypatch):
     """The least-squares gufunc signals an SVD that did not converge through
     the invalid flag; the one errstate around the growth turns that into
@@ -116,6 +124,14 @@ def test_lstsq_that_does_not_converge_raises(monkeypatch):
     monkeypatch.setattr(baselines, "_umath_linalg", NotConverging)
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         fit_cart_linear(step_data(), depth=1)
+
+
+def test_lstsq_leaf_past_float_range_raises():
+    """Labels of +-1e308 converge in the SVD, but the residual y - A @ coef
+    leaves float range; the same errstate raises, and says so."""
+    data = Dataset(X=[[0.1], [0.2], [0.3], [0.4]], y=[1e308, -1e308, 1e308, -1e308])
+    with pytest.raises(np.linalg.LinAlgError, match="its values left float range"):
+        fit_cart_linear(data, depth=1)
 
 
 def _random_instance(rng):

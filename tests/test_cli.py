@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from symtree import mpc
+from symtree import cli, mpc
 from symtree.basis import basis_from_forms
 from symtree.cli import run
 from symtree.config import DEFAULTS, load_config
@@ -223,11 +223,10 @@ def test_label_only_csv_exit_code(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_import_solution_round_trip(workspace):
-    ws, cfg = workspace
+def _write_solution(ws, cfg):
+    """The trained model's binaries and thresholds as a solution file."""
     model = deserialize((ws / "model.tree.json").read_text())
-    from symtree.basis import canonical_basis
-    from symtree.milp import build_milp, node_sets
+    from symtree.milp import node_sets
     from symtree.tree import BRANCH, route
 
     data = Dataset.from_csv((ws / "train.csv").read_text())
@@ -246,6 +245,12 @@ def test_import_solution_round_trip(workspace):
             lines.append(f"z[{i},{n}] {1 if n == leaf else 0}")
     sol = ws / "fit.sol"
     sol.write_text("\n".join(lines) + "\n")
+    return sol
+
+
+def test_import_solution_round_trip(workspace):
+    ws, cfg = workspace
+    sol = _write_solution(ws, cfg)
     out = ws / "imported.tree.json"
     assert run(["import-sol", "--config", str(cfg), "--data",
                 str(ws / "train.csv"), "--sol", str(sol),
@@ -254,6 +259,39 @@ def test_import_solution_round_trip(workspace):
     own = json.loads((ws / "model.report.json").read_text())
     assert report["recomputed_objective"] == pytest.approx(own["objective"],
                                                            abs=1e-8)
+
+
+def test_import_sol_builds_no_milp(workspace, tmp_path, monkeypatch):
+    """import-sol decodes from the data, basis and config alone: with
+    build_milp refusing every call, it writes the same model and report."""
+    ws, cfg = workspace
+    argv = ["import-sol", "--config", str(cfg), "--data", str(ws / "train.csv"),
+            "--sol", str(_write_solution(ws, cfg)), "--out"]
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+    assert run(argv + [str(tmp_path / "a" / "imported.tree.json")]) == 0
+
+    def no_milp(*args):
+        raise AssertionError("import-sol built the MILP")
+    monkeypatch.setattr(cli, "build_milp", no_milp)
+    assert run(argv + [str(tmp_path / "b" / "imported.tree.json")]) == 0
+    for name in ("imported.tree.json", "imported.report.json"):
+        assert (tmp_path / "b" / name).read_text() == (tmp_path / "a" / name).read_text()
+
+
+@pytest.mark.parametrize("command", [["train"], ["baseline", "--kind", "cart"]],
+                         ids=["train", "baseline"])
+def test_depth_past_cap_exit_code(workspace, tmp_path, capsys, command):
+    """A depth cap whose model file would list more node ids than MAX_DEPTH
+    allows is refused before any fit, and nothing is written."""
+    ws, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"learn": {"depth": 17}}))
+    out = tmp_path / "m.tree.json"
+    assert run(command + ["--config", str(cfg), "--data", str(ws / "train.csv"),
+                          "--out", str(out)]) == 2
+    assert "depth 17 exceeds the maximum 16" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_constant_controller(workspace):
@@ -530,7 +568,9 @@ def test_defaults_document_shape():
 
 
 @pytest.mark.parametrize("change, match", [
-    ({"depth": 60}, "missing ids"), ({"depth": -1}, "depth -1 is negative"),
+    ({"depth": 60}, "depth 60 exceeds the maximum 16"),
+    ({"depth": 20_000}, "depth 20000 exceeds the maximum 16"),
+    ({"depth": -1}, "depth -1 is negative"),
     ({"coeffs": ["a"]}, "node 4: coefficients must be numbers"),
     ({"coeffs": [6.241]}, "node 4: 1 coefficients for 19 basis functions"),
     ({"coeffs": [float("inf")] * 19}, "node 4: coefficients must be finite"),
@@ -539,7 +579,7 @@ def test_defaults_document_shape():
     ({"basis": [1] * 19}, "basis form 1 is not a string"),
     ({"bounds": {"c_lb": float("nan")}}, "bounds: field 'c_lb' is NaN"),
     ({"bounds": {"c_lb": 5.0, "c_ub": -5.0}}, "bounds: c_lb 5.0 exceeds c_ub -5.0")],
-    ids=["depth-60", "depth-negative", "coeff-string", "coeff-count", "coeff-inf",
+    ids=["depth-60", "depth-20000", "depth-negative", "coeff-string", "coeff-count", "coeff-inf",
          "threshold-nan", "leaf-over-leaves", "basis-non-string", "bound-nan",
          "bound-crossed"])
 def test_malformed_model_file_exit_code(workspace, tmp_path, capsys, change, match):

@@ -11,11 +11,11 @@ from symtree.config import load_config
 from symtree.errors import ConfigError, ParseError
 from symtree.learner import (Dataset, LearnConfig, default_y_bounds, fit_tree,
                              mean_abs_error, objective_of)
-from symtree.milp import build_milp
+from symtree.milp import build_milp, read_solution
 from symtree.mpc import generate_dataset
 from symtree.reference import reference_model
-from symtree.tree import (Bounds, BranchRule, LeafExpression, TreeModel, predict,
-                          route, serialize, validate)
+from symtree.tree import (MAX_DEPTH, Bounds, BranchRule, LeafExpression, TreeModel,
+                          predict, route, serialize, validate)
 
 
 def random_instance(rng):
@@ -426,12 +426,22 @@ def test_dataset_rejects_bad_input():
         Dataset(X=np.zeros((3, 0)), y=[1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("fit", [fit_tree, build_milp])
+def test_depth_past_cap_refused():
+    """A model file lists every node id of its depth cap: 131 071 at
+    MAX_DEPTH = 16. A deeper cap is refused by the config check."""
+    LearnConfig(depth=MAX_DEPTH).check()
+    with pytest.raises(ConfigError, match="depth 17 exceeds the maximum 16"):
+        LearnConfig(depth=17).check()
+
+
+@pytest.mark.parametrize("fit", [
+    fit_tree, build_milp,
+    pytest.param(functools.partial(read_solution, assignments={}), id="read_solution")])
 def test_coefficient_box_must_contain_zero(fit):
     """A branch node's coefficients and an empty leaf's are 0. With c in
     [1, 2], fit_tree's empty-side split left a leaf of zeros that failed
     validate, and the MILP, whose branch rows force c = 0, had no feasible
-    point."""
+    point; the decoder, which builds no MILP, refuses the box too."""
     x = np.linspace(0.2, 0.8, 6)
     data = Dataset(X=x.reshape(-1, 1), y=3 + 0.5 * x)
     cfg = LearnConfig(depth=1, lambda_c=0, lambda_m=0.5, c_lb=1, c_ub=2, y_lb=-10, y_ub=10)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,14 +80,14 @@ def test_constants_derived_from_data():
         cfg = LearnConfig(depth=1)
         art = build_milp(data, basis_from_forms(["1"]), cfg)
         s_lo, s_hi = min(0.0, np.min(X)), max(0.0, np.max(X))
-        b = art.index["b[1]"]
+        b = art.var_names.index("b[1]")
         assert (art.lo[b], art.hi[b]) == (s_lo - 1.0, s_hi + 1.0)
         # The routing sum is one coordinate of x, or 0 when the node does not branch.
         worst = max(abs(v - t) for v in (s_lo, s_hi) for t in (art.lo[b], art.hi[b]))
         for i, (side, leaf, sign) in itertools.product((1, 2), (("left", 2, 1),
                                                               ("right", 3, -1))):
             r = art.row_names.index(f"route_{side}[{i},{leaf},1]")
-            M = sign * art.A[r, art.index[f"z[{i},{leaf}]"]]
+            M = sign * art.A[r, art.var_names.index(f"z[{i},{leaf}]")]
             assert M == pytest.approx(worst + milp.EPS_ROUTING, abs=1e-12)
 
 
@@ -161,15 +162,6 @@ def test_machine_name_width_refused_before_rows(monkeypatch):
         build_milp(data, basis, cfg)
 
 
-def test_duplicate_variable_name_refused():
-    assert milp._name_index(["x[1]", "x[2]"], ["X1", "X2"]) == \
-        {"x[1]": 0, "X1": 0, "x[2]": 1, "X2": 1}
-    with pytest.raises(ConfigError, match="duplicate variable name 'X1'"):
-        milp._name_index(["x[1]", "x[2]"], ["X1", "X1"])
-    with pytest.raises(ConfigError, match="duplicate variable name 'x\\[1\\]'"):
-        milp._name_index(["x[1]", "x[1]"], ["X1", "X2"])
-
-
 def test_row_names_built_once(tmp_path):
     """write_mps reads the row names twice (MPS text and sidecar); both see
     the one list the artifact built."""
@@ -183,8 +175,8 @@ def test_row_names_built_once(tmp_path):
 
 
 def assert_same_artifact(got, want):
-    """Every array, name list and name map of two artifacts, and their MPS
-    text, equal exactly (dtypes, and the sign of every zero, included)."""
+    """Every array and name list of two artifacts, and their MPS text, equal
+    exactly (dtypes, and the sign of every zero, included)."""
     for key in ("indptr", "indices", "data"):
         g, w = getattr(got.A, key), getattr(want.A, key)
         assert g.dtype == w.dtype and np.array_equal(g, w), key
@@ -193,9 +185,8 @@ def assert_same_artifact(got, want):
         g, w = getattr(got, key), getattr(want, key)
         assert g.dtype == w.dtype and np.array_equal(g, w), key
         assert np.array_equal(np.signbit(g), np.signbit(w)), key
-    for key in ("var_names", "var_mps", "row_names", "index", "y_bounds"):
+    for key in ("var_names", "var_mps", "row_names"):
         assert getattr(got, key) == getattr(want, key), key
-    assert list(got.index) == list(want.index)
     assert mps_text(got) == mps_text(want)
 
 
@@ -251,7 +242,7 @@ def test_fitted_tree_embeds_feasibly():
         cfg = LearnConfig(depth=depth)
         art = build_milp(data, basis, cfg)
         rep = fit_tree(data, basis, cfg)
-        assign = embed_model(art, rep.model)
+        assign = embed_model(data, basis, cfg, rep.model)
         assert max_violation(art, assign) <= 1e-9, (lo, hi, depth)
         assert objective_value(art, assign) == pytest.approx(rep.objective, abs=1e-8)
 
@@ -276,7 +267,7 @@ def test_cross_solver_consistency():
         basis = basis_from_forms(["1", "x"][: int(rng.integers(1, 3))])
         cfg = LearnConfig(depth=1, lambda_m=float(rng.choice([0.0, 1e-2])))
         art = build_milp(data, basis, cfg)
-        ref = milp_optimum_depth1(art)
+        ref = milp_optimum_depth1(art, n)
         rep = fit_tree(data, basis, cfg)
         assert rep.objective == pytest.approx(ref, abs=1e-6), f"trial {trial}"
 
@@ -287,69 +278,96 @@ def test_read_solution_round_trip():
                    y=rng.uniform(-1, 1, 6))
     basis = basis_from_forms(["1", "x"])
     cfg = LearnConfig(depth=2)
-    art = build_milp(data, basis, cfg)
     rep = fit_tree(data, basis, cfg)
-    assign = embed_model(art, rep.model)
-    decoded = read_solution(art, assign)
+    assign = embed_model(data, basis, cfg, rep.model)
+    decoded = read_solution(data, basis, cfg, assign)
     assert validate(decoded.model) == []
     assert decoded.objective == pytest.approx(rep.objective, abs=1e-8)
     # binaries only: coefficients must be refitted
     binaries = {k: v for k, v in assign.items()
                 if k.split("[")[0] in ("d", "z", "a")}
-    decoded2 = read_solution(art, binaries)
+    decoded2 = read_solution(data, basis, cfg, binaries)
     assert validate(decoded2.model) == []
     assert decoded2.objective == pytest.approx(rep.objective, abs=1e-8)
 
 
-def test_read_solution_rejects_leaf_root():
-    data, basis, cfg = tiny_instance()
+def test_read_solution_reads_structured_then_machine_names():
+    """Each variable is read under its structured name, else under its
+    machine name: a solution keyed either way, or half and half, decodes to
+    one model. Where both names of a variable are given, the structured one
+    wins, over machine values that would be refused or change the leaves."""
+    rng = np.random.default_rng(89)
+    data = Dataset(X=np.round(rng.uniform(0.2, 1.0, (6, 1)), 2),
+                   y=rng.uniform(-1, 1, 6))
+    basis, cfg = basis_from_forms(["1", "x"]), LearnConfig(depth=2)
     art = build_milp(data, basis, cfg)
+    structured = embed_model(data, basis, cfg, fit_tree(data, basis, cfg).model)
+    names = list(zip(art.var_names, art.var_mps))
+    assert {name for name, _ in names} == set(structured)
+    by_mps = {mps: structured[name] for name, mps in names}
+    mixed = {(mps if j % 2 else name): structured[name] for j, (name, mps) in enumerate(names)}
+    shadowed = {mps: 0.5 if kind == BINARY else 7.0
+                for (_, mps), kind in zip(names, art.integrality)}
+    want = read_solution(data, basis, cfg, structured)
+    for assign in (by_mps, mixed, {**shadowed, **structured}):
+        got = read_solution(data, basis, cfg, assign)
+        assert (got.model, got.objective) == (want.model, want.objective)
+
+
+def test_read_solution_rejects_leaf_root():
     assign = {"d[1]": 0.0, "d[2]": 0.0, "d[3]": 0.0}
     with pytest.raises(StructureError):
-        read_solution(art, assign)
+        read_solution(*tiny_instance(), assign)
 
 
 def test_read_solution_rejects_fractional_binary():
-    data, basis, cfg = tiny_instance()
-    art = build_milp(data, basis, cfg)
     assign = {"d[1]": 0.4, "d[2]": 0.0, "d[3]": 0.0}
     with pytest.raises(IntegralityError):
-        read_solution(art, assign)
+        read_solution(*tiny_instance(), assign)
+
+
+@pytest.mark.parametrize("name, value", [("d[1]", 2.0), ("a[1,1]", 5.0), ("z[1,2]", 3.0),
+                                         ("d[2]", -1.0)])
+def test_read_solution_rejects_binary_outside_zero_one(name, value):
+    """An integral value other than 0 or 1 is no binary. d[1] = 2, a[1,1] = 5
+    or a z of 3 once decoded to a split without complaint."""
+    problem, assign = _three_point_split([2, 3, 3])
+    assert read_solution(*problem, assign).model.rules[1].threshold == pytest.approx(0.4)
+    assign[name] = value
+    with pytest.raises(IntegralityError, match=re.escape(f"{name} = {value!r} is not within")):
+        read_solution(*problem, assign)
 
 
 def test_read_solution_missing_binary():
-    data, basis, cfg = tiny_instance()
-    art = build_milp(data, basis, cfg)
     with pytest.raises(StructureError):
-        read_solution(art, {"d[1]": 1.0})
+        read_solution(*tiny_instance(), {"d[1]": 1.0})
 
 
 def _three_point_split(leaf_of):
     """Depth 1, basis {"1"}, x = 0.3, 0.7, 0.5, node 1 split on the one
     feature, and point i's z set on node leaf_of[i - 1]."""
     data = Dataset(X=[[0.3], [0.7], [0.5]], y=[0.0, 1.0, 1.0])
-    art = build_milp(data, basis_from_forms(["1"]), LearnConfig(depth=1))
     assign = {"d[1]": 1.0, "d[2]": 0.0, "d[3]": 0.0, "a[1,1]": 1.0}
     for i, leaf in enumerate(leaf_of, start=1):
         assign.update({f"z[{i},{n}]": float(n == leaf) for n in (1, 2, 3)})
-    return art, assign
+    return (data, basis_from_forms(["1"]), LearnConfig(depth=1)), assign
 
 
 def test_read_solution_refuses_point_on_branch():
     """A point whose z selects the branch node would drop out of every leaf fit."""
-    art, assign = _three_point_split([2, 3, 1])
+    problem, assign = _three_point_split([2, 3, 1])
     with pytest.raises(StructureError, match=r"data point 3 selects nodes \[1\]"):
-        read_solution(art, assign)
+        read_solution(*problem, assign)
 
 
 def test_read_solution_refuses_unroutable_assignment():
     """0.7 and 0.5 sent left and 0.3 right: no threshold on x does that, so the
     decoded tree would route the points otherwise than z."""
-    art, assign = _three_point_split([3, 2, 2])
+    problem, assign = _three_point_split([3, 2, 2])
     with pytest.raises(StructureError, match="data point 1 is assigned to leaf 3"):
-        read_solution(art, assign)
-    art, assign = _three_point_split([2, 3, 2])
-    assert read_solution(art, assign).model.rules[1].threshold == pytest.approx(0.6)
+        read_solution(*problem, assign)
+    problem, assign = _three_point_split([2, 3, 2])
+    assert read_solution(*problem, assign).model.rules[1].threshold == pytest.approx(0.6)
 
 
 def test_read_solution_decodes_split_between_adjacent_floats():
@@ -359,8 +377,7 @@ def test_read_solution_decodes_split_between_adjacent_floats():
     data = Dataset(X=[[1.0], [np.nextafter(1.0, 2.0)]], y=[0.0, 1.0])
     basis, cfg = basis_from_forms(["1"]), LearnConfig(depth=1, lambda_c=0.0)
     model = fit_tree(data, basis, cfg).model
-    art = build_milp(data, basis, cfg)
-    decoded = read_solution(art, embed_model(art, model)).model
+    decoded = read_solution(data, basis, cfg, embed_model(data, basis, cfg, model)).model
     assert decoded.rules == model.rules
     assert [route(decoded, x) for x in data.X] == [2, 3]
 
@@ -369,14 +386,13 @@ def test_all_zero_solution_objective():
     data = Dataset(X=[[0.3], [0.7]], y=[0.0, 0.0])
     basis = basis_from_forms(["1"])
     cfg = LearnConfig(depth=1, lambda_c=1e-2, y_lb=-1.0, y_ub=1.0)
-    art = build_milp(data, basis, cfg)
     assign = {"d[1]": 1.0, "d[2]": 0.0, "d[3]": 0.0, "a[1,1]": 1.0,
               "b[1]": 0.5,
               "z[1,1]": 0.0, "z[1,2]": 1.0, "z[1,3]": 0.0,
               "z[2,1]": 0.0, "z[2,2]": 0.0, "z[2,3]": 1.0}
     for n in (1, 2, 3):
         assign[f"c[1,{n}]"] = 0.0
-    decoded = read_solution(art, assign)
+    decoded = read_solution(data, basis, cfg, assign)
     assert decoded.objective == pytest.approx(cfg.lambda_c, abs=1e-12)
 
 
@@ -452,9 +468,9 @@ def _pinned_instances():
     data = Dataset(X=np.round(rng.uniform(-2, 1.5, (6, 2)), 2),
                    y=np.round(rng.uniform(-1, 1, 6), 2))
     art = build_milp(data, basis_from_forms(["1", "x", "x@1"]), LearnConfig(depth=3))
-    art.lo[art.index["ypred[1]"]] = -np.inf
-    art.hi[art.index["ypred[2]"]] = 0.0
-    art.hi[art.index["ypred[3]"]] = -0.0
+    art.lo[art.var_names.index("ypred[1]")] = -np.inf
+    art.hi[art.var_names.index("ypred[2]")] = 0.0
+    art.hi[art.var_names.index("ypred[3]")] = -0.0
     yield "negative", art
 
 
@@ -575,10 +591,10 @@ def test_highs_solves_exported_arrays():
         assert res.status == 0, res.message
         rep = fit_tree(data, basis, cfg)
         assert res.fun == pytest.approx(rep.objective, abs=1e-9)
-        decoded = read_solution(art, dict(zip(art.var_names, res.x)))
+        decoded = read_solution(data, basis, cfg, dict(zip(art.var_names, res.x)))
         assert validate(decoded.model) == []
         assert decoded.objective == pytest.approx(rep.objective, abs=1e-9)
-        by_mps = read_solution(art, dict(zip(art.var_mps, res.x)))
+        by_mps = read_solution(data, basis, cfg, dict(zip(art.var_mps, res.x)))
         assert (by_mps.model, by_mps.objective) == (decoded.model, decoded.objective)
 
 

@@ -355,11 +355,15 @@ def test_deserialize_missing_node_one():
         deserialize(json.dumps(doc))
 
 
-@pytest.mark.parametrize("depth, match", [(60, r"missing ids \d+ of 1\.\.\d+"),
+@pytest.mark.parametrize("depth, match", [(16, r"missing ids \d+ of 1\.\.\d+"),
+                                          (60, "depth 60 exceeds the maximum 16"),
+                                          (20_000, "depth 20000 exceeds the maximum 16"),
                                           (-1, "depth -1 is negative")],
-                         ids=["depth-60", "depth-negative"])
+                         ids=["depth-16", "depth-60", "depth-20000", "depth-negative"])
 def test_deserialize_rejects_depth_not_matching_nodes(depth, match):
-    # Depth 60 must be refused from the node count, without listing 2^61 ids.
+    # Depth 16 must be refused from the node count, without listing 131 071
+    # ids; a deeper cap before 2^(depth + 1) is computed, which from depth
+    # 14 284 on has too many digits for int-to-str conversion.
     doc = json.loads(serialize(depth1_model()))
     doc["depth"] = depth
     with pytest.raises(ParseError, match=match):
