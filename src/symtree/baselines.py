@@ -11,11 +11,10 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .basis import BasisFunction, BasisSet, evaluate_basis_matrix
-from .errors import ConfigError
-from .learner import Dataset, split_thresholds
+from .learner import Dataset, LearnConfig, split_thresholds
 from .lp import fit_l1
-from .tree import (MAX_DEPTH, Bounds, BranchRule, LeafExpression, TreeModel,
-                   node_depth, single_leaf_model)
+from .tree import (Bounds, BranchRule, LeafExpression, TreeModel, node_depth,
+                   single_leaf_model)
 
 _WIDE = 1e6  # nominal coefficient/prediction bounds for unconstrained fits
 _EPS = float(np.finfo(np.float64).eps)
@@ -49,7 +48,7 @@ def _fit_line(A, y, rows):
         d = y - A @ coef
         return coef, float(d @ d)
     c = np.zeros(A.shape[1])
-    c[0] = float(y.sum()) / len(y) if len(y) else 0.0
+    c[0] = float(y.sum()) / len(y)
     d = y - c[0]
     return c, float(d @ d)
 
@@ -63,10 +62,7 @@ def _greedy_tree(data: Dataset, depth: int, leaf_fitter, basis: BasisSet) -> Tre
     """Grow on the rows of one [1, X] matrix: a node holds its own rows and
     labels, each threshold between two distinct values is one mask over
     them, and a split's two side fits become its children's fits."""
-    if depth < 1:
-        raise ConfigError("depth must be >= 1")
-    if depth > MAX_DEPTH:
-        raise ConfigError(f"depth {depth} exceeds the maximum {MAX_DEPTH}")
+    LearnConfig(depth=depth).check()
     rules, leaves = {}, {}
 
     def grow(node: int, A: np.ndarray, y: np.ndarray, fit: tuple):

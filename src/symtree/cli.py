@@ -266,10 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"symtree {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext):
+    def add(name, fn, helptext, reads_config=True):
         sp = sub.add_parser(name, help=helptext)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--config", default=None, help="JSON config file")
+        if reads_config:
+            sp.add_argument("--config", default=None, help="JSON config file")
         return sp
 
     sp = add("gen-data", cmd_gen_data, "generate MPC-labeled train/test data")
@@ -288,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--sol", required=True)
     sp.add_argument("--out", default="imported.tree.json")
-    sp = add("predict", cmd_predict, "evaluate a model at one point")
+    sp = add("predict", cmd_predict, "evaluate a model at one point", reads_config=False)
     sp.add_argument("--model", required=True)
     sp.add_argument("--x", type=float, required=True)
     sp = add("simulate", cmd_simulate, "closed-loop run under a controller")
     sp.add_argument("--controller", required=True,
                     help="mpc | model:<path> | const:<value>")
     sp.add_argument("--out", default="trace.csv")
-    sp = add("report", cmd_report, "merge model metrics into one comparison")
+    sp = add("report", cmd_report, "merge model metrics into one comparison", reads_config=False)
     sp.add_argument("--test", required=True)
     sp.add_argument("--reports", nargs="+", required=True)
     sp.add_argument("--out", default="comparison.json")

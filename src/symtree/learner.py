@@ -41,6 +41,7 @@ import csv
 import functools
 import hashlib
 import io
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -55,15 +56,16 @@ from .tree import Bounds, BranchRule, LeafExpression, TreeModel, predict
 
 @dataclass
 class Dataset:
-    """Feature matrix X (N_d x N_f) with labels y (N_d)."""
+    """Feature matrix X (N_d x N_f, or a 1-D X as one column) with labels y (N_d)."""
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        if self.X.shape[0] == 1 and len(np.asarray(self.y).shape) and len(self.y) > 1:
-            self.X = self.X.T
+        X = np.asarray(self.X, dtype=float)
+        self.X = X.reshape(-1, 1) if X.ndim == 1 else X
+        if self.X.ndim != 2:
+            raise ConfigError(f"features must be 1-D or (points, features), got {X.shape}")
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
         if self.X.shape[0] != self.y.shape[0]:
             raise ConfigError(f"{self.X.shape[0]} feature rows for {self.y.shape[0]} labels")
@@ -135,6 +137,8 @@ class LearnConfig:
             raise ConfigError("depth must be >= 1")
         if self.depth > treemod.MAX_DEPTH:
             raise ConfigError(f"depth {self.depth} exceeds the maximum {treemod.MAX_DEPTH}")
+        if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral):
+            raise ConfigError(f"depth must be an integer, got {self.depth!r}")
         if not (self.lambda_c >= 0 and self.lambda_m >= 0):
             raise ConfigError("penalty weights must be nonnegative")
         if not self.c_lb < self.c_ub:
@@ -354,8 +358,6 @@ def fit_tree(data: Dataset, basis: BasisSet, cfg: LearnConfig) -> FitReport:
 
     def coefficients(mask):
         """The leaf's coefficients, from the same cold LP as a lone fit."""
-        if not mask.any():
-            return np.zeros(basis.size)
         c, _ = fit_l1(Phi[mask], data.y[mask], w, cfg.lambda_m, (cfg.c_lb, cfg.c_ub),
                       y_bounds=yb)
         return c

@@ -462,21 +462,20 @@ class DecodedSolution:
 
 
 def _value(assign: dict, name: str, *subs):
-    """Variable name[subs]'s value in assign under its structured name, else
-    under its machine name, else None."""
+    """Variable name[subs] in assign as (the key read, its value): under its
+    structured name, else under its machine name, else (structured name, None)."""
     structured = f"{name}[{','.join(map(str, subs))}]"
-    if structured in assign:
-        return assign[structured]
-    return assign.get(_MPS[name] + "_".join(map(str, subs)))
+    mps = _MPS[name] + "_".join(map(str, subs))
+    key = mps if structured not in assign and mps in assign else structured
+    return key, assign.get(key)
 
 
 def _binary(assign: dict, name: str, *subs) -> int:
-    v = _value(assign, name, *subs)
-    label = f"{name}[{','.join(map(str, subs))}]"
+    key, v = _value(assign, name, *subs)
     if v is None:
-        raise StructureError(f"assignment missing binary {label}")
+        raise StructureError(f"assignment missing binary {key}")
     if min(abs(v), abs(v - 1.0)) > INT_TOL:
-        raise IntegralityError(f"{label} = {v!r} is not within {INT_TOL:g} of 0 or 1")
+        raise IntegralityError(f"{key} = {v!r} is not within {INT_TOL:g} of 0 or 1")
     return int(round(v))
 
 
@@ -524,7 +523,7 @@ def read_solution(data: Dataset, basis: BasisSet, cfg: LearnConfig,
 
     leaves = {}
     for n in sorted(leaf_ids):
-        coeffs = [_value(assignments, "c", k, n) for k in range(1, basis.size + 1)]
+        coeffs = [_value(assignments, "c", k, n)[1] for k in range(1, basis.size + 1)]
         if any(v is None for v in coeffs):
             idx = [i - 1 for i in range(1, data.n_points + 1) if assigned[i] == n]
             coeffs, _ = fit_l1(Phi[idx], data.y[idx], 1.0 / data.n_points,

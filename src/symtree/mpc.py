@@ -125,11 +125,6 @@ def _sweeper(spec: MpcSpec, x0: float, mu, rho: float):
     # none of its terms.
     rate_quiet = not any(m > 0.0 for m in rate_rows[1])
     state_quiet = not any(m > 0.0 for m in state_rows[1])
-    # The zero coefficients of a skipped state group would turn a -0.0 in
-    # dldx into +0.0. A deviation x - x_sp, and so its dldx entry, is -0.0
-    # only where x is -0.0 and x_sp is +0.0; with a zero x_sp the skip still
-    # adds them.
-    signed_dev = x_sp == 0.0
 
     def rows(value, g, units, mu_rho):
         """The coefficients d(penalty)/dg of one row group, zero for inactive
@@ -174,9 +169,6 @@ def _sweeper(spec: MpcSpec, x0: float, mu, rho: float):
                 dldx[t] += ch - cl
             if full:
                 g += g_state
-        elif signed_dev:
-            for t in range(1, n + 1):
-                dldx[t] += 0.0
         grad = []
         lam = dldx[-1]
         for t in range(n - 1, -1, -1):
@@ -190,12 +182,6 @@ def _sweeper(spec: MpcSpec, x0: float, mu, rho: float):
                 c = c_rate[t] - c_rate[n_rate + t]
                 grad[t + 1] += c
                 grad[t] -= c
-        else:
-            # The zero coefficients of a skipped rate group, as the loop above
-            # applies them: grad[t] -= 0.0 changes nothing, grad[t + 1] += 0.0
-            # turns a -0.0 into +0.0.
-            for t in range(1, n):
-                grad[t] += 0.0
         if full:
             return xs, objective, np.array(grad), g
         return value, grad

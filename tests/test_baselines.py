@@ -105,6 +105,16 @@ def test_depth_must_be_positive():
 
 
 @pytest.mark.parametrize("fit", [fit_cart_constant, fit_cart_linear])
+@pytest.mark.parametrize("depth, match", [(float("nan"), "depth must be >= 1"),
+                                          (2.5, "depth must be an integer")])
+def test_depth_refused_as_learn_config_refuses_it(fit, depth, match):
+    """A NaN or fractional depth once grew a model of that depth, which
+    serialize could not write."""
+    with pytest.raises(ConfigError, match=match):
+        fit(step_data(), depth=depth)
+
+
+@pytest.mark.parametrize("fit", [fit_cart_constant, fit_cart_linear])
 def test_depth_past_cap_refused(fit):
     """A model file lists every node id of its depth cap, so a tree deeper
     than MAX_DEPTH is refused before it is grown, not when it is written."""

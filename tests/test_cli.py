@@ -138,6 +138,20 @@ def test_baselines_and_report(workspace, capsys):
     assert maes == sorted(maes)
 
 
+@pytest.mark.parametrize("command", ["predict", "report"])
+def test_config_is_a_usage_error_where_none_is_read(workspace, capsys, command):
+    """predict and report read no config; a --config given to them was once
+    accepted and ignored."""
+    ws, cfg = workspace
+    argv = {"predict": ["--model", str(ws / "model.tree.json"), "--x", "0.6"],
+            "report": ["--test", str(ws / "test.csv"), "--reports",
+                       str(ws / "model.report.json"), "--out", str(ws / "cmp-config.json")]}
+    assert run([command, *argv[command]]) == 0
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg), *argv[command]]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_report_refuses_mixed_datasets(workspace, tmp_path, capsys):
     ws, cfg = workspace
     tampered = json.loads((ws / "sparse.report.json").read_text())

@@ -426,6 +426,31 @@ def test_dataset_rejects_bad_input():
         Dataset(X=np.zeros((3, 0)), y=[1.0, 2.0, 3.0])
 
 
+def test_dataset_one_row_of_features_is_one_point():
+    """A 2-D X is (points, features), whatever the number of labels: a 1 x 3
+    X with three labels was once read as three points. A 1-D X is one
+    feature column."""
+    assert Dataset(X=[0.1, 0.2, 0.3], y=[1.0, 2.0, 3.0]).X.shape == (3, 1)
+    with pytest.raises(ConfigError, match="1 feature rows for 3 labels"):
+        Dataset(X=[[0.1, 0.2, 0.3]], y=[1.0, 2.0, 3.0])
+
+
+def test_dataset_refuses_features_of_three_dimensions():
+    """A (3, 1, 1) X was once accepted, and fit_tree then failed on it with
+    a TypeError."""
+    with pytest.raises(ConfigError, match=r"got \(3, 1, 1\)"):
+        Dataset(X=np.zeros((3, 1, 1)), y=[1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("depth", [2.5, 2.0, True])
+def test_depth_must_be_an_integer(depth):
+    """A float depth once fit a model that serialize could not write, and a
+    bool one was written as "depth": true."""
+    data = Dataset(X=[[0.1], [0.2]], y=[0.0, 1.0])
+    with pytest.raises(ConfigError, match="depth must be an integer"):
+        fit_tree(data, basis_from_forms(["1"]), LearnConfig(depth=depth))
+
+
 def test_depth_past_cap_refused():
     """A model file lists every node id of its depth cap: 131 071 at
     MAX_DEPTH = 16. A deeper cap is refused by the config check."""

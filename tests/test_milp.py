@@ -338,6 +338,17 @@ def test_read_solution_rejects_binary_outside_zero_one(name, value):
         read_solution(*problem, assign)
 
 
+@pytest.mark.parametrize("key", ["d[1]", "D1"])
+def test_refused_binary_is_named_as_given(key):
+    """A refused binary is named under the key the solution file used, so
+    HiGHS's D1 = 2 is not reported as d[1]."""
+    problem, assign = _three_point_split([2, 3, 3])
+    del assign["d[1]"]
+    assign[key] = 2.0
+    with pytest.raises(IntegralityError, match=re.escape(f"{key} = 2.0 is not within")):
+        read_solution(*problem, assign)
+
+
 def test_read_solution_missing_binary():
     with pytest.raises(StructureError):
         read_solution(*tiny_instance(), {"d[1]": 1.0})
