@@ -232,5 +232,7 @@ def evaluate_basis(bs: BasisSet, x) -> np.ndarray:
 
 def evaluate_basis_matrix(bs: BasisSet, X) -> np.ndarray:
     """Evaluate the basis on each row of X; returns an N_pts x N_K matrix."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionError(f"basis matrix needs a 2-D array of points, got shape {X.shape}")
     return np.array([bs._program(row) for row in X.tolist()], dtype=float)

@@ -27,7 +27,7 @@ from .closed_loop import (constant_controller, iae, latency_stats,
 from .config import load_config
 from .errors import ConfigError, SymtreeError
 from .learner import Dataset, fit_tree, mean_abs_error, objective_of
-from .milp import build_milp, parse_solution_text, read_solution, write_mps
+from .milp import build_milp, mps_text, name_map, parse_solution_text, read_solution
 from .mpc import label_states, sample_states
 from .tree import _json_object, _require, deserialize, predict, serialize
 
@@ -142,7 +142,10 @@ def cmd_export_milp(args) -> int:
     cfg = load_config(args.config)
     data = _read_dataset(args.data)
     art = build_milp(data, canonical_basis(), cfg.learn_config())
-    write_mps(art, args.out)
+    text = mps_text(art)  # a refused constant leaves no file behind
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    _write_json(_sibling(args.out, ".names.json"), name_map(art))
     _write_json(_sibling(args.out, ".counts.json"), {
         "provenance": _provenance(cfg, data),
         "n_vars": art.n_vars, "n_binary": art.n_binary, "n_rows": art.n_rows,

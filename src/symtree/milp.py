@@ -3,15 +3,14 @@
 Builds every variable and constraint family of the learning formulation
 (tree structure, assignment, one-hot feature choice, big-M routing, leaf
 expressions, bilinear linearization, absolute-value splits) as the arrays
-``scipy.optimize.milp`` takes, exports them as a fixed-format MPS file with a
-sidecar name map, and decodes externally solved assignments back into tree
+``scipy.optimize.milp`` takes, renders them as fixed-format MPS text with a
+machine-name map, and decodes externally solved assignments back into tree
 models. Claimed objectives are never trusted: a decoded model is always
 re-scored internally.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -387,17 +386,6 @@ def name_map(art: MilpArtifact) -> dict:
         "variables": dict(zip(art.var_mps, art.var_names)),
         "rows": dict(zip(art.row_mps, art.row_names)),
     }
-
-
-def write_mps(art: MilpArtifact, path) -> None:
-    """Write the MPS file plus the sidecar machine-name map (<path>.names.json)."""
-    text = mps_text(art)
-    path = str(path)
-    with open(path, "w") as fh:
-        fh.write(text)
-    sidecar = (path[:-4] if path.endswith(".mps") else path) + ".names.json"
-    with open(sidecar, "w") as fh:
-        json.dump(name_map(art), fh, indent=2)
 
 
 def parse_mps_counts(text: str) -> dict:

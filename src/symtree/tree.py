@@ -149,24 +149,42 @@ def _shape_violations(depth: int, branches, leaves) -> list:
     return v
 
 
-def validate(model: TreeModel) -> list:
-    """Check every structural invariant; returns violation strings (empty = valid)."""
-    if model.depth < 0:
-        return [f"depth cap {model.depth} is negative"]
-    v = _shape_violations(model.depth, model.rules, model.leaves)
+def _violations(model: TreeModel) -> list:
+    """Every violation but the coefficient box: the bounds, the tree's shape,
+    and the rules' and leaves' values. A loaded model meets all of them."""
+    # +-Infinity is a box a config may ask for; NaN would turn the
+    # coefficient-box check off, since every comparison with it is false, and
+    # a crossed box holds no value at all.
+    ends = model.bounds._asdict()
+    v = [f"bounds: field {k!r} is NaN" for k, value in ends.items() if math.isnan(value)]
+    for lb, ub in (("c_lb", "c_ub"), ("y_lb", "y_ub")):
+        if ends[lb] > ends[ub]:
+            v.append(f"bounds: {lb} {ends[lb]!r} exceeds {ub} {ends[ub]!r}")
+    v += _shape_violations(model.depth, model.rules, model.leaves)
     for n, rule in model.rules.items():
-        if not np.isfinite(rule.threshold):
-            v.append(f"node {n}: non-finite threshold")
         if rule.feature < 0:
-            v.append(f"node {n}: negative feature index")
-    c_lb, c_ub = model.bounds.c_lb, model.bounds.c_ub
+            v.append(f"node {n}: negative feature index {rule.feature}")
+        if not math.isfinite(rule.threshold):
+            v.append(f"node {n}: threshold {rule.threshold} is not finite")
     for n, leaf in model.leaves.items():
         c = leaf.as_array()
         if c.shape != (model.basis.size,):
             v.append(f"node {n}: {c.size} coefficients for {model.basis.size} basis functions")
-            continue
-        if not np.all(np.isfinite(c)):
-            v.append(f"node {n}: non-finite coefficient")
+        elif not np.all(np.isfinite(c)):
+            v.append(f"node {n}: coefficients must be finite")
+    return v
+
+
+def validate(model: TreeModel) -> list:
+    """Check every invariant, the coefficient box included; returns violation
+    strings (empty = valid)."""
+    if not 0 <= model.depth <= MAX_DEPTH:
+        return [f"depth {model.depth} is negative" if model.depth < 0 else
+                f"depth {model.depth} exceeds the maximum {MAX_DEPTH}"]
+    v = _violations(model)
+    c_lb, c_ub = model.bounds.c_lb, model.bounds.c_ub
+    for n, leaf in model.leaves.items():
+        c = leaf.as_array()
         if np.any(c < c_lb - 1e-12) or np.any(c > c_ub + 1e-12):
             v.append(f"node {n}: coefficient outside [{c_lb}, {c_ub}]")
     return v
@@ -186,7 +204,7 @@ def serialize(model: TreeModel) -> str:
             entry["coeffs"] = [float(c) for c in model.leaves[n].coefficients]
         nodes.append(entry)
     doc = {
-        "depth": model.depth,
+        "depth": int(model.depth),
         "bounds": {
             "c_lb": model.bounds.c_lb, "c_ub": model.bounds.c_ub,
             "y_lb": model.bounds.y_lb, "y_ub": model.bounds.y_ub,
@@ -225,8 +243,8 @@ def _json_object(text: str, where: str) -> dict:
 
 def deserialize(text: str) -> TreeModel:
     """Parse a serialized model; raises ParseError with field context, and on
-    a node layout that is not a tree. Coefficients may sit outside the file's
-    bounds (an imported solution meets them only to a solver's tolerance)."""
+    every violation validate reports but one: coefficients may sit outside the
+    file's box (an imported solution meets it only to a solver's tolerance)."""
     doc = _json_object(text, "model")
     depth = _require(doc, "depth", int, "root")
     if depth < 0:
@@ -235,16 +253,6 @@ def deserialize(text: str) -> TreeModel:
         raise ParseError(f"root: depth {depth} exceeds the maximum {MAX_DEPTH}")
     bdoc = _require(doc, "bounds", dict, "root")
     bounds = Bounds(*(_require(bdoc, k, float, "bounds") for k in Bounds._fields))
-    # +-Infinity is a box a config may ask for; NaN would turn validate's
-    # coefficient-box check off, since every comparison with it is false, and
-    # a crossed box holds no value at all.
-    ends = bounds._asdict()
-    for k, value in ends.items():
-        if math.isnan(value):
-            raise ParseError(f"bounds: field {k!r} is NaN")
-    for lb, ub in (("c_lb", "c_ub"), ("y_lb", "y_ub")):
-        if ends[lb] > ends[ub]:
-            raise ParseError(f"bounds: {lb} {ends[lb]!r} exceeds {ub} {ends[ub]!r}")
     basis = basis_from_forms(_require(doc, "basis", list, "root"))
     nodes = _require(doc, "nodes", list, "root")
     ids, rules, leaves = set(), {}, {}
@@ -259,22 +267,12 @@ def deserialize(text: str) -> TreeModel:
             raise ParseError(f"node {n}: duplicate id")
         ids.add(n)
         if kind == BRANCH:
-            feature = _require(entry, "feature", int, f"node {n}")
-            if feature < 0:
-                raise ParseError(f"node {n}: negative feature index {feature}")
-            threshold = _require(entry, "threshold", float, f"node {n}")
-            if not math.isfinite(threshold):
-                raise ParseError(f"node {n}: threshold {threshold} is not finite")
-            rules[n] = BranchRule(feature=feature, threshold=threshold)
+            rules[n] = BranchRule(feature=_require(entry, "feature", int, f"node {n}"),
+                                  threshold=_require(entry, "threshold", float, f"node {n}"))
         elif kind == LEAF:
             coeffs = _require(entry, "coeffs", list, f"node {n}")
             if not all(_is_number(c) for c in coeffs):
                 raise ParseError(f"node {n}: coefficients must be numbers")
-            if not all(math.isfinite(c) for c in coeffs):
-                raise ParseError(f"node {n}: coefficients must be finite")
-            if len(coeffs) != basis.size:
-                raise ParseError(f"node {n}: {len(coeffs)} coefficients for "
-                                 f"{basis.size} basis functions")
             leaves[n] = LeafExpression(coefficients=tuple(float(c) for c in coeffs))
     # Count before listing: the file's depth alone must not size an id set.
     last = 2 ** (depth + 1) - 1
@@ -284,10 +282,10 @@ def deserialize(text: str) -> TreeModel:
         missing = (sorted(set(range(1, last + 1)) - ids) if last <= 2 * len(nodes) + 1
                    else f"{n_missing} of 1..{last}")
         raise ParseError(f"nodes: missing ids {missing}, unexpected ids {extra}")
-    shape = _shape_violations(depth, rules, leaves)
-    if shape:
-        raise ParseError("nodes: " + "; ".join(shape))
-    return TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis, bounds=bounds)
+    model = TreeModel(depth=depth, rules=rules, leaves=leaves, basis=basis, bounds=bounds)
+    if violations := _violations(model):
+        raise ParseError("; ".join(violations))
+    return model
 
 
 def single_leaf_model(coefficients, basis: BasisSet, bounds: Bounds) -> TreeModel:

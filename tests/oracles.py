@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's own LP formulation and
 tree search: leaf fits go through scipy's linprog on a different LP layout,
-and optima are found by exhaustive enumeration. Basis values come from each
-function's closed form on its own, with no sharing between functions, and
-the compiled basis program is held to the per-term loop it replaced. MPC
+and optima are found by exhaustive enumeration or, on one feature, by a
+dynamic program over intervals of the sorted values. Basis values come from
+each function's closed form on its own, with no sharing between functions,
+and the compiled basis program is held to the per-term loop it replaced. MPC
 solves, warm or cold, are held to the best of every distinct start at their
 state, with no early stop.
 The exported MPS text is read back by a fixed-format reader of its own and
@@ -152,6 +153,40 @@ def scipy_leaf_fit(Phi, y, w, lam, c_bounds, y_bounds):
                            "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return res.fun * scale
+
+
+def interval_dp(data, basis, cfg, losses=None):
+    """Optimal objective over trees of depth cap cfg.depth on one-feature
+    data, by dynamic programming over intervals (Bellman, CACM 1961; Jackson
+    et al., IEEE SPL 2005), with no bound, point-set registry or memo of
+    fit_tree's.
+
+    On one feature every set a tree can route to a leaf is an interval
+    [i, j) of the sorted groups of equal x. f_D(i, j) is its leaf loss by
+    scipy_leaf_fit, and f_d(i, j) = min(leaf, lambda_c + min over i <= k <= j
+    of f_{d+1}(i, k) + f_{d+1}(k, j)), where k = i and k = j are the
+    empty-side splits. The root must branch. ``losses`` maps (i, j) to the
+    leaf loss; calls on the same data, penalties and bounds may share it."""
+    if data.n_features != 1:
+        raise ValueError(f"interval_dp needs one feature, got {data.n_features}")
+    Phi = evaluate_basis_matrix(basis, data.X)
+    yb = cfg.resolved_y_bounds(data.y)
+    order = np.argsort(data.X[:, 0], kind="stable")
+    _, starts = np.unique(data.X[order, 0], return_index=True)
+    cut, G = np.append(starts, data.n_points), len(starts)
+    losses = {} if losses is None else losses
+    leaf = np.zeros((G + 1, G + 1))
+    for i, j in itertools.combinations(range(G + 1), 2):
+        if (i, j) not in losses:
+            rows = order[cut[i]:cut[j]]
+            losses[i, j] = scipy_leaf_fit(Phi[rows], data.y[rows], 1.0 / data.n_points,
+                                          cfg.lambda_m, (cfg.c_lb, cfg.c_ub), yb)
+        leaf[i, j] = losses[i, j]
+    f = leaf
+    for _ in range(cfg.depth - 1):   # f_{d+1} to f_d, for d = D - 1 down to 1
+        f = np.array([[min(leaf[i, j], cfg.lambda_c + np.min(f[i, i:j + 1] + f[i:j + 1, j]))
+                       if i <= j else 0.0 for j in range(G + 1)] for i in range(G + 1)])
+    return cfg.lambda_c + float(np.min(f[0, :] + f[:, G]))
 
 
 def candidate_thresholds(data: Dataset, feature: int) -> np.ndarray:

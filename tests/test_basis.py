@@ -144,6 +144,15 @@ def test_two_feature_evaluation_matches_oracle_bitwise():
     assert np.array_equal(evaluate_basis_matrix(bs, X), rows)
 
 
+@pytest.mark.parametrize("X, shape", [(np.array([0.2, 0.5]), r"\(2,\)"), (0.2, r"\(\)"),
+                                      ([[[0.2, 0.5]]], r"\(1, 1, 2\)")],
+                         ids=["1-D", "scalar", "3-D"])
+def test_basis_matrix_refuses_non_matrix(X, shape):
+    # A 1-D array was read as one point, [[1, 0.2]]; Dataset reads it as two.
+    with pytest.raises(DimensionError, match=rf"got shape {shape}$"):
+        evaluate_basis_matrix(basis_from_forms(["1", "x"]), X)
+
+
 TWO_FEATURE_FORMS = [
     "1", "x", "x@1", "exp(x)", "x*exp(x)@1", "x^2*exp(x)", "exp(x)@1",
     "exp(-x)@1", "x^3*exp(-x)", "x*exp(1/x)@1", "x^2*exp(1/x)",

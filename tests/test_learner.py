@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import brute_force_depth1, candidate_thresholds, exhaustive_fit_tree
+from oracles import brute_force_depth1, candidate_thresholds, exhaustive_fit_tree, interval_dp
 from symtree import learner, lp
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis_matrix
 from symtree.config import load_config
@@ -239,6 +239,35 @@ def test_canonical_models_are_pinned(n, depth):
     sha, lps = _CANONICAL_MODELS[n, depth]
     assert hashlib.sha256(serialize(rep.model).encode()).hexdigest() == sha
     assert rep.subproblems_solved == lps
+
+
+@pytest.mark.parametrize("name", ["1d-duplicates", "lambda_c-0", "empty-side"])
+def test_interval_dp_matches_exhaustive_oracle(name):
+    """The interval DP finds full enumeration's optimum at depths 1-3, with
+    a duplicate x, at lambda_c 0, and where the root's best split is empty."""
+    data, basis, cfg = _oracle_case(name)
+    losses = {}
+    for depth in (1, 2, 3):
+        cfg.depth = depth
+        cost = exhaustive_fit_tree(data, basis, cfg)[0]
+        assert interval_dp(data, basis, cfg, losses) == pytest.approx(cost, abs=1e-9), depth
+
+
+@pytest.mark.parametrize("n, mode", [(50, "uniform-grid"), (25, "seeded-random")])
+def test_fit_tree_matches_interval_dp(n, mode):
+    """An optimum past enumeration's reach: fit_tree's objective at depths 2-4
+    equals the interval DP's on the canonical N=50 labels and on 25
+    seeded-random ones, at the run configuration (lambda_m 1e-4). At lambda_m
+    0 both cold solvers stop on some intervals whose labels are all 75."""
+    data = _labels(n, mode)
+    cfg = load_config().learn_config()
+    assert cfg.lambda_m == 1e-4
+    losses = {}   # one interval table for every depth
+    for depth in (2, 3, 4):
+        cfg.depth = depth
+        rep = fit_tree(data, canonical_basis(), cfg)
+        dp = interval_dp(data, canonical_basis(), cfg, losses)
+        assert rep.objective == pytest.approx(dp, abs=1e-9), depth
 
 
 def test_search_keeps_optimum_where_kept_leaf_loss_is_high():

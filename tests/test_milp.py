@@ -19,7 +19,7 @@ from symtree.errors import ConfigError, IntegralityError, ParseError, StructureE
 from symtree.learner import Dataset, LearnConfig, fit_tree, objective_of
 from symtree.milp import (BINARY, CONTINUOUS, build_milp, expected_counts,
                           mps_text, name_map, parse_mps_counts,
-                          parse_solution_text, read_solution, write_mps)
+                          parse_solution_text, read_solution)
 from symtree.mpc import generate_dataset
 from symtree.tree import BRANCH, route, validate
 
@@ -91,16 +91,14 @@ def test_constants_derived_from_data():
             assert M == pytest.approx(worst + milp.EPS_ROUTING, abs=1e-12)
 
 
-def test_mps_round_trip_counts(tmp_path):
+def test_mps_round_trip_counts():
     rng = np.random.default_rng(71)
     data = Dataset(X=rng.uniform(0.2, 1.0, (5, 1)), y=rng.uniform(-1, 1, 5))
     art = build_milp(data, basis_from_forms(["1", "x"]), LearnConfig(depth=2))
-    path = tmp_path / "prob.mps"
-    write_mps(art, path)
-    counts = parse_mps_counts(path.read_text())
+    counts = parse_mps_counts(mps_text(art))
     assert counts == {"n_rows": art.n_rows, "n_vars": art.n_vars,
                       "n_binary": art.n_binary}
-    sidecar = json.loads((tmp_path / "prob.names.json").read_text())
+    sidecar = name_map(art)
     assert len(sidecar["variables"]) == art.n_vars
     assert len(sidecar["rows"]) == art.n_rows
     assert sidecar["variables"]["D1"] == "d[1]"
@@ -162,15 +160,16 @@ def test_machine_name_width_refused_before_rows(monkeypatch):
         build_milp(data, basis, cfg)
 
 
-def test_row_names_built_once(tmp_path):
-    """write_mps reads the row names twice (MPS text and sidecar); both see
+def test_row_names_built_once():
+    """The row names are read twice (MPS text and sidecar name map); both see
     the one list the artifact built."""
     data, basis, cfg = tiny_instance()
     art = build_milp(data, basis, cfg)
     assert art.row_mps is art.row_mps
     assert art.row_mps == [f"R{j:07d}" for j in range(1, art.n_rows + 1)]
-    write_mps(art, tmp_path / "prob.mps")
-    sidecar = json.loads((tmp_path / "prob.names.json").read_text())
+    text = mps_text(art)
+    assert text[text.index(" N  OBJ\n") + 8:text.index("COLUMNS\n")].split()[1::2] == art.row_mps
+    sidecar = name_map(art)
     assert list(sidecar["rows"]) == art.row_mps
 
 

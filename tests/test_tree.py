@@ -1,19 +1,27 @@
+import dataclasses
+import functools
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
+from symtree.baselines import fit_cart_constant, fit_cart_linear, fit_sparse
 from symtree.basis import basis_from_forms, canonical_basis, evaluate_basis
+from symtree.config import load_config
 from symtree.errors import DimensionError, DomainError, ModelInvalidError, ParseError
+from symtree.learner import Dataset, LearnConfig, fit_tree
+from symtree.milp import read_solution
+from symtree.mpc import generate_dataset
 from symtree.reference import reference_model
 from symtree.tree import (BRANCH, INACTIVE, LEAF, Bounds, BranchRule,
                           LeafExpression, TreeModel, ancestors, child_toward,
                           deserialize, node_depth, predict, route, serialize,
                           single_leaf_model, validate)
 
-from oracles import reference_basis_row
+from oracles import embed_model, reference_basis_row
 
 
 def depth1_model(thr=1.5, left=0.0, right=5.0):
@@ -301,6 +309,59 @@ def test_validate_flags_inactive_root():
     m = depth1_model()
     empty = TreeModel(depth=1, rules={}, leaves={}, basis=m.basis, bounds=m.bounds)
     assert validate(empty) == ["node 1 is inactive"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"bounds": Bounds(math.nan, math.nan, -1.0, 1.0),
+      "leaves": {2: LeafExpression((0.0,)), 3: LeafExpression((1e300,))}},
+     "bounds: field 'c_lb' is NaN"),
+    ({"bounds": Bounds(5.0, -5.0, -10.0, 10.0)}, "bounds: c_lb 5.0 exceeds c_ub -5.0"),
+    ({"depth": 17}, "depth 17 exceeds the maximum 16")],
+    ids=["nan-box", "crossed-box", "depth-17"])
+def test_validate_reports_what_deserialize_refuses(change, message):
+    """validate passed each model, whose own file deserialize refuses: a NaN
+    turned the box check off, a crossed box showed only as coefficients
+    outside it, and the depth cap was checked only for a negative value."""
+    model = dataclasses.replace(depth1_model(), **change)
+    assert message in validate(model)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        deserialize(serialize(model))
+
+
+@functools.cache
+def _written_models() -> dict:
+    """A model of every kind the commands write, on the canonical N=50 labels:
+    train's, the three baselines, the reference tree and an imported one."""
+    cfg = load_config()
+    lcfg, basis = cfg.learn_config(), canonical_basis()
+    data = generate_dataset(cfg.mpc_spec(), 50, 0.1, 0.9, "uniform-grid", 0)
+    tree = fit_tree(data, basis, lcfg).model
+    return {"train": tree,
+            "sparse": fit_sparse(data, basis, lcfg.lambda_m, (lcfg.c_lb, lcfg.c_ub)),
+            "cart": fit_cart_constant(data, 2), "lintree": fit_cart_linear(data, 2),
+            "reference": reference_model(),
+            "import-sol": read_solution(data, basis, lcfg,
+                                        embed_model(data, basis, lcfg, tree)).model}
+
+
+@pytest.mark.parametrize("kind", ["train", "sparse", "cart", "lintree", "reference",
+                                  "import-sol"])
+def test_valid_model_loads_and_saves_the_same_bytes(kind):
+    model = _written_models()[kind]
+    assert validate(model) == []
+    text = serialize(model)
+    assert serialize(deserialize(text)) == text
+
+
+def test_numpy_integer_depth_saves_as_int():
+    """A numpy-integer depth fits; saving its model raised "Object of type
+    int64 is not JSON serializable"."""
+    data = Dataset(X=np.linspace(0.2, 1.0, 6)[:, None], y=[0.0, 0.1, 0.3, 1.0, 1.1, 1.3])
+    basis = basis_from_forms(["1", "x"])
+    assert serialize(fit_tree(data, basis, LearnConfig(depth=np.int64(2))).model) == \
+        serialize(fit_tree(data, basis, LearnConfig(depth=2)).model)
+    assert serialize(fit_cart_constant(data, np.int64(2))) == \
+        serialize(fit_cart_constant(data, 2))
 
 
 def test_reference_model_json_is_pinned():
