@@ -109,13 +109,13 @@ def simulate(plant: PlantSpec, ctrl: Controller, x0: float, t_final: float,
              dt_sample: float) -> SimTrace:
     """Zero-order-hold closed loop; latency is measured around the controller call.
 
-    Non-finite inputs, a non-positive step, a non-finite control and a plant
-    state that diverges raise ControllerError.
+    Non-finite inputs, a non-positive step, a step count past float range, a
+    non-finite control and a plant state that diverges raise ControllerError.
     """
     if not all(math.isfinite(v) for v in (x0, t_final, dt_sample)):
         raise ControllerError(f"non-finite simulation input (x0={x0}, "
                               f"t_final={t_final}, dt_sample={dt_sample})")
-    if dt_sample <= 0 or t_final < dt_sample:
+    if dt_sample <= 0 or t_final < dt_sample or not math.isfinite(t_final / dt_sample):
         raise ControllerError(f"invalid horizon/sampling ({t_final}, {dt_sample})")
     n_steps = round(t_final / dt_sample)
     times = np.arange(n_steps + 1) * dt_sample

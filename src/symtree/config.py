@@ -17,10 +17,10 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .learner import LearnConfig
 from .mpc import MpcSpec, PlantSpec
-from .tree import _is_number
+from .tree import _is_number, _json_object
 
 DEFAULTS = {
     "plant": {"V": 50.0, "x_f": 1.0, "k": 2.0},
@@ -105,11 +105,4 @@ def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig(doc=copy.deepcopy(DEFAULTS))
     with open(path) as fh:
-        text = fh.read()
-    try:
-        given = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(given, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return RunConfig(doc=_merge(DEFAULTS, given))
+        return RunConfig(doc=_merge(DEFAULTS, _json_object(fh.read(), str(path))))

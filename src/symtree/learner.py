@@ -125,9 +125,9 @@ def default_y_bounds(y) -> tuple:
 class LearnConfig:
     depth: int = 2
     lambda_c: float = 1e-2
-    lambda_m: float = 1e-2
-    c_lb: float = -100.0
-    c_ub: float = 100.0
+    lambda_m: float = 1e-4
+    c_lb: float = -1000.0
+    c_ub: float = 1000.0
     y_lb: float = None      # None: derived from the data at fit time
     y_ub: float = None
 
@@ -139,8 +139,9 @@ class LearnConfig:
             raise ConfigError(f"depth {self.depth} exceeds the maximum {treemod.MAX_DEPTH}")
         if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral):
             raise ConfigError(f"depth must be an integer, got {self.depth!r}")
-        if not (self.lambda_c >= 0 and self.lambda_m >= 0):
-            raise ConfigError("penalty weights must be nonnegative")
+        if not (0 <= self.lambda_c < np.inf and 0 <= self.lambda_m < np.inf):
+            raise ConfigError(f"penalty weights must be finite and nonnegative, got "
+                              f"lambda_c={self.lambda_c!r}, lambda_m={self.lambda_m!r}")
         if not self.c_lb < self.c_ub:
             raise ConfigError(f"degenerate coefficient bounds [{self.c_lb}, {self.c_ub}]")
         # A branch node's coefficients and an empty leaf's are 0.

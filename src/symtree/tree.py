@@ -162,7 +162,9 @@ def _violations(model: TreeModel) -> list:
             v.append(f"bounds: {lb} {ends[lb]!r} exceeds {ub} {ends[ub]!r}")
     v += _shape_violations(model.depth, model.rules, model.leaves)
     for n, rule in model.rules.items():
-        if rule.feature < 0:
+        if isinstance(rule.feature, bool) or not isinstance(rule.feature, numbers.Integral):
+            v.append(f"node {n}: feature index {rule.feature!r} is not an integer")
+        elif rule.feature < 0:
             v.append(f"node {n}: negative feature index {rule.feature}")
         if not math.isfinite(rule.threshold):
             v.append(f"node {n}: threshold {rule.threshold} is not finite")
@@ -198,17 +200,14 @@ def serialize(model: TreeModel) -> str:
         entry = {"id": n, "kind": kind}
         if kind == BRANCH:
             rule = model.rules[n]
-            entry["feature"] = rule.feature
+            entry["feature"] = int(rule.feature)
             entry["threshold"] = rule.threshold
         elif kind == LEAF:
             entry["coeffs"] = [float(c) for c in model.leaves[n].coefficients]
         nodes.append(entry)
     doc = {
         "depth": int(model.depth),
-        "bounds": {
-            "c_lb": model.bounds.c_lb, "c_ub": model.bounds.c_ub,
-            "y_lb": model.bounds.y_lb, "y_ub": model.bounds.y_ub,
-        },
+        "bounds": model.bounds._asdict(),
         "basis": model.basis.forms,
         "nodes": nodes,
     }
@@ -231,9 +230,16 @@ def _require(doc, key, kind, where):
     return value
 
 
+def _json_int(literal: str):
+    """A JSON integer as an int, or past float range as the +-inf that its
+    float spelling (1e400) reads as; int() would refuse 4301 digits."""
+    value = float(literal)
+    return int(literal) if math.isfinite(value) else value
+
+
 def _json_object(text: str, where: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

@@ -1,4 +1,5 @@
 import json
+import math
 import platform
 import warnings
 
@@ -11,7 +12,8 @@ from symtree.basis import basis_from_forms
 from symtree.cli import run
 from symtree.config import DEFAULTS, load_config
 from symtree.errors import ConfigError
-from symtree.learner import Dataset
+from symtree.learner import Dataset, LearnConfig
+from symtree.mpc import MpcSpec, PlantSpec
 from symtree.reference import reference_model
 from symtree.tree import (BRANCH, Bounds, BranchRule, LeafExpression,
                           TreeModel, deserialize, serialize)
@@ -28,6 +30,49 @@ def test_defaults_are_canonical():
     assert spec.plant.V == 50.0 and spec.x_sp == 0.6
     lc = cfg.learn_config()
     assert (lc.c_lb, lc.c_ub) == (-1000.0, 1000.0)
+
+
+def test_library_defaults_are_the_run_defaults():
+    """The defaults are written twice, in DEFAULTS and in the dataclasses;
+    LearnConfig()'s lambda_m (1e-2) and coefficient box (+-100) once drifted
+    from the run's."""
+    cfg = load_config()
+    assert (LearnConfig(), MpcSpec(), PlantSpec()) == \
+        (cfg.learn_config(), cfg.mpc_spec(), cfg.plant_spec())
+
+
+def _with_integer(doc, digits: int) -> str:
+    """doc as JSON text with each "BIG" string written as a `digits`-digit
+    integer literal; json.dumps cannot write one past 4300 digits."""
+    return json.dumps(doc).replace('"BIG"', "9" * digits)
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_config_integer_past_float_range_reads_as_infinity(tmp_path, digits):
+    """It read as an int, which ended the load in an OverflowError (401
+    digits) or int-digit-limit ValueError (5001) traceback; it now reads as
+    1e400 does."""
+    big, spelled = tmp_path / "big.json", tmp_path / "1e400.json"
+    big.write_text('{"learn": {"c_bounds": [-%s, %s]}}' % ("9" * digits, "9" * digits))
+    spelled.write_text('{"learn": {"c_bounds": [-1e400, 1e400]}}')
+    assert load_config(str(big)).doc == load_config(str(spelled)).doc
+    assert load_config(str(big))["learn"]["c_bounds"] == [-math.inf, math.inf]
+    big.write_text('{"mpc": {"T": %s}}' % ("9" * digits))
+    with pytest.raises(ConfigError, match="mpc.T must be an integer, got inf"):
+        load_config(str(big))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("{not json", "invalid JSON at line 1: Expecting property name"),
+    ("[1, 2]", "must be a JSON object")], ids=["not-json", "not-object"])
+def test_malformed_config_file_exit_code(tmp_path, capsys, text, match):
+    # A config file is read as model and report files are.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["simulate", "--config", str(cfg), "--controller", "const:54",
+                "--out", str(tmp_path / "trace.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: {match}")
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -208,6 +253,28 @@ def test_box_without_zero_refused(workspace, tmp_path, capsys, command, name):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: coefficient bounds [1.0, 2.0] must contain 0"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["Infinity", "9" * 401, "9" * 5001],
+                         ids=["Infinity", "401-digits", "5001-digits"])
+@pytest.mark.parametrize("key", ["lambda_c", "lambda_m"])
+@pytest.mark.parametrize("command, name", [("export-milp", "prob.mps"),
+                                           ("train", "model.tree.json")])
+def test_infinite_penalty_weight_refused(workspace, tmp_path, capsys, command, name,
+                                         key, value):
+    """An infinite weight, or an integer one past float range: train ended in
+    a TypeError traceback (lambda_c) or blamed a leaf LP (lambda_m), and
+    export-milp wrote inf objective entries into its MPS file."""
+    ws, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"learn": {"%s": %s}}' % (key, value))
+    out = tmp_path / name
+    assert run([command, "--config", str(cfg),
+                "--data", str(ws / "train.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "penalty weights must be finite and nonnegative" in err[0]
+    assert f"{key}=inf" in err[0]
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("spec, errors", [
@@ -624,6 +691,73 @@ def test_malformed_model_file_exit_code(workspace, tmp_path, capsys, change, mat
     assert run(["simulate", "--config", str(cfg), "--controller", f"model:{mpath}",
                 "--out", str(tmp_path / "trace.csv")]) == 2
     assert capsys.readouterr().err.count(match) == 2
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+@pytest.mark.parametrize("field, match", [
+    ("coeffs", "node 4: coefficients must be finite"),
+    ("threshold", "node 1: threshold inf is not finite"),
+    ("feature", "node 1: field 'feature' has wrong type"),
+    ("depth", "root: field 'depth' has wrong type")])
+def test_model_integer_past_float_range_exit_code(tmp_path, capsys, field, match, digits):
+    """A coefficient or threshold written as such an integer ended predict in
+    an OverflowError (401 digits) or int-digit-limit ValueError (5001)
+    traceback; it reads as inf, which each field refuses in one line."""
+    doc = json.loads(serialize(reference_model()))
+    if field == "depth":
+        doc["depth"] = "BIG"
+    elif field == "coeffs":
+        doc["nodes"][3]["coeffs"][0] = "BIG"
+    else:
+        doc["nodes"][0][field] = "BIG"
+    mpath = tmp_path / "m.json"
+    mpath.write_text(_with_integer(doc, digits))
+    assert run(["predict", "--model", str(mpath), "--x", "0.5"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {match}"]
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_model_bound_past_float_range_reads_as_infinity(tmp_path, capsys, digits):
+    # An infinite box is a model's to carry; the integer reads as 1e400 does.
+    doc = json.loads(serialize(reference_model()))
+    doc["bounds"].update(c_ub="BIG", y_ub="BIG")
+    big, spelled = tmp_path / "big.json", tmp_path / "1e400.json"
+    big.write_text(_with_integer(doc, digits))
+    spelled.write_text(json.dumps(doc).replace('"BIG"', "1e400"))
+    printed = []
+    for mpath in (big, spelled):
+        assert run(["predict", "--model", str(mpath), "--x", "0.5"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert serialize(deserialize(big.read_text())) == serialize(deserialize(spelled.read_text()))
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_report_field_past_float_range_reads_as_infinity(workspace, tmp_path, capsys, digits):
+    ws, cfg = workspace
+    assert run(["baseline", "--kind", "cart", "--config", str(cfg),
+                "--data", str(ws / "train.csv"), "--out", str(tmp_path / "cart.tree.json")]) == 0
+    rep = json.loads((tmp_path / "cart.report.json").read_text())
+    rep["train_mae"] = "BIG"
+    (tmp_path / "big.report.json").write_text(_with_integer(rep, digits))
+    (tmp_path / "1e400.report.json").write_text(json.dumps(rep).replace('"BIG"', "1e400"))
+    for name in ("big", "1e400"):
+        assert run(["report", "--test", str(ws / "test.csv"), "--reports",
+                    str(tmp_path / f"{name}.report.json"),
+                    "--out", str(tmp_path / f"{name}.cmp.json")]) == 0
+    assert (tmp_path / "big.cmp.json").read_text() == (tmp_path / "1e400.cmp.json").read_text()
+    assert json.loads((tmp_path / "big.cmp.json").read_text())["models"][0]["train_mae"] == math.inf
+
+
+def test_simulate_step_count_past_float_range_exit_code(tmp_path, capsys):
+    # round(t_final / dt_sample) raised "cannot convert float infinity to integer".
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sim": {"t_final": 1e308, "dt_sample": 1e-300}}')
+    assert run(["simulate", "--config", str(cfg), "--controller", "const:54",
+                "--out", str(tmp_path / "trace.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == \
+        ["error: invalid horizon/sampling (1e+308, 1e-300)"]
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -191,6 +191,14 @@ def test_model_controller_overflow_wrapped(x0):
         simulate(PlantSpec(), ctrl, x0, 1.0, 0.1)
 
 
+def test_step_count_past_float_range_refused():
+    # round(t_final / dt_sample) raised "cannot convert float infinity to
+    # integer"; a large finite count is left untested, as it would allocate
+    # the trace's sample times before the loop fails.
+    with pytest.raises(ControllerError, match=r"^invalid horizon/sampling \(1e\+308, 1e-300\)$"):
+        simulate(PlantSpec(), constant_controller(54.0, (0.0, 75.0)), 0.75, 1e308, 1e-300)
+
+
 def test_controller_failure_is_wrapped_with_context():
     def broken(x):
         raise ValueError("boom")

@@ -176,7 +176,8 @@ def test_pruned_search_solves_fewer_lps():
     # rather than only showing as a slower benchmark.
     x = np.linspace(0.1, 0.9, 25)
     data = Dataset(X=x.reshape(-1, 1), y=60 + 15 * np.sin(6 * x))
-    rep = fit_tree(data, basis_from_forms(["1", "x"]), LearnConfig(depth=2, lambda_m=1e-4))
+    rep = fit_tree(data, basis_from_forms(["1", "x"]),
+                   LearnConfig(depth=2, lambda_m=1e-4, c_lb=-100.0, c_ub=100.0))
     assert rep.subproblems_solved == 100
 
 
@@ -197,7 +198,8 @@ def test_set_bounds_are_the_subset_bounds(monkeypatch, depth):
             registries.append(self)
 
     monkeypatch.setattr(learner, "_PointSets", Kept)
-    rep = fit_tree(Dataset(X=X, y=y), basis_from_forms(["1", "x@1"]), LearnConfig(depth=depth))
+    rep = fit_tree(Dataset(X=X, y=y), basis_from_forms(["1", "x@1"]),
+                   LearnConfig(depth=depth, lambda_m=1e-2, c_lb=-100.0, c_ub=100.0))
     lps = {2: 45, 3: 65}[depth]
     assert rep.subproblems_solved == lps
     sets, = registries
@@ -306,7 +308,7 @@ def test_adjacent_floats_are_split_apart():
     hi = float(np.nextafter(1.0, 2.0))
     data = Dataset(X=[[1.0], [hi]], y=[0.0, 1.0])
     basis = basis_from_forms(["1"])
-    cfg = LearnConfig(depth=1, lambda_c=0.0)
+    cfg = LearnConfig(depth=1, lambda_c=0.0, lambda_m=1e-2, c_lb=-100.0, c_ub=100.0)
     split = TreeModel(depth=1, rules={1: BranchRule(feature=0, threshold=hi)},
                       leaves={2: LeafExpression(coefficients=(0.0,)),
                               3: LeafExpression(coefficients=(1.0,))},

@@ -477,7 +477,8 @@ def _pinned_instances():
     rng = np.random.default_rng(43)
     data = Dataset(X=np.round(rng.uniform(-2, 1.5, (6, 2)), 2),
                    y=np.round(rng.uniform(-1, 1, 6), 2))
-    art = build_milp(data, basis_from_forms(["1", "x", "x@1"]), LearnConfig(depth=3))
+    art = build_milp(data, basis_from_forms(["1", "x", "x@1"]),
+                     LearnConfig(depth=3, lambda_m=1e-2, c_lb=-100.0, c_ub=100.0))
     art.lo[art.var_names.index("ypred[1]")] = -np.inf
     art.hi[art.var_names.index("ypred[2]")] = 0.0
     art.hi[art.var_names.index("ypred[3]")] = -0.0

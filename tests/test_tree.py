@@ -328,6 +328,26 @@ def test_validate_reports_what_deserialize_refuses(change, message):
         deserialize(serialize(model))
 
 
+@pytest.mark.parametrize("feature", [0.0, True], ids=["float", "bool"])
+def test_validate_flags_a_feature_that_is_not_an_integer(feature):
+    """A float feature passed validate, and deserialize refused the file that
+    serialize wrote for it; a bool is no feature index either."""
+    model = reference_model()
+    rules = {**model.rules, 1: dataclasses.replace(model.rules[1], feature=feature)}
+    model = dataclasses.replace(model, rules=rules)
+    assert validate(model) == [f"node 1: feature index {feature!r} is not an integer"]
+
+
+def test_numpy_integer_feature_saves_as_int():
+    # json.dumps raised "Object of type int64 is not JSON serializable".
+    model = reference_model()
+    rules = {n: dataclasses.replace(r, feature=np.int64(r.feature))
+             for n, r in model.rules.items()}
+    numpy_model = dataclasses.replace(model, rules=rules)
+    assert validate(numpy_model) == []
+    assert serialize(numpy_model) == serialize(model)
+
+
 @functools.cache
 def _written_models() -> dict:
     """A model of every kind the commands write, on the canonical N=50 labels:
